@@ -34,6 +34,7 @@ from .verify import (
     TargetKind,
     TargetSet,
     Verdict,
+    check,
     covers,
     incidence,
     kisses,

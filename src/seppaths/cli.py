@@ -33,9 +33,8 @@ from .verify import (
     PathSystem,
     TargetKind,
     TargetSet,
-    covers,
+    check,
     parse_paths,
-    separates,
     serialize_paths,
 )
 
@@ -157,13 +156,9 @@ def cmd_verify(args) -> int:
     for warning in fs.lint():
         print(f"warning: {warning}", file=sys.stderr)
     ts = _target_set(t, args.target)
-    sep = separates(fs, ts)
-    if not sep:
-        print(str(sep), file=sys.stderr)
-        return 1
-    cov = covers(fs, ts)
-    if not cov:
-        print(str(cov), file=sys.stderr)
+    verdict = check(fs, ts)
+    if not verdict:
+        print(str(verdict), file=sys.stderr)
         return 1
     payload = {"separates": True, "covers": True, "elements": len(ts)}
     _emit(args, ["separates true", "covers true", f"elements {len(ts)}"], payload)
@@ -191,10 +186,16 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_random_exp(args) -> int:
+    if args.n < 0:
+        raise UsageError(f"--n {args.n} is negative")
+    if args.trials < 1:
+        raise UsageError(f"--trials {args.trials} is below 1")
     if args.p is not None:
         p = args.p
         if not 0.0 <= p <= 1.0:
             raise UsageError(f"--p {p} outside [0,1]")
+    elif args.n < 2:
+        raise UsageError(f"--n {args.n}: the automatic p needs n >= 2")
     elif args.auto_supercritical:
         p = supercritical_p(args.n)
     else:

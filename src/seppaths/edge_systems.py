@@ -3,10 +3,14 @@
 ``edge_system`` produces, for any tree on >= 2 vertices, a family of paths
 that separates and covers the edge set and whose size is exactly the proven
 optimum: 4 for the depth-2 binary tree, 1 for the single edge, and
-max(ceil((2*h1 + h2)/3), ceil((h1 + h2)/2)) otherwise.  Every branch of the
-case analysis re-checks its output through the verifier before returning;
-a failed check raises InternalClassificationError instead of handing back
-an unverified family.
+max(ceil((2*h1 + h2)/3), ceil((h1 + h2)/2)) otherwise.
+
+The case analysis works on end pairs: in a tree a path is the unique path
+between its two ends, and retiring a leaf or a degree-2 vertex never moves
+the ends of the surviving paths, so each reduction step just records one
+more pair.  Each public function checks its result once, through the
+verifier, before returning; a failed check raises
+InternalClassificationError instead of handing back an unverified family.
 """
 
 from __future__ import annotations
@@ -21,7 +25,6 @@ from .errors import (
     TreeTooSmall,
 )
 from .trees import (
-    Edge,
     PathInTree,
     Tree,
     TreeProfile,
@@ -34,7 +37,9 @@ from .trees import (
     suppress_vertex,
     unique_path,
 )
-from .verify import PathSystem, TargetSet, covers, separates
+from .verify import PathSystem, TargetSet, check
+
+Pair = tuple[int, int]
 
 
 def edge_formula(h1: int, h2: int) -> int:
@@ -45,7 +50,7 @@ def edge_formula(h1: int, h2: int) -> int:
 
 # The depth-2 binary tree: the unique tree where the formula is off by one.
 DEPTH2_BINARY = Tree.from_edges([(1, 2), (1, 3), (2, 4), (2, 5), (3, 6), (3, 7)])
-_DEPTH2_FAMILY = ((1, 2, 4), (1, 2, 5), (1, 3, 6), (1, 3, 7))
+_DEPTH2_FAMILY = ((1, 4), (1, 5), (1, 6), (1, 7))
 
 
 def is_depth2_binary(t: Tree) -> bool:
@@ -70,24 +75,27 @@ def edge_target_size(t: Tree) -> int:
     return edge_formula(p.h1, p.h2)
 
 
-def _verified(t: Tree, paths, label: str, also_vertices_interior: bool = False) -> PathSystem:
-    fs = PathSystem(t, tuple(paths))
-    ts = TargetSet.edges(t)
-    sep, cov = separates(fs, ts), covers(fs, ts)
-    if not (sep and cov):
-        raise InternalClassificationError(f"{label}: {sep if not sep else cov}")
+def _verified(t: Tree, pairs, label: str, also_vertices_interior: bool = False) -> PathSystem:
+    """The tree paths between the given end pairs, checked to separate and
+    cover the edges (and optionally the vertices plus interior edges)."""
+    fs = PathSystem(t, tuple(unique_path(t, a, b) for a, b in pairs))
+    targets = [TargetSet.edges(t)]
     if also_vertices_interior:
-        tsv = TargetSet.vertices_and_interior_edges(t)
-        sep, cov = separates(fs, tsv), covers(fs, tsv)
-        if not (sep and cov):
-            raise InternalClassificationError(f"{label}: {sep if not sep else cov}")
+        targets.append(TargetSet.vertices_and_interior_edges(t))
+    for ts in targets:
+        verdict = check(fs, ts)
+        if not verdict:
+            raise InternalClassificationError(f"{label}: {verdict}")
     return fs
 
 
 # ---- the three leaf-order constructions ----
+#
+# Each public construction is a pair builder plus one check.  A pair (a, b)
+# stands for the unique a-b path of the tree.
 
-def abc_construction(t: Tree) -> PathSystem:
-    """2k paths joining leaves (a_i, b_i) and (a_i, c_i) of the canonical
+def abc_pairs(t: Tree) -> list[Pair]:
+    """2k pairs joining leaves (a_i, b_i) and (a_i, c_i) of the canonical
     leaf order, for trees with h1 = 3k leaves and no degree-2 vertices."""
     p = profile(t)
     if t.n < 3 or p.h2 != 0 or p.h1 % 3 != 0:
@@ -97,24 +105,28 @@ def abc_construction(t: Tree) -> PathSystem:
     order = dfs_leaf_order(t, min(p.leaves))
     k = p.h1 // 3
     a, b, c = order[:k], order[k : 2 * k], order[2 * k :]
-    paths = [unique_path(t, a[i], b[i]) for i in range(k)]
-    paths += [unique_path(t, a[i], c[i]) for i in range(k)]
-    return _verified(t, paths, "abc_construction")
+    return [(a[i], b[i]) for i in range(k)] + [(a[i], c[i]) for i in range(k)]
+
+
+def abc_construction(t: Tree) -> PathSystem:
+    """The paths of ``abc_pairs``, checked."""
+    return _verified(t, abc_pairs(t), "abc_construction")
+
+
+def planar_pairs(t: Tree) -> list[Pair]:
+    """h1 pairs of cyclically consecutive leaves."""
+    p = profile(t)
+    if p.h2 != 0 or p.h1 < 3:
+        raise PreconditionViolated(f"need h2=0 and h1>=3; got h1={p.h1}, h2={p.h2}")
+    order = dfs_leaf_order(t, min(p.leaves))
+    return [(order[i], order[(i + 1) % len(order)]) for i in range(len(order))]
 
 
 def planar_construction(t: Tree) -> PathSystem:
     """h1 paths joining cyclically consecutive leaves; separates and covers
     both the edges and the vertices-plus-interior-edges targets, and puts
     every edge on exactly two paths."""
-    p = profile(t)
-    if p.h2 != 0 or p.h1 < 3:
-        raise PreconditionViolated(f"need h2=0 and h1>=3; got h1={p.h1}, h2={p.h2}")
-    order = dfs_leaf_order(t, min(p.leaves))
-    paths = [
-        unique_path(t, order[i], order[(i + 1) % len(order)])
-        for i in range(len(order))
-    ]
-    fs = _verified(t, paths, "planar_construction", also_vertices_interior=True)
+    fs = _verified(t, planar_pairs(t), "planar_construction", also_vertices_interior=True)
     for e in t.edges:
         hits = sum(e in q.edge_set() for q in fs.paths)
         if hits != 2:
@@ -141,16 +153,13 @@ def _grouped_leaf_order(t: Tree, leaves) -> list[int]:
     return order
 
 
-def bunch_construction(t: Tree) -> PathSystem:
-    """Two paths per bunch plus pooled seagulls over the leftover leaves.
+def bunch_pairs(t: Tree) -> list[Pair]:
+    """Two pairs per bunch plus pooled seagulls over the leftover leaves.
 
     Bunches are enumerated in the cyclic leaf order of an embedding that
     keeps each bunch's leaves consecutive, which is what aligns the first
     step with the consecutive-leaf construction.  Defined whenever every
-    bunch has at least two leaves and the tree is not the 3-leaf star; when
-    the tree has no degree-2 vertices and all bunches have size >= 3 the
-    result is verified separating-covering for edges and for
-    vertices-plus-interior-edges, with exactly ceil(2*h1/3) paths.
+    bunch has at least two leaves and the tree is not the 3-leaf star.
     """
     p = profile(t)
     if t.n == 4 and sorted(map(t.degree, t.vertices)) == [1, 1, 1, 3]:
@@ -173,35 +182,41 @@ def bunch_construction(t: Tree) -> PathSystem:
     if len(groups) != len(p.bunches):
         raise InternalClassificationError("bunch leaves not consecutive in leaf order")
 
-    paths: list[PathInTree] = []
+    pairs: list[Pair] = []
     remaining: list[int] = []
     r = len(groups)
     if r == 1:
         remaining = list(groups[0])
     else:
         for i, lv in enumerate(groups):
-            nxt = groups[(i + 1) % r][0]
-            paths.append(unique_path(t, lv[-2], lv[-1]))
-            paths.append(unique_path(t, lv[-1], nxt))
+            pairs.append((lv[-2], lv[-1]))
+            pairs.append((lv[-1], groups[(i + 1) % r][0]))
             remaining.extend(lv[1:-2])
     i = 0
     while len(remaining) - i >= 3:
         u, v, w = remaining[i : i + 3]
-        paths.append(unique_path(t, u, v))
-        paths.append(unique_path(t, v, w))
+        pairs += [(u, v), (v, w)]
         i += 3
-    for leaf in remaining[i:]:
-        paths.append(unique_path(t, leaf, t.neighbors(leaf)[0]))
+    pairs += [(leaf, t.neighbors(leaf)[0]) for leaf in remaining[i:]]
+    return pairs
 
-    if p.h2 == 0 and all(b.size >= 3 for b in p.bunches):
-        fs = _verified(t, paths, "bunch_construction", also_vertices_interior=True)
-        want = -(-2 * p.h1 // 3)
-        if fs.size != want:
-            raise InternalClassificationError(
-                f"bunch construction produced {fs.size} paths, expected {want}"
-            )
-        return fs
-    return PathSystem(t, tuple(paths))
+
+def bunch_construction(t: Tree) -> PathSystem:
+    """The paths of ``bunch_pairs``.  When the tree has no degree-2 vertices
+    and all bunches have size >= 3 the result is verified
+    separating-covering for edges and for vertices-plus-interior-edges, with
+    exactly ceil(2*h1/3) paths."""
+    pairs = bunch_pairs(t)
+    p = profile(t)
+    if not (p.h2 == 0 and all(b.size >= 3 for b in p.bunches)):
+        return PathSystem(t, tuple(unique_path(t, a, b) for a, b in pairs))
+    fs = _verified(t, pairs, "bunch_construction", also_vertices_interior=True)
+    want = -(-2 * p.h1 // 3)
+    if fs.size != want:
+        raise InternalClassificationError(
+            f"bunch construction produced {fs.size} paths, expected {want}"
+        )
+    return fs
 
 
 # ---- reduction pairs ----
@@ -255,10 +270,8 @@ def find_reduction_pair(t: Tree, forbid_exception: bool = False) -> ReductionPai
 @dataclass(frozen=True)
 class LiftRecipe:
     """How to turn a system of the reduced tree back into one of the original:
-    splice each recorded vertex into paths crossing its bypass edge, then
-    append the recorded path."""
+    every path keeps its ends, and the recorded path is appended."""
 
-    expansions: tuple[tuple[Edge, int], ...]
     append: PathInTree
 
 
@@ -269,37 +282,15 @@ def apply_reduction(t: Tree, rp: ReductionPair) -> tuple[Tree, LiftRecipe]:
     if case is not rp.case:
         raise InvalidPair(f"({rp.u},{rp.v}) is not a {rp.case.value} reduction pair")
     w = t.neighbors(rp.u)[0]
-    bridge_path = unique_path(t, rp.u, rp.v)
-    if case is ReductionCase.DEGREE_AT_LEAST_4:
-        t1 = delete_leaf(t, rp.u)
-        t2, v_bridge = suppress_vertex(t1, rp.v)
-        return t2, LiftRecipe(((v_bridge, rp.v),), bridge_path)
-    # degree-3 case: u, w, v all go; two bridges come back
-    t1 = delete_leaf(t, rp.u)
-    t2, v_bridge = suppress_vertex(t1, rp.v)
-    t3, w_bridge = suppress_vertex(t2, w)
-    return t3, LiftRecipe(((v_bridge, rp.v), (w_bridge, w)), bridge_path)
-
-
-def _splice(seq: tuple[int, ...], e: Edge, x: int) -> tuple[int, ...]:
-    """Insert x between the (unique) consecutive occurrence of edge e."""
-    a, b = e
-    for i in range(len(seq) - 1):
-        if {seq[i], seq[i + 1]} == {a, b}:
-            return seq[: i + 1] + (x,) + seq[i + 1 :]
-    return seq
+    reduced, _ = suppress_vertex(delete_leaf(t, rp.u), rp.v)
+    if case is ReductionCase.DEGREE_3_NON_NEIGHBOR:
+        reduced, _ = suppress_vertex(reduced, w)  # w is left with degree 2
+    return reduced, LiftRecipe(unique_path(t, rp.u, rp.v))
 
 
 def lift_system(t: Tree, fs: PathSystem, recipe: LiftRecipe) -> list[PathInTree]:
     """Apply a LiftRecipe to every path of a reduced-tree system."""
-    out = []
-    for p in fs.paths:
-        seq = p.vertices
-        for e, x in recipe.expansions:
-            seq = _splice(seq, e, x)
-        out.append(PathInTree(seq))
-    out.append(recipe.append)
-    return out
+    return [unique_path(t, *p.endpoints) for p in fs.paths] + [recipe.append]
 
 
 # ---- the main dispatch ----
@@ -308,64 +299,61 @@ def edge_system(t: Tree) -> PathSystem:
     """A verified minimum edge-separating-covering system of the tree."""
     if t.n < 2:
         raise TreeTooSmall("need at least one edge")
-    if t.n == 2:
-        u, v = t.vertices
-        return _verified(t, [unique_path(t, u, v)], "single edge")
-    if is_depth2_binary(t):
-        iso = find_isomorphism(DEPTH2_BINARY, t)
-        paths = [PathInTree(tuple(iso[v] for v in seq)) for seq in _DEPTH2_FAMILY]
-        return _verified(t, paths, "depth-2 binary tree")
-    p = profile(t)
-    if p.h1 < p.h2:
-        fs = _more_degree2(t, p)
-    elif p.h2 == 0:
-        fs = _no_degree2(t, p)
-    elif not p.useful_leaves:
-        fs = _cyclic_leaf_system(t, p)
-    else:
-        fs = _reduce_and_lift(t)
+    pairs, label = _edge_pairs(t)
+    fs = _verified(t, pairs, label)
     if fs.size != edge_target_size(t):
         raise InternalClassificationError(
-            f"built {fs.size} paths, optimum is {edge_target_size(t)}"
+            f"{label}: built {fs.size} paths, optimum is {edge_target_size(t)}"
         )
     return fs
 
 
-def _no_degree2(t: Tree, p: TreeProfile) -> PathSystem:
+def _edge_pairs(t: Tree) -> tuple[list[Pair], str]:
+    """The end pairs of a minimum system, and the name of the case taken."""
+    if t.n == 2:
+        return [tuple(t.vertices)], "single edge"
+    if is_depth2_binary(t):
+        return _mapped(DEPTH2_BINARY, _DEPTH2_FAMILY, t), "depth-2 binary tree"
+    p = profile(t)
+    if p.h1 < p.h2:
+        return _more_degree2(t, p), "h1 < h2"
+    if p.h2 == 0:
+        return _no_degree2(t, p), f"h2=0, residue {p.h1 % 3}"
+    if not p.useful_leaves:
+        return _cyclic_leaf_pairs(t, p), "cyclic leaf-to-support system"
+    return _reduce_and_lift(t, p), "reduction lift"
+
+
+def _mapped(fixture: Tree, family, t: Tree) -> list[Pair]:
+    """A fixture family carried onto an isomorphic tree."""
+    iso = find_isomorphism(fixture, t)
+    if iso is None:
+        raise InternalClassificationError(f"tree {t!r} matches no fixture")
+    return [(iso[a], iso[b]) for a, b in family]
+
+
+def _no_degree2(t: Tree, p: TreeProfile) -> list[Pair]:
     """h2 = 0: the leaf-count residue mod 3 decides the adjustment."""
     s = p.h1 % 3
     if s == 0:
-        return abc_construction(t)
+        return abc_pairs(t)
     if s == 2:
         # borrow a leaf on an arbitrary non-leaf, build, then drop it
         host = min(v for v in t.vertices if not t.is_leaf(v))
         u = max(t.vertices) + 1
         t2 = Tree(set(t.vertices) | {u}, t.edges | {edge(host, u)})
-        inner = abc_construction(t2)
-        paths = []
-        for q in inner.paths:
-            seq = q.vertices
-            if u in seq:
-                seq = seq[1:] if seq[0] == u else seq[:-1]
-            paths.append(PathInTree(seq))
-        return _verified(t, paths, "h2=0, residue 2")
+        return [tuple(host if x == u else x for x in pair) for pair in abc_pairs(t2)]
     # s == 1: retire one leaf, or one leaf plus its degree-3 neighbor
     u = min(p.leaves)
     w = t.neighbors(u)[0]
     if t.degree(w) > 3:
-        inner = abc_construction(delete_leaf(t, u))
-        paths = list(inner.paths) + [unique_path(t, u, w)]
-        return _verified(t, paths, "h2=0, residue 1, wide neighbor")
+        return abc_pairs(delete_leaf(t, u)) + [(u, w)]
     w1, w2 = (x for x in t.neighbors(w) if x != u)
-    t1 = delete_leaf(t, u)
-    t2, bridge = suppress_vertex(t1, w)
-    inner = abc_construction(t2)
-    paths = [PathInTree(_splice(q.vertices, bridge, w)) for q in inner.paths]
-    paths.append(PathInTree((u, w, min(w1, w2))))
-    return _verified(t, paths, "h2=0, residue 1, degree-3 neighbor")
+    reduced, _ = suppress_vertex(delete_leaf(t, u), w)
+    return abc_pairs(reduced) + [(u, min(w1, w2))]
 
 
-def _cyclic_leaf_system(t: Tree, p: TreeProfile) -> PathSystem:
+def _cyclic_leaf_pairs(t: Tree, p: TreeProfile) -> list[Pair]:
     """Every leaf sits on a degree-2 vertex: route each leaf to the next
     leaf's support vertex around the cyclic leaf order."""
     order = dfs_leaf_order(t, min(p.leaves))
@@ -374,89 +362,84 @@ def _cyclic_leaf_system(t: Tree, p: TreeProfile) -> PathSystem:
         # two leaves share their support: the tree is the 2-edge path
         if t.n != 3:
             raise InternalClassificationError("shared support on a non-path tree")
-        a, mid, b = order[0], supports[0], order[1]
-        return _verified(t, [PathInTree((a, mid)), PathInTree((mid, b))], "2-edge path")
-    paths = [
-        unique_path(t, order[i], supports[(i + 1) % len(order)])
-        for i in range(len(order))
-    ]
-    return _verified(t, paths, "cyclic leaf-to-support system")
+        return [(order[0], supports[0]), (supports[0], order[1])]
+    return [(order[i], supports[(i + 1) % len(order)]) for i in range(len(order))]
 
 
-def _reduce_and_lift(t: Tree) -> PathSystem:
-    """h1 >= h2 >= 1 with a useful leaf: shrink, recurse, re-expand."""
-    rp = find_reduction_pair(t, forbid_exception=True)
-    if rp is None:
-        return _irreducible_fixture(t)
-    reduced, recipe = apply_reduction(t, rp)
-    inner = edge_system(reduced)
-    return _verified(t, lift_system(t, inner, recipe), "reduction lift")
+def _reduce_and_lift(t: Tree, p: TreeProfile) -> list[Pair]:
+    """h1 >= h2 >= 1: retire reduction pairs until h2 = 0, no leaf is
+    useful, or only an irreducible fixture is left; each retired pair is one
+    more path, appended in the order the lifts add them."""
+    appended: list[Pair] = []
+    while p.h2 and p.useful_leaves:
+        rp = find_reduction_pair(t, forbid_exception=True)
+        if rp is None:
+            return _irreducible_fixture(t) + appended[::-1]
+        t, recipe = apply_reduction(t, rp)
+        appended.append(recipe.append.endpoints)
+        p = profile(t)
+    base = _no_degree2(t, p) if not p.h2 else _cyclic_leaf_pairs(t, p)
+    return base + appended[::-1]
 
 
-# Irreducible bottoms of the reduction recursion, with their explicit
-# families.  The 9-vertex tree is the one whose every reduction pair lands
-# on the depth-2 binary tree; its printed family needed one corrected path
-# (verified here at import time, like every other construction output).
+# Irreducible bottoms of the reduction, with their explicit families as end
+# pairs.  The 9-vertex tree is the one whose every reduction pair lands on
+# the depth-2 binary tree; its printed family needed one corrected path.
 _FIVE_FIXTURE = Tree.from_edges([(0, 2), (1, 2), (2, 3), (3, 4)])
-_FIVE_FAMILY = ((0, 2, 3), (1, 2, 3, 4), (3, 4))
+_FIVE_FAMILY = ((0, 3), (1, 4), (3, 4))
 _SIX_FIXTURE = Tree.from_edges([(0, 1), (1, 2), (2, 3), (3, 4), (2, 5)])
-_SIX_FAMILY = ((0, 1, 2, 3), (1, 2, 3, 4), (1, 2, 5))
+_SIX_FAMILY = ((0, 3), (1, 4), (1, 5))
 _NINE_FIXTURE = Tree.from_edges(
     [(0, 3), (1, 3), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7), (5, 8)]
 )
-_NINE_FAMILY = ((0, 3, 4, 5, 6), (1, 3, 4, 5, 6, 7), (2, 3, 4), (1, 3, 4, 5, 8))
+_NINE_FAMILY = ((0, 6), (1, 7), (2, 4), (1, 8))
 
 
-def _irreducible_fixture(t: Tree) -> PathSystem:
+def _irreducible_fixture(t: Tree) -> list[Pair]:
     if find_reduction_pair(t, forbid_exception=False) is not None:
-        fixture, family = _NINE_FIXTURE, _NINE_FAMILY
-    elif t.n == 5:
-        fixture, family = _FIVE_FIXTURE, _FIVE_FAMILY
-    elif t.n == 6:
-        fixture, family = _SIX_FIXTURE, _SIX_FAMILY
-    else:
-        raise InternalClassificationError(f"unclassified irreducible tree {t!r}")
-    iso = find_isomorphism(fixture, t)
-    if iso is None:
-        raise InternalClassificationError(f"irreducible tree {t!r} matches no fixture")
-    paths = [PathInTree(tuple(iso[v] for v in seq)) for seq in family]
-    return _verified(t, paths, "irreducible fixture")
+        return _mapped(_NINE_FIXTURE, _NINE_FAMILY, t)
+    if t.n == 5:
+        return _mapped(_FIVE_FIXTURE, _FIVE_FAMILY, t)
+    if t.n == 6:
+        return _mapped(_SIX_FIXTURE, _SIX_FAMILY, t)
+    raise InternalClassificationError(f"unclassified irreducible tree {t!r}")
 
 
-def _more_degree2(t: Tree, p: TreeProfile) -> PathSystem:
-    """h1 < h2: subdivide once if the endpoint parity is odd, then repeatedly
-    retire non-adjacent degree-2 pairs until the counts balance."""
-    if (p.h1 + p.h2) % 2 == 1:
-        e = min(t.edges)
-        t2, x = subdivide_edge(t, e)
-        inner = _balanced_degree2(t2)
-        a, b = e
-        paths = [PathInTree(_unsubdivide(q.vertices, a, x, b)) for q in inner.paths]
-        return _verified(t, paths, "parity contraction")
-    return _balanced_degree2(t)
+def _more_degree2(t: Tree, p: TreeProfile) -> list[Pair]:
+    """h1 < h2: subdivide once if the endpoint parity is odd, then retire
+    non-adjacent degree-2 pairs until the counts balance.
+
+    A path ending at the subdivision vertex x ends instead at the end of the
+    original edge that lies away from the path's other end.
+    """
+    if (p.h1 + p.h2) % 2 == 0:
+        return _balanced_degree2(t, p)
+    e = min(t.edges)
+    t2, x = subdivide_edge(t, e)
+    a, b = e
+
+    def unsubdivided(end: int, other: int) -> int:
+        if end != x:
+            return end
+        return a if unique_path(t2, x, other).vertices[1] == b else b
+
+    pairs = _balanced_degree2(t2, profile(t2))
+    return [(unsubdivided(u, v), unsubdivided(v, u)) for u, v in pairs]
 
 
-def _balanced_degree2(t: Tree) -> PathSystem:
-    """h1 <= h2 and h1 + h2 even: induct on h2 - h1 by deleting two
-    non-adjacent degree-2 vertices at a time."""
-    p = profile(t)
-    if p.h2 == p.h1:
-        return edge_system(t)
-    pair = _least_nonadjacent_deg2_pair(t, p)
-    if pair is None:
-        raise InternalClassificationError("no non-adjacent degree-2 pair found")
-    u, v = pair
-    bridge_path = unique_path(t, u, v)
-    t1, u_bridge = suppress_vertex(t, u)
-    t2, v_bridge = suppress_vertex(t1, v)
-    inner = _balanced_degree2(t2)
-    paths = []
-    for q in inner.paths:
-        seq = _splice(q.vertices, u_bridge, u)
-        seq = _splice(seq, v_bridge, v)
-        paths.append(PathInTree(seq))
-    paths.append(bridge_path)
-    return _verified(t, paths, "degree-2 pair lift")
+def _balanced_degree2(t: Tree, p: TreeProfile) -> list[Pair]:
+    """h1 <= h2 and h1 + h2 even: delete two non-adjacent degree-2 vertices
+    at a time until h1 = h2, then reduce and lift."""
+    appended: list[Pair] = []
+    while p.h2 != p.h1:
+        pair = _least_nonadjacent_deg2_pair(t, p)
+        if pair is None:
+            raise InternalClassificationError("no non-adjacent degree-2 pair found")
+        u, v = pair
+        t, _ = suppress_vertex(suppress_vertex(t, u)[0], v)
+        appended.append(pair)
+        p = profile(t)
+    return _reduce_and_lift(t, p) + appended[::-1]
 
 
 def _least_nonadjacent_deg2_pair(t: Tree, p: TreeProfile) -> tuple[int, int] | None:
@@ -465,21 +448,3 @@ def _least_nonadjacent_deg2_pair(t: Tree, p: TreeProfile) -> tuple[int, int] | N
             if not t.has_edge(u, v):
                 return (u, v)
     return None
-
-
-def _unsubdivide(seq: tuple[int, ...], a: int, x: int, b: int) -> tuple[int, ...]:
-    """Undo the subdivision a-x-b back to the edge (a, b) inside one path.
-
-    A path through x just drops it; a path ending at x steps onto the far
-    endpoint of the original edge instead.
-    """
-    if x not in seq:
-        return seq
-    i = seq.index(x)
-    if 0 < i < len(seq) - 1:
-        return seq[:i] + seq[i + 1 :]
-    if len(seq) == 1:
-        raise InternalClassificationError("length-0 path at a subdivision vertex")
-    if i == 0:
-        return ((a if seq[1] == b else b),) + seq[1:]
-    return seq[:-1] + ((a if seq[-2] == b else b),)

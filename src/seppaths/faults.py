@@ -10,17 +10,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import NotCovering, NotSeparating, UnknownElement
-from .trees import edge
-from .verify import (
-    Element,
-    PathSystem,
-    TargetSet,
-    covers,
-    path_contains,
-    separates,
-    signatures,
-)
+from . import verify
+from .errors import NotCovering, NotSeparating
+from .verify import Element, PathSystem, TargetSet, host_element, path_contains
 
 
 def signature_table(fs: PathSystem, ts: TargetSet) -> dict[Element, frozenset[int]]:
@@ -29,13 +21,12 @@ def signature_table(fs: PathSystem, ts: TargetSet) -> dict[Element, frozenset[in
     Refuses systems that do not separate and cover the target set, since
     decoding would be ambiguous.
     """
-    sep = separates(fs, ts)
-    if not sep:
-        raise NotSeparating(str(sep))
-    cov = covers(fs, ts)
-    if not cov:
-        raise NotCovering(str(cov))
-    return signatures(fs, ts)
+    table = verify.signatures(fs, ts)
+    verdict = verify.check_signatures(table, ts)
+    if not verdict:
+        error = NotSeparating if verdict.label == "NotSeparated" else NotCovering
+        raise error(str(verdict))
+    return table
 
 
 @dataclass(frozen=True)
@@ -53,13 +44,7 @@ def simulate_probes(fs: PathSystem, fault: Element | None) -> ProbeReport:
     """Single-fault model: probe i fails iff the faulty element lies on path i."""
     if fault is None:
         return ProbeReport(tuple(True for _ in fs.paths))
-    if isinstance(fault, int):
-        if not fs.host.has_vertex(fault):
-            raise UnknownElement(f"vertex {fault} not in host")
-    else:
-        fault = edge(*fault)
-        if not fs.host.has_edge(*fault):
-            raise UnknownElement(f"edge {fault} not in host")
+    fault = host_element(fs.host, fault)
     return ProbeReport(tuple(not path_contains(p, fault) for p in fs.paths))
 
 

@@ -15,7 +15,7 @@ from functools import lru_cache
 
 from .errors import Infeasible, InternalClassificationError, Timeout, TooLarge
 from .trees import PathInTree, Tree, unique_path
-from .verify import PathSystem, TargetSet, covers, separates
+from .verify import PathSystem, TargetSet, check, separates
 
 DEFAULT_MAX_N = 12
 GRAPH_PATH_CAP = 20000
@@ -200,10 +200,9 @@ def min_separating(
         picked = search.at_most(k)
         if picked is not None:
             system = PathSystem(host, tuple(search.cands[i] for i in picked))
-            if not separates(system, ts):
-                raise InternalClassificationError("oracle family fails separation")
-            if require_cover and not covers(system, ts):
-                raise InternalClassificationError("oracle family fails covering")
+            verdict = (check if require_cover else separates)(system, ts)
+            if not verdict:
+                raise InternalClassificationError(f"oracle family fails: {verdict}")
             return OracleResult(len(picked), system, search.nodes, time.monotonic() - started)
     raise Infeasible("no family over the candidate paths separates the target")
 

@@ -11,7 +11,7 @@ from typing import Iterable, Sequence
 
 from .errors import HasCycle, UnknownVertex
 from .trees import Edge, PathInTree, edge
-from .verify import PathSystem, TargetSet, covers, separates
+from .verify import PathSystem, TargetSet, check
 
 
 class Graph:
@@ -321,8 +321,7 @@ def random_vertex_system(g: Graph, seed: int) -> PathSystem | None:
             return None
         paths.append(found)
     fs = PathSystem(g, tuple(paths))
-    ts = TargetSet.vertices(g)
-    if not (separates(fs, ts) and covers(fs, ts)):
+    if not check(fs, TargetSet.vertices(g)):
         return None  # defensive; the set system guarantees this
     return fs
 

@@ -61,23 +61,23 @@ class TargetSet:
 
     @staticmethod
     def custom(host, elements: Iterable[Element]) -> "TargetSet":
-        els = []
-        for s in elements:
-            _check_element(host, s)
-            els.append(s if isinstance(s, int) else edge(*s))
-        return TargetSet(TargetKind.CUSTOM, tuple(sorted(set(els), key=element_key)))
+        els = {host_element(host, s) for s in elements}
+        return TargetSet(TargetKind.CUSTOM, tuple(sorted(els, key=element_key)))
 
     def __len__(self) -> int:
         return len(self.elements)
 
 
-def _check_element(host, s: Element) -> None:
+def host_element(host, s: Element) -> Element:
+    """s as an element of the host, edges normalized to (min, max);
+    UnknownElement if the host lacks it."""
     if isinstance(s, int):
         if not host.has_vertex(s):
             raise UnknownElement(f"vertex {s} not in host")
-    else:
-        if not host.has_edge(*s):
-            raise UnknownElement(f"edge {tuple(s)} not in host")
+        return s
+    if not host.has_edge(*s):
+        raise UnknownElement(f"edge {tuple(s)} not in host")
+    return edge(*s)
 
 
 @dataclass(frozen=True)
@@ -150,9 +150,7 @@ def path_contains(p: PathInTree, s: Element) -> bool:
 
 def incidence(fs: PathSystem, s: Element) -> frozenset[int]:
     """The signature of s: indices of the paths that contain it."""
-    _check_element(fs.host, s)
-    if not isinstance(s, int):
-        s = edge(*s)
+    s = host_element(fs.host, s)
     return frozenset(i for i, p in enumerate(fs.paths) if path_contains(p, s))
 
 
@@ -168,14 +166,7 @@ def signatures(fs: PathSystem, ts: TargetSet) -> dict[Element, frozenset[int]]:
     return {s: frozenset(ix) for s, ix in sig.items()}
 
 
-def separates(fs: PathSystem, ts: TargetSet) -> Verdict:
-    """Separates, or NotSeparated(s,t) with the first colliding pair.
-
-    The witness is the lexicographically least pair (vertices before edges),
-    i.e. the least element with a non-unique signature and the next element
-    sharing its signature.
-    """
-    sig = signatures(fs, ts)
+def _separation(sig: dict[Element, frozenset[int]], ts: TargetSet) -> Verdict:
     groups: dict[frozenset[int], list[Element]] = {}
     for s in ts.elements:  # elements are stored sorted
         groups.setdefault(sig[s], []).append(s)
@@ -186,13 +177,46 @@ def separates(fs: PathSystem, ts: TargetSet) -> Verdict:
     return Verdict(False, "NotSeparated", (first[0], first[1]))
 
 
-def covers(fs: PathSystem, ts: TargetSet) -> Verdict:
-    """Covers, or NotCovered(s) with the first element of empty signature."""
-    sig = signatures(fs, ts)
+def _covering(sig: dict[Element, frozenset[int]], ts: TargetSet) -> Verdict:
     for s in ts.elements:
         if not sig[s]:
             return Verdict(False, "NotCovered", (s,))
     return Verdict(True, "Covers")
+
+
+def separates(fs: PathSystem, ts: TargetSet) -> Verdict:
+    """Separates, or NotSeparated(s,t) with the first colliding pair.
+
+    The witness is the lexicographically least pair (vertices before edges),
+    i.e. the least element with a non-unique signature and the next element
+    sharing its signature.
+    """
+    return _separation(signatures(fs, ts), ts)
+
+
+def covers(fs: PathSystem, ts: TargetSet) -> Verdict:
+    """Covers, or NotCovered(s) with the first element of empty signature."""
+    return _covering(signatures(fs, ts), ts)
+
+
+def check_signatures(sig: dict[Element, frozenset[int]], ts: TargetSet) -> Verdict:
+    """The verdict of ``check`` on an already computed signature map."""
+    sep = _separation(sig, ts)
+    if not sep:
+        return sep
+    cov = _covering(sig, ts)
+    if not cov:
+        return cov
+    return Verdict(True, "SeparatesAndCovers")
+
+
+def check(fs: PathSystem, ts: TargetSet) -> Verdict:
+    """Separates and covers, from one signature sweep.
+
+    A failure is reported as ``separates`` or ``covers`` would report it,
+    separation first.
+    """
+    return check_signatures(signatures(fs, ts), ts)
 
 
 def kisses(p: PathInTree, e: Edge) -> bool:

@@ -23,8 +23,8 @@ from .trees import (
     suppress_vertex,
     unique_path,
 )
-from .edge_systems import bunch_construction, planar_construction
-from .verify import PathSystem, TargetKind, TargetSet, covers, separates
+from .edge_systems import bunch_pairs, planar_pairs
+from .verify import PathSystem, TargetKind, TargetSet, check
 
 
 class BunchMismatchWarning(UserWarning):
@@ -89,16 +89,14 @@ def vertex_system(t: Tree) -> PathSystem:
             stacklevel=2,
         )
 
-    base = bunch_construction(contracted)
     # A path between surviving vertices lifts to the unique path in t.
-    lifted = [unique_path(t, q.vertices[0], q.vertices[-1]) for q in base.paths]
+    lifted = [unique_path(t, a, b) for a, b in bunch_pairs(contracted)]
     added = _separate_degree2(t, prof, lifted)
 
     fs = PathSystem(t, tuple(lifted + added))
-    ts = TargetSet.vertices(t)
-    sep, cov = separates(fs, ts), covers(fs, ts)
-    if not (sep and cov):
-        raise InternalClassificationError(f"vertex_system: {sep if not sep else cov}")
+    verdict = check(fs, TargetSet.vertices(t))
+    if not verdict:
+        raise InternalClassificationError(f"vertex_system: {verdict}")
     if fs.size > vertex_upper_formula(prof):
         raise InternalClassificationError(
             f"vertex_system built {fs.size} paths, bound {vertex_upper_formula(prof)}"
@@ -234,16 +232,12 @@ def _find_conflict(t, addp: _AddedPaths, clean: list[int], bare_of) -> tuple[str
 
 
 def vertex_interior_system(t: Tree) -> PathSystem:
-    """The consecutive-leaf system re-verified against vertices plus interior
+    """The consecutive-leaf system checked against vertices plus interior
     edges; exactly h1 paths, optimal when every degree is 1 or 3."""
-    p = profile(t)
-    if p.h2 != 0 or p.h1 < 3:
-        raise PreconditionViolated(f"need h2=0 and h1>=3; got h1={p.h1}, h2={p.h2}")
-    fs = planar_construction(t)
-    ts = TargetSet.vertices_and_interior_edges(t)
-    sep, cov = separates(fs, ts), covers(fs, ts)
-    if not (sep and cov):
-        raise InternalClassificationError(f"vertex_interior_system: {sep if not sep else cov}")
+    fs = PathSystem(t, tuple(unique_path(t, a, b) for a, b in planar_pairs(t)))
+    verdict = check(fs, TargetSet.vertices_and_interior_edges(t))
+    if not verdict:
+        raise InternalClassificationError(f"vertex_interior_system: {verdict}")
     return fs
 
 

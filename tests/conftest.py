@@ -68,3 +68,14 @@ def path_tree(n: int) -> Tree:
 
 def star_tree(m: int) -> Tree:
     return Tree.from_edges([(0, i) for i in range(1, m + 1)])
+
+
+def spider_tree(legs) -> Tree:
+    """Center 0 with one path of the given number of edges per leg."""
+    edges, nxt = [], 1
+    for length in legs:
+        prev = 0
+        for _ in range(length):
+            edges.append((prev, nxt))
+            prev, nxt = nxt, nxt + 1
+    return Tree.from_edges(edges)

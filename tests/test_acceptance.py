@@ -235,8 +235,6 @@ def test_criterion_6_random_regimes():
 
 @criterion(7, "every single fault decodes to itself on all constructed systems (n <= 9)", 300)
 def test_criterion_7_fault_round_trip(all_trees_to_9):
-    import numpy  # noqa: F401  (imported to fail fast if the env lacks it)
-
     for n, trees in all_trees_to_9.items():
         for t in trees:
             systems = [(edge_system(t), TargetSet.edges(t))]

@@ -188,6 +188,23 @@ class TestRandomExp:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("auto", ["--auto-supercritical", "--auto-subcritical"])
+    def test_auto_p_on_one_vertex_exit_2(self, capsys, auto):
+        # the automatic p takes log(log n), undefined at n = 1
+        code, _, err = run(capsys, "random-exp", "--n", "1", auto, "--trials", "1")
+        assert code == 2
+        assert err.startswith("usage error:")
+
+    def test_zero_trials_exit_2(self, capsys):
+        code, _, err = run(capsys, "random-exp", "--n", "8", "--p", "0.5", "--trials", "0")
+        assert code == 2
+        assert err.startswith("usage error:")
+
+    def test_negative_n_exit_2(self, capsys):
+        code, _, err = run(capsys, "random-exp", "--n", "-3", "--p", "0.5", "--trials", "1")
+        assert code == 2
+        assert err.startswith("usage error:")
+
 
 class TestErrors:
     def test_domain_error_exit_1_named(self, capsys, tmp_path):

@@ -1,5 +1,9 @@
 """The leaf-order constructions, reductions, and the full edge dispatch."""
 
+import hashlib
+import random
+import sys
+
 import pytest
 
 from seppaths import (
@@ -18,6 +22,7 @@ from seppaths import (
     profile,
     random_tree,
     separates,
+    subdivide_edge,
 )
 from seppaths.edge_systems import (
     _FIVE_FIXTURE,
@@ -28,11 +33,16 @@ from seppaths.edge_systems import (
     DEPTH2_BINARY,
     lift_system,
 )
-from seppaths.errors import InvalidPair, PreconditionViolated, TreeTooSmall
+from seppaths.errors import (
+    InternalClassificationError,
+    InvalidPair,
+    PreconditionViolated,
+    TreeTooSmall,
+)
 from seppaths.oracle import enumerate_trees, min_separating
 from seppaths.trees import contract_bare_paths, relabel_compact
 
-from conftest import path_tree, star_tree
+from conftest import path_tree, spider_tree, star_tree
 
 
 def test_edge_formula():
@@ -292,3 +302,60 @@ class TestEdgeSystem:
             t = random_tree(12 + seed % 9, seed)
             fs = edge_system(t)  # construction self-verifies
             assert fs.size == edge_target_size(t)
+
+    def test_failed_check_names_the_case(self, monkeypatch):
+        import seppaths.edge_systems as es
+
+        real = es._cyclic_leaf_pairs
+        monkeypatch.setattr(es, "_cyclic_leaf_pairs", lambda t, p: real(t, p)[:-1])
+        with pytest.raises(InternalClassificationError, match="cyclic leaf-to-support system"):
+            edge_system(spider_tree((2, 2, 2)))
+
+    def test_no_recursion_limit_dependence(self):
+        # 150 reduction steps; the construction must not grow the stack with them
+        t = spider_tree((100, 100, 100))
+        old = sys.getrecursionlimit()
+        sys.setrecursionlimit(120)
+        try:
+            fs = edge_system(t)
+        finally:
+            sys.setrecursionlimit(old)
+        assert fs.size == edge_target_size(t) == 150
+
+
+def _subdivided_random_tree(n, seed):
+    t = random_tree(n, seed)
+    rng = random.Random(seed)
+    for _ in range(n // 3):
+        t, _ = subdivide_edge(t, rng.choice(sorted(t.edges)))
+    return t
+
+
+def _pinned_trees():
+    for n in range(2, 11):
+        yield from enumerate_trees(n)
+    for n in range(2, 121):
+        yield random_tree(n, n)
+    for legs in [(1, 1, 1), (2, 2, 2), (3, 1, 1), (5, 4, 3), (10, 10, 10),
+                 (7, 1, 1, 1), (3, 3, 3, 3, 3), (20, 1, 2), (12, 5)]:
+        yield spider_tree(legs)
+    for n in range(4, 60, 5):
+        yield _subdivided_random_tree(n, n)
+
+
+# sha256 of the edge_system vertex sequences over _pinned_trees(), recorded at
+# commit ca09efa (the recursive splice-and-lift construction); the end-pair
+# construction must reproduce its outputs exactly
+PINNED_DIGEST = "87d7df7e22e97a6dcc8f48bece6990eab063281fc7721b451b6eef7894c57730"
+
+
+def test_outputs_match_pinned_digest():
+    h = hashlib.sha256()
+    count = 0
+    for t in _pinned_trees():
+        for p in edge_system(t).paths:
+            h.update(" ".join(map(str, p.vertices)).encode() + b"\n")
+        h.update(b"--\n")
+        count += 1
+    assert count == 340
+    assert h.hexdigest() == PINNED_DIGEST

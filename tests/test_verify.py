@@ -6,9 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import seppaths.verify
 from seppaths import (
     PathSystem,
     TargetSet,
+    check,
     covers,
     incidence,
     kisses,
@@ -132,6 +134,24 @@ class TestSignatureEquivalence:
         assert bool(covers(fs, ts)) == expect_cov
 
     @settings(max_examples=40, deadline=None)
+    @given(st.integers(2, 10), st.integers(0, 2**32), st.integers(0, 4), st.data())
+    def test_check_reports_the_first_failure(self, n, seed, npaths, data):
+        t = random_tree(n, seed)
+        pairs = [
+            (data.draw(st.sampled_from(t.vertices)), data.draw(st.sampled_from(t.vertices)))
+            for _ in range(npaths)
+        ]
+        fs = PathSystem(t, tuple(unique_path(t, u, v) for u, v in pairs))
+        for ts in (TargetSet.vertices(t), TargetSet.edges(t)):
+            sep, cov, verdict = separates(fs, ts), covers(fs, ts), check(fs, ts)
+            if not sep:
+                assert verdict == sep
+            elif not cov:
+                assert verdict == cov
+            else:
+                assert verdict and verdict.label == "SeparatesAndCovers"
+
+    @settings(max_examples=40, deadline=None)
     @given(st.integers(2, 10), st.integers(0, 2**32), st.data())
     def test_monotone_under_adding_a_path(self, n, seed, data):
         t = random_tree(n, seed)
@@ -154,6 +174,49 @@ class TestSignatureEquivalence:
         sig2 = signatures(fs2, ts)
         for a, b in separated_pairs:
             assert sig2[a] != sig2[b]
+
+
+class TestCheckOnce:
+    """Each public construction and the signature table sweep once per call."""
+
+    @pytest.fixture
+    def sweeps(self, monkeypatch):
+        calls = []
+        original = seppaths.verify.signatures
+
+        def counting(fs, ts):
+            calls.append(ts.kind)
+            return original(fs, ts)
+
+        monkeypatch.setattr(seppaths.verify, "signatures", counting)
+        return calls
+
+    def test_edge_system(self, sweeps):
+        from seppaths import edge_system
+
+        for seed in range(4):
+            edge_system(random_tree(40, seed))  # several reduction steps each
+            assert len(sweeps) == seed + 1
+
+    def test_vertex_systems(self, sweeps, double_star):
+        from seppaths import vertex_interior_system, vertex_system
+
+        vertex_system(double_star)
+        assert len(sweeps) == 1
+        vertex_interior_system(double_star)
+        assert len(sweeps) == 2
+
+    def test_signature_table(self, sweeps, double_star):
+        from seppaths import edge_system, signature_table
+
+        fs = edge_system(double_star)
+        sweeps.clear()
+        table = signature_table(fs, TargetSet.edges(double_star))
+        assert len(sweeps) == 1 and len(table) == double_star.n - 1
+
+    def test_min_separating(self, sweeps, p4):
+        min_separating(p4, TargetSet.edges(p4))
+        assert len(sweeps) == 1
 
 
 class TestNecessaryConditions:
