@@ -75,7 +75,6 @@ from .random_graphs import (
     Graph,
     SetSystem,
     gen_gnp,
-    hamiltonian_path,
     isolated_count,
     random_vertex_system,
     run_experiment,

@@ -8,7 +8,9 @@ max(ceil((2*h1 + h2)/3), ceil((h1 + h2)/2)) otherwise.
 The case analysis works on end pairs: in a tree a path is the unique path
 between its two ends, and retiring a leaf or a degree-2 vertex never moves
 the ends of the surviving paths, so each reduction step just records one
-more pair.  Each public function checks its result once, through the
+more pair.  One loop, ``_reduce_and_lift``, retires the pairs from a single
+adjacency map that it shrinks in place, and builds a Tree only for the base
+case it stops at.  Each public function checks its result once, through the
 verifier, before returning; a failed check raises
 InternalClassificationError instead of handing back an unverified family.
 """
@@ -17,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from itertools import combinations
 
 from .errors import (
     InternalClassificationError,
@@ -25,16 +28,13 @@ from .errors import (
     TreeTooSmall,
 )
 from .trees import (
-    PathInTree,
     Tree,
     TreeProfile,
-    delete_leaf,
     dfs_leaf_order,
     edge,
     find_isomorphism,
     profile,
     subdivide_edge,
-    suppress_vertex,
     unique_path,
 )
 from .verify import PathSystem, TargetSet, check
@@ -221,6 +221,33 @@ def bunch_construction(t: Tree) -> PathSystem:
 
 # ---- reduction pairs ----
 
+Adjacency = dict[int, set[int]]  # {v: neighbors}, shrunk in place by the reductions
+
+
+def _adjacency(t: Tree) -> Adjacency:
+    return {v: set(t.neighbors(v)) for v in t.vertices}
+
+
+def _as_tree(adj: Adjacency) -> Tree:
+    return Tree(adj, [(u, v) for u, ns in adj.items() for v in ns if u < v])
+
+
+def _drop_leaf(adj: Adjacency, u: int) -> int:
+    """Delete the leaf u; returns its former neighbor."""
+    (w,) = adj.pop(u)
+    adj[w].remove(u)
+    return w
+
+
+def _suppress(adj: Adjacency, v: int) -> None:
+    """Delete the degree-2 vertex v and join its two neighbors."""
+    a, b = adj.pop(v)
+    adj[a].remove(v)
+    adj[b].remove(v)
+    adj[a].add(b)
+    adj[b].add(a)
+
+
 class ReductionCase(Enum):
     DEGREE_AT_LEAST_4 = "DegreeAtLeast4"
     DEGREE_3_NON_NEIGHBOR = "Degree3NonNeighbor"
@@ -236,61 +263,64 @@ class ReductionPair:
     case: ReductionCase
 
 
-def _pair_case(t: Tree, u: int, v: int) -> ReductionCase | None:
-    if not t.is_leaf(u) or t.degree(v) != 2:
+def _pair_case(adj: Adjacency, u: int, v: int) -> ReductionCase | None:
+    if len(adj.get(u, ())) != 1 or len(adj.get(v, ())) != 2:
         return None
-    w = t.neighbors(u)[0]
-    if t.degree(w) == 2:
+    (w,) = adj[u]
+    if len(adj[w]) == 2:
         return None  # u is not a useful leaf
-    if t.degree(w) >= 4:
+    if len(adj[w]) >= 4:
         return ReductionCase.DEGREE_AT_LEAST_4
-    if t.degree(w) == 3 and not t.has_edge(v, w):
+    if len(adj[w]) == 3 and v not in adj[w]:
         return ReductionCase.DEGREE_3_NON_NEIGHBOR
     return None
 
 
-def find_reduction_pair(t: Tree, forbid_exception: bool = False) -> ReductionPair | None:
-    """The lexicographically least qualifying (u, v); with ``forbid_exception`` a
-    pair only qualifies if its reduced tree is not the depth-2 binary tree."""
-    prof = profile(t)
-    for u in prof.useful_leaves:
-        for v in prof.deg2:
-            case = _pair_case(t, u, v)
-            if case is None:
-                continue
-            rp = ReductionPair(u, v, case)
-            if forbid_exception:
-                reduced, _ = apply_reduction(t, rp)
-                if is_depth2_binary(reduced):
-                    continue
-            return rp
-    return None
+def _deg2(adj: Adjacency) -> list[int]:
+    return sorted(v for v, ns in adj.items() if len(ns) == 2)
 
 
-@dataclass(frozen=True)
-class LiftRecipe:
-    """How to turn a system of the reduced tree back into one of the original:
-    every path keeps its ends, and the recorded path is appended."""
+def _reduction_pairs(adj: Adjacency):
+    """Every qualifying pair, lexicographically least (u, v) first."""
+    deg2 = _deg2(adj)
+    useful = (u for u, ns in adj.items() if len(ns) == 1 and len(adj[min(ns)]) != 2)
+    for u in sorted(useful):
+        for v in deg2:
+            case = _pair_case(adj, u, v)
+            if case is not None:
+                yield ReductionPair(u, v, case)
 
-    append: PathInTree
 
-
-def apply_reduction(t: Tree, rp: ReductionPair) -> tuple[Tree, LiftRecipe]:
-    """Shrink (h1, h2) by (1, 1) by removing the pair (and, in the degree-3
+def _reduce(adj: Adjacency, rp: ReductionPair) -> None:
+    """Shrink (h1, h2) by (1, 1): remove the pair (and, in the degree-3
     case, the leaf's neighbor), bridging the holes."""
-    case = _pair_case(t, rp.u, rp.v)
-    if case is not rp.case:
+    w = _drop_leaf(adj, rp.u)
+    _suppress(adj, rp.v)
+    if rp.case is ReductionCase.DEGREE_3_NON_NEIGHBOR:
+        _suppress(adj, w)  # w is left with degree 2
+
+
+def _allowed(adj: Adjacency, rp: ReductionPair) -> bool:
+    """Whether the reduced tree is not the depth-2 binary tree."""
+    removed = 3 if rp.case is ReductionCase.DEGREE_3_NON_NEIGHBOR else 2
+    if len(adj) - removed != DEPTH2_BINARY.n:
+        return True
+    return not is_depth2_binary(apply_reduction(_as_tree(adj), rp)[0])
+
+
+def find_reduction_pair(t: Tree) -> ReductionPair | None:
+    """The lexicographically least qualifying (u, v), or None."""
+    return next(_reduction_pairs(_adjacency(t)), None)
+
+
+def apply_reduction(t: Tree, rp: ReductionPair) -> tuple[Tree, Pair]:
+    """The reduced tree, and the end pair of the one path a lift appends:
+    every path of a reduced-tree system keeps its ends."""
+    adj = _adjacency(t)
+    if _pair_case(adj, rp.u, rp.v) is not rp.case:
         raise InvalidPair(f"({rp.u},{rp.v}) is not a {rp.case.value} reduction pair")
-    w = t.neighbors(rp.u)[0]
-    reduced, _ = suppress_vertex(delete_leaf(t, rp.u), rp.v)
-    if case is ReductionCase.DEGREE_3_NON_NEIGHBOR:
-        reduced, _ = suppress_vertex(reduced, w)  # w is left with degree 2
-    return reduced, LiftRecipe(unique_path(t, rp.u, rp.v))
-
-
-def lift_system(t: Tree, fs: PathSystem, recipe: LiftRecipe) -> list[PathInTree]:
-    """Apply a LiftRecipe to every path of a reduced-tree system."""
-    return [unique_path(t, *p.endpoints) for p in fs.paths] + [recipe.append]
+    _reduce(adj, rp)
+    return _as_tree(adj), (rp.u, rp.v)
 
 
 # ---- the main dispatch ----
@@ -321,7 +351,7 @@ def _edge_pairs(t: Tree) -> tuple[list[Pair], str]:
         return _no_degree2(t, p), f"h2=0, residue {p.h1 % 3}"
     if not p.useful_leaves:
         return _cyclic_leaf_pairs(t, p), "cyclic leaf-to-support system"
-    return _reduce_and_lift(t, p), "reduction lift"
+    return _reduce_and_lift(t), "reduction lift"
 
 
 def _mapped(fixture: Tree, family, t: Tree) -> list[Pair]:
@@ -344,13 +374,13 @@ def _no_degree2(t: Tree, p: TreeProfile) -> list[Pair]:
         t2 = Tree(set(t.vertices) | {u}, t.edges | {edge(host, u)})
         return [tuple(host if x == u else x for x in pair) for pair in abc_pairs(t2)]
     # s == 1: retire one leaf, or one leaf plus its degree-3 neighbor
+    adj = _adjacency(t)
     u = min(p.leaves)
-    w = t.neighbors(u)[0]
-    if t.degree(w) > 3:
-        return abc_pairs(delete_leaf(t, u)) + [(u, w)]
-    w1, w2 = (x for x in t.neighbors(w) if x != u)
-    reduced, _ = suppress_vertex(delete_leaf(t, u), w)
-    return abc_pairs(reduced) + [(u, min(w1, w2))]
+    end = w = _drop_leaf(adj, u)
+    if len(adj[w]) == 2:
+        end = min(adj[w])
+        _suppress(adj, w)
+    return abc_pairs(_as_tree(adj)) + [(u, end)]
 
 
 def _cyclic_leaf_pairs(t: Tree, p: TreeProfile) -> list[Pair]:
@@ -366,19 +396,30 @@ def _cyclic_leaf_pairs(t: Tree, p: TreeProfile) -> list[Pair]:
     return [(order[i], supports[(i + 1) % len(order)]) for i in range(len(order))]
 
 
-def _reduce_and_lift(t: Tree, p: TreeProfile) -> list[Pair]:
-    """h1 >= h2 >= 1: retire reduction pairs until h2 = 0, no leaf is
-    useful, or only an irreducible fixture is left; each retired pair is one
-    more path, appended in the order the lifts add them."""
+def _reduce_and_lift(t: Tree) -> list[Pair]:
+    """Retire two non-adjacent degree-2 vertices at a time while h2 > h1, then
+    the least reduction pair not landing on the depth-2 binary tree while one
+    exists; each retired pair appends one path.  What is left is a base case,
+    or an irreducible fixture if h2 >= 1 and some leaf is still useful."""
+    adj = _adjacency(t)
+    h1 = sum(len(ns) == 1 for ns in adj.values())
     appended: list[Pair] = []
-    while p.h2 and p.useful_leaves:
-        rp = find_reduction_pair(t, forbid_exception=True)
-        if rp is None:
-            return _irreducible_fixture(t) + appended[::-1]
-        t, recipe = apply_reduction(t, rp)
-        appended.append(recipe.append.endpoints)
-        p = profile(t)
-    base = _no_degree2(t, p) if not p.h2 else _cyclic_leaf_pairs(t, p)
+    while len(deg2 := _deg2(adj)) > h1:
+        pair = next((q for q in combinations(deg2, 2) if q[1] not in adj[q[0]]), None)
+        if pair is None:
+            raise InternalClassificationError("no non-adjacent degree-2 pair found")
+        for v in pair:
+            _suppress(adj, v)
+        appended.append(pair)
+    while rp := next((q for q in _reduction_pairs(adj) if _allowed(adj, q)), None):
+        _reduce(adj, rp)
+        appended.append((rp.u, rp.v))
+    t = _as_tree(adj)
+    p = profile(t)
+    if p.h2 and p.useful_leaves:
+        base = _irreducible_fixture(t)
+    else:
+        base = _no_degree2(t, p) if not p.h2 else _cyclic_leaf_pairs(t, p)
     return base + appended[::-1]
 
 
@@ -396,7 +437,7 @@ _NINE_FAMILY = ((0, 6), (1, 7), (2, 4), (1, 8))
 
 
 def _irreducible_fixture(t: Tree) -> list[Pair]:
-    if find_reduction_pair(t, forbid_exception=False) is not None:
+    if find_reduction_pair(t) is not None:
         return _mapped(_NINE_FIXTURE, _NINE_FAMILY, t)
     if t.n == 5:
         return _mapped(_FIVE_FIXTURE, _FIVE_FAMILY, t)
@@ -406,14 +447,14 @@ def _irreducible_fixture(t: Tree) -> list[Pair]:
 
 
 def _more_degree2(t: Tree, p: TreeProfile) -> list[Pair]:
-    """h1 < h2: subdivide once if the endpoint parity is odd, then retire
-    non-adjacent degree-2 pairs until the counts balance.
+    """h1 < h2: subdivide once if the endpoint parity is odd, then reduce
+    and lift.
 
     A path ending at the subdivision vertex x ends instead at the end of the
     original edge that lies away from the path's other end.
     """
     if (p.h1 + p.h2) % 2 == 0:
-        return _balanced_degree2(t, p)
+        return _reduce_and_lift(t)
     e = min(t.edges)
     t2, x = subdivide_edge(t, e)
     a, b = e
@@ -423,28 +464,4 @@ def _more_degree2(t: Tree, p: TreeProfile) -> list[Pair]:
             return end
         return a if unique_path(t2, x, other).vertices[1] == b else b
 
-    pairs = _balanced_degree2(t2, profile(t2))
-    return [(unsubdivided(u, v), unsubdivided(v, u)) for u, v in pairs]
-
-
-def _balanced_degree2(t: Tree, p: TreeProfile) -> list[Pair]:
-    """h1 <= h2 and h1 + h2 even: delete two non-adjacent degree-2 vertices
-    at a time until h1 = h2, then reduce and lift."""
-    appended: list[Pair] = []
-    while p.h2 != p.h1:
-        pair = _least_nonadjacent_deg2_pair(t, p)
-        if pair is None:
-            raise InternalClassificationError("no non-adjacent degree-2 pair found")
-        u, v = pair
-        t, _ = suppress_vertex(suppress_vertex(t, u)[0], v)
-        appended.append(pair)
-        p = profile(t)
-    return _reduce_and_lift(t, p) + appended[::-1]
-
-
-def _least_nonadjacent_deg2_pair(t: Tree, p: TreeProfile) -> tuple[int, int] | None:
-    for i, u in enumerate(p.deg2):
-        for v in p.deg2[i + 1 :]:
-            if not t.has_edge(u, v):
-                return (u, v)
-    return None
+    return [(unsubdivided(u, v), unsubdivided(v, u)) for u, v in _reduce_and_lift(t2)]

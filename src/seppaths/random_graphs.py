@@ -171,17 +171,6 @@ class SpanningPathSearch:
     nodes_expanded: int
 
 
-def hamiltonian_path(g: Graph, block: Sequence[int], *, seed: int = 0,
-                     restarts: int = 20, node_budget: int = 10_000_000) -> PathInTree | None:
-    """A spanning path of the induced subgraph, or None.
-
-    None means "not found" unless the exact phase exhausted; use
-    find_spanning_path for the certificate.
-    """
-    return find_spanning_path(g, block, seed=seed, restarts=restarts,
-                              node_budget=node_budget).path
-
-
 def find_spanning_path(g: Graph, block: Sequence[int], *, seed: int = 0,
                        restarts: int = 20, node_budget: int = 10_000_000) -> SpanningPathSearch:
     """Rotation-extension with seeded restarts, then budgeted exact
@@ -316,7 +305,7 @@ def random_vertex_system(g: Graph, seed: int) -> PathSystem | None:
         if len(real) == 1:
             paths.append(PathInTree((real[0],)))
             continue
-        found = hamiltonian_path(g, real, seed=rng.getrandbits(32))
+        found = find_spanning_path(g, real, seed=rng.getrandbits(32)).path
         if found is None:
             return None
         paths.append(found)

@@ -64,9 +64,6 @@ class PathInTree:
         vs = self.vertices
         return frozenset(edge(vs[i], vs[i + 1]) for i in range(len(vs) - 1))
 
-    def reversed(self) -> "PathInTree":
-        return PathInTree(tuple(reversed(self.vertices)))
-
     def __str__(self) -> str:
         return "-".join(str(v) for v in self.vertices)
 
@@ -440,13 +437,6 @@ def suppress_vertex(t: Tree, v: int) -> tuple[Tree, Edge]:
     return Tree(set(t.vertices) - {v}, edges), bridge
 
 
-def delete_leaf(t: Tree, v: int) -> Tree:
-    if not t.is_leaf(v):
-        raise NotALeaf(f"vertex {v} is not a leaf")
-    w = t.neighbors(v)[0]
-    return Tree(set(t.vertices) - {v}, t.edges - {edge(v, w)})
-
-
 def relabel_compact(t: Tree) -> tuple[Tree, dict[int, int]]:
     """Relabel vertices to 0..n-1 preserving id order; returns (tree, old->new)."""
     mapping = {v: i for i, v in enumerate(t.vertices)}
@@ -498,11 +488,18 @@ def tree_centers(t: Tree) -> tuple[int, ...]:
 
 
 def _rooted_canon(t: Tree, root: int) -> str:
-    def rec(v: int, parent: int) -> str:
-        subs = sorted(rec(w, v) for w in t.neighbors(v) if w != parent)
-        return "(" + "".join(subs) + ")"
-
-    return rec(root, -1)
+    """The AHU form rooted at `root`, built bottom-up without recursion."""
+    parent = {root: -1}
+    order = [root]
+    for v in order:
+        for w in t.neighbors(v):
+            if w != parent[v]:
+                parent[w] = v
+                order.append(w)
+    subs: dict[int, list[str]] = {v: [] for v in order}
+    for v in reversed(order[1:]):
+        subs[parent[v]].append("(" + "".join(sorted(subs.pop(v))) + ")")
+    return "(" + "".join(sorted(subs[root])) + ")"
 
 
 def canonical_form(t: Tree) -> str:

@@ -20,7 +20,6 @@ from .trees import (
     edge,
     profile,
     subdivide_edge,
-    suppress_vertex,
     unique_path,
 )
 from .edge_systems import bunch_pairs, planar_pairs
@@ -259,10 +258,8 @@ def is_subdivided_cubic_leafy(t: Tree) -> bool:
     for u, v in t.edges:
         if degs[u] == 3 and degs[v] == 3:
             return False  # an unsubdivided interior edge
-    core = t
-    for v in [x for x, d in degs.items() if d == 2]:
-        core, _ = suppress_vertex(core, v)
-    return is_cubic_leafy(core)
+    # suppressing the degree-2 vertices would change no other degree
+    return t.n - sum(d == 2 for d in degs.values()) >= 4
 
 
 def grow_cubic_leafy(t: Tree, leaf: int) -> Tree:

@@ -23,6 +23,7 @@ from seppaths import (
     random_tree,
     separates,
     subdivide_edge,
+    unique_path,
 )
 from seppaths.edge_systems import (
     _FIVE_FIXTURE,
@@ -31,7 +32,6 @@ from seppaths.edge_systems import (
     ReductionCase,
     ReductionPair,
     DEPTH2_BINARY,
-    lift_system,
 )
 from seppaths.errors import (
     InternalClassificationError,
@@ -192,16 +192,16 @@ class TestReductionPairs:
     def test_apply_degree4(self):
         t = Tree.from_edges([(0, 1), (0, 2), (0, 3), (0, 4), (4, 5)])
         rp = find_reduction_pair(t)
-        reduced, recipe = apply_reduction(t, rp)
+        reduced, pair = apply_reduction(t, rp)
         assert reduced.n == t.n - 2
         p0, p1 = profile(t), profile(reduced)
         assert (p1.h1, p1.h2) == (p0.h1 - 1, p0.h2 - 1)
-        assert recipe.append.vertices == (1, 0, 4)
+        assert unique_path(t, *pair).vertices == (1, 0, 4)
 
     def test_apply_degree3(self, broom):
         rp = find_reduction_pair(broom)
         assert rp == ReductionPair(4, 2, ReductionCase.DEGREE_3_NON_NEIGHBOR)
-        reduced, recipe = apply_reduction(broom, rp)
+        reduced, _ = apply_reduction(broom, rp)
         assert reduced.n == broom.n - 3
         p0, p1 = profile(broom), profile(reduced)
         assert (p1.h1, p1.h2) == (p0.h1 - 1, p0.h2 - 1)
@@ -212,19 +212,21 @@ class TestReductionPairs:
             apply_reduction(broom, ReductionPair(4, 1, ReductionCase.DEGREE_3_NON_NEIGHBOR))
 
     def test_reduction_lift_soundness(self):
-        # lifting an oracle system of the reduced tree through the recipe
-        # yields a verified system of the original, one path larger
+        # lifting an oracle system of the reduced tree (every path keeps its
+        # ends, the pair's path is appended) yields a verified system of the
+        # original, one path larger
         checked = 0
         for n in range(5, 9):
             for t in enumerate_trees(n):
                 rp = find_reduction_pair(t)
                 if rp is None:
                     continue
-                reduced, recipe = apply_reduction(t, rp)
+                reduced, pair = apply_reduction(t, rp)
                 inner = min_separating(reduced, TargetSet.edges(reduced))
                 from seppaths.verify import PathSystem
 
-                lifted = PathSystem(t, tuple(lift_system(t, inner.system, recipe)))
+                ends = [p.endpoints for p in inner.system.paths] + [pair]
+                lifted = PathSystem(t, tuple(unique_path(t, a, b) for a, b in ends))
                 ts = TargetSet.edges(t)
                 assert separates(lifted, ts) and covers(lifted, ts)
                 assert lifted.size == inner.size + 1
@@ -321,6 +323,32 @@ class TestEdgeSystem:
         finally:
             sys.setrecursionlimit(old)
         assert fs.size == edge_target_size(t) == 150
+
+    def test_no_tree_or_profile_rebuilt_per_retired_pair(self, monkeypatch):
+        # the loop shrinks one adjacency map in place: a spider with three
+        # times the retired pairs builds as many Trees and profiles
+        import seppaths.edge_systems as es
+
+        counts = {"trees": 0, "profiles": 0}
+        real_init, real_profile = Tree.__init__, es.profile
+
+        def counting_init(self, *args, **kwargs):
+            counts["trees"] += 1
+            real_init(self, *args, **kwargs)
+
+        def counting_profile(t):
+            counts["profiles"] += 1
+            return real_profile(t)
+
+        monkeypatch.setattr(Tree, "__init__", counting_init)
+        monkeypatch.setattr(es, "profile", counting_profile)
+        seen = []
+        for leg in (100, 300):
+            t = spider_tree((leg,) * 3)
+            counts.update(trees=0, profiles=0)
+            assert edge_system(t).size == edge_target_size(t)
+            seen.append(dict(counts))
+        assert seen[0] == seen[1], seen
 
 
 def _subdivided_random_tree(n, seed):

@@ -1,5 +1,8 @@
 """Tree parsing, profiles, traversals, contraction, and their invariants."""
 
+import hashlib
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -29,6 +32,8 @@ from seppaths.errors import (
     UnknownVertex,
 )
 from seppaths.oracle import enumerate_trees
+
+from conftest import path_tree
 
 random_trees = st.builds(
     random_tree, n=st.integers(min_value=2, max_value=24), seed=st.integers(0, 2**32)
@@ -285,6 +290,27 @@ class TestIsomorphism:
         for n in range(2, 9):
             forms = {canonical_form(t) for t in enumerate_trees(n)}
             assert len(forms) == len(enumerate_trees(n))
+
+    def test_canonical_forms_pinned(self):
+        # sha256 over the forms of enumerate_trees(2..10), one per line in
+        # enumeration order, recorded with the recursive AHU construction
+        forms = [canonical_form(t) for n in range(2, 11) for t in enumerate_trees(n)]
+        assert len(forms) == 200
+        digest = hashlib.sha256("\n".join(forms).encode()).hexdigest()
+        assert digest == "1643f1853e17df699fcbb0fab2a122e0e5f1b2ffcf354e544708349af4dc0a16"
+
+    def test_canonical_form_without_recursion(self):
+        def chain(k):
+            return "(" * k + ")" * k
+
+        old = sys.getrecursionlimit()
+        sys.setrecursionlimit(200)
+        try:
+            form = canonical_form(path_tree(1000))
+        finally:
+            sys.setrecursionlimit(old)
+        # rooted at a center: two hanging chains of 500 and 499 vertices
+        assert form == "(" + chain(500) + chain(499) + ")"
 
 
 class TestDot:

@@ -27,7 +27,7 @@ from seppaths.vertex_systems import (
     is_subdivided_cubic_leafy,
     subdivide_interior_edges,
 )
-from seppaths.trees import canonical_form
+from seppaths.trees import canonical_form, suppress_vertex
 
 from conftest import path_tree, star_tree
 
@@ -240,6 +240,36 @@ class TestCubicFamilies:
         assert is_subdivided_cubic_leafy(star)
         assert not is_subdivided_cubic_leafy(h)  # h keeps an unsubdivided 3-3 edge
         assert not is_subdivided_cubic_leafy(path_tree(5))
+
+    def test_subdivided_recognizer_matches_suppression_reference(self):
+        def reference(t):
+            # the definition: the local degree conditions, then suppress every
+            # degree-2 vertex and ask for a degree-{1,3} core
+            degs = {v: t.degree(v) for v in t.vertices}
+            if any(d not in (1, 2, 3) for d in degs.values()):
+                return False
+            if any(d == 2 and any(degs[w] != 3 for w in t.neighbors(v))
+                   for v, d in degs.items()):
+                return False
+            if any(degs[u] == 3 and degs[v] == 3 for u, v in t.edges):
+                return False
+            core = t
+            for v in [x for x, d in degs.items() if d == 2]:
+                core, _ = suppress_vertex(core, v)
+            return is_cubic_leafy(core)
+
+        trees = [t for n in range(2, 11) for t in enumerate_trees(n)]
+        frontier = [Tree.from_edges([(0, 1), (0, 2), (0, 3)])]
+        for _ in range(3):
+            frontier = [grow_cubic_leafy(t, leaf) for t in frontier for leaf in t.leaves()[:2]]
+            trees += frontier
+        once = [subdivide_interior_edges(t) for t in trees if is_cubic_leafy(t)]
+        trees += once + [subdivide_interior_edges(t) for t in once]
+        positives = 0
+        for t in trees:
+            assert is_subdivided_cubic_leafy(t) == reference(t), t
+            positives += reference(t)
+        assert positives >= 20
 
 
 class TestSharpValues:
