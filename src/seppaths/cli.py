@@ -8,11 +8,13 @@ reproduce without flags.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
+import warnings
 from pathlib import Path
 
-from .errors import SepPathError
+from .errors import BadToken, SepPathError
 from .faults import ProbeReport, decode, signature_table
 from .oracle import min_separating
 from .random_graphs import (
@@ -51,8 +53,20 @@ class UsageError(Exception):
     pass
 
 
+def _read_text(path: str) -> str:
+    """A UTF-8 input file's text; an unreadable file is a usage error, and
+    bytes that are not UTF-8 are a BadToken naming their line."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise UsageError(str(exc)) from None
+    except UnicodeDecodeError as exc:
+        line = exc.object.count(b"\n", 0, exc.start) + 1
+        raise BadToken(f"{path}: line {line}: not UTF-8 text") from None
+
+
 def _load_tree(path: str) -> Tree:
-    return parse_tree(Path(path).read_text())
+    return parse_tree(_read_text(path))
 
 
 def _target_set(t: Tree, name: str) -> TargetSet:
@@ -133,7 +147,11 @@ def cmd_construct_edge(args) -> int:
 
 def cmd_construct_vertex(args) -> int:
     t = _load_tree(args.tree)
-    fs = vertex_system(t)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        fs = vertex_system(t)
+    for w in caught:
+        print(f"warning: {w.category.__name__}: {w.message}", file=sys.stderr)
     p = profile(t)
     lower = vertex_lower_bound(p)
     upper = vertex_upper_formula(p)
@@ -152,7 +170,7 @@ def cmd_construct_vertex(args) -> int:
 
 def cmd_verify(args) -> int:
     t = _load_tree(args.tree)
-    fs = parse_paths(t, Path(args.paths).read_text())
+    fs = parse_paths(t, _read_text(args.paths))
     for warning in fs.lint():
         print(f"warning: {warning}", file=sys.stderr)
     ts = _target_set(t, args.target)
@@ -231,7 +249,7 @@ def cmd_random_exp(args) -> int:
 
 def cmd_localize(args) -> int:
     t = _load_tree(args.tree)
-    fs = parse_paths(t, Path(args.paths).read_text())
+    fs = parse_paths(t, _read_text(args.paths))
     ts = _target_set(t, args.target)
     table = signature_table(fs, ts)
     report_bits = args.report.strip().upper()
@@ -262,6 +280,7 @@ def cmd_export_dot(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="seppaths",
@@ -330,9 +349,6 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 2
     except SepPathError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
@@ -340,3 +356,7 @@ def main(argv: list[str] | None = None) -> int:
 
 def main_entry() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    main_entry()

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import Infeasible, InternalClassificationError, Timeout, TooLarge
-from .trees import PathInTree, Tree, unique_path
+from .trees import PathInTree, Tree, edge, unique_path
 from .verify import PathSystem, TargetSet, check, separates
 
 DEFAULT_MAX_N = 12
@@ -74,7 +74,9 @@ class _Search:
 
     Element signatures are tracked as a partition into same-signature groups
     (bitmasks); a family works when every group is a singleton and, in cover
-    mode, no element is left unhit.
+    mode, no element is left unhit.  A node is pruned when the paths left
+    cannot split its largest group (log2 of its size) or cannot supply the
+    path ends its state forces (``required_ends``).
     """
 
     def __init__(
@@ -106,7 +108,7 @@ class _Search:
         m = self.m
         order = sorted(
             range(len(cands)),
-            key=lambda i: (-(bin(masks[i]).count("1") * (m - bin(masks[i]).count("1"))), i),
+            key=lambda i: (-(masks[i].bit_count() * (m - masks[i].bit_count())), i),
         )
         self.cands = tuple(cands[i] for i in order)
         self.masks = [masks[i] for i in order]
@@ -114,6 +116,22 @@ class _Search:
         for i in range(len(self.masks) - 1, -1, -1):
             suffix[i] = suffix[i + 1] | self.masks[i]
         self.suffix_union = suffix
+        # A path holding an element of leaf_mask ends at that element's leaf:
+        # one bit per vertex of degree <= 1, the vertex if it is a target,
+        # else its pendant edge.  A path holding some but not all of the
+        # target elements among a degree-2 vertex and its two edges ends at
+        # that vertex; deg2_masks keeps those masks with at least 2 bits.
+        leaf_mask = 0
+        deg2_masks = []
+        for v in host.vertices:
+            nbrs = host.neighbors(v)
+            bits = [1 << eidx[s] for s in (v, *(edge(v, w) for w in nbrs)) if s in eidx]
+            if len(nbrs) <= 1 and bits:
+                leaf_mask |= bits[0]
+            elif len(nbrs) == 2 and len(bits) >= 2:
+                deg2_masks.append(sum(bits))
+        self.leaf_mask = leaf_mask
+        self.deg2_masks = tuple(deg2_masks)
         self.require_cover = require_cover
         self.nodes = 0
         self.deadline = None if budget_ms is None else time.monotonic() + budget_ms / 1000.0
@@ -124,6 +142,32 @@ class _Search:
             return 0
         return max(_ceil_log2(self.m + (1 if self.require_cover else 0)), 0)
 
+    def required_ends(self, groups: tuple[int, ...], uncovered: int) -> int:
+        """A lower bound on the number of path ends that any completion of
+        a search state must add, counted as (path, end vertex) pairs.
+
+        Every uncovered leaf element needs a path ending at its leaf; of the
+        c leaf elements in a group other than the uncovered one, c - 1 need
+        one; and a degree-2 vertex with c of its elements in one group needs
+        c - 1 paths ending there, since a path through it holds all of
+        them.  A path has at most two ends, so a state with more than 2k
+        required ends has no completion of k paths.
+        """
+        leaf = self.leaf_mask
+        ends = (uncovered & leaf).bit_count()
+        for g in groups:
+            if g != uncovered:
+                c = (g & leaf).bit_count()
+                if c > 1:
+                    ends += c - 1
+        for d in self.deg2_masks:
+            for g in groups:
+                x = g & d
+                if x & (x - 1):
+                    ends += x.bit_count() - 1
+                    break
+        return ends
+
     def at_most(self, k: int) -> list[int] | None:
         """Indices of a family of size <= k, or None if none exists."""
         full = (1 << self.m) - 1
@@ -131,6 +175,7 @@ class _Search:
         masks = self.masks
         suffix = self.suffix_union
         cover = self.require_cover
+        required_ends = self.required_ends
 
         def rec(start: int, groups: tuple[int, ...], uncovered: int, left: int) -> bool:
             self.nodes += 1
@@ -139,10 +184,12 @@ class _Search:
                     raise Timeout(f"budget {self.budget_ms} ms exhausted")
             if not groups and not uncovered:
                 return True
-            need = max((_ceil_log2(_popcount(g)) for g in groups), default=0)
+            need = _ceil_log2(max(map(int.bit_count, groups), default=0))
             if need > left or left == 0:
                 return False
             if uncovered & ~suffix[start]:
+                return False
+            if required_ends(groups, uncovered) > 2 * left:
                 return False
             for i in range(start, len(masks)):
                 mask = masks[i]
@@ -221,10 +268,6 @@ def exists_family(
     if k < 0:
         return False
     return _Search(host, ts, require_cover, None).at_most(k) is not None
-
-
-def _popcount(x: int) -> int:
-    return bin(x).count("1")
 
 
 def _ceil_log2(x: int) -> int:

@@ -1,10 +1,16 @@
 """The command-line surface: outputs, exit codes, and file round trips."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from seppaths.cli import main
+import seppaths
+from seppaths.cli import build_parser, main
+from seppaths.oracle import enumerate_trees
 
 from conftest import DOUBLE_STAR_TEXT, K13_TEXT, P4_TEXT, DEPTH2_TEXT
 
@@ -34,6 +40,15 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_module(*argv, cwd=None):
+    """``python <argv>`` in a fresh interpreter that imports this checkout."""
+    src = str(Path(seppaths.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    return subprocess.run(
+        [sys.executable, *argv], capture_output=True, text=True, env=env, cwd=cwd
+    )
 
 
 class TestConstructEdge:
@@ -235,3 +250,75 @@ class TestErrors:
         payload = json.loads(out)
         assert payload["size"] == 4
         assert payload["lower"] == 4 and payload["sharp"] == 4
+
+
+class TestUnreadableInput:
+    @pytest.mark.parametrize("command", ["profile", "verify", "localize"])
+    @pytest.mark.parametrize("bad", ["directory", "non-utf8"])
+    def test_exit_code_without_traceback(self, tmp_path, p4_file, command, bad):
+        if bad == "directory":
+            target, code = tmp_path, 2
+        else:
+            target, code = tmp_path / "bytes.txt", 1
+            target.write_bytes(b"0 1\n\xff 2\n")
+        extra = {
+            "profile": [],
+            "verify": ["--target", "edges"],
+            "localize": ["--target", "edges", "--report", "P"],
+        }[command]
+        # profile reads the bad file as its tree, the others as their paths
+        files = [str(target)] if command == "profile" else [p4_file, str(target)]
+        proc = run_module("-m", "seppaths", command, *files, *extra)
+        assert proc.returncode == code, proc.stderr
+        assert "Traceback" not in proc.stderr
+        if bad == "directory":
+            assert proc.stderr.startswith("usage error:")
+        else:
+            assert proc.stderr.startswith("BadToken:") and "line 2" in proc.stderr
+
+
+class TestEntryPoints:
+    @pytest.mark.parametrize("module", ["seppaths", "seppaths.cli"])
+    def test_python_dash_m(self, p4_file, module):
+        proc = run_module("-m", module, "--format", "json", "profile", p4_file)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["h1"] == 2
+
+    def test_parser_built_once(self):
+        assert build_parser() is build_parser()
+
+    def test_calls_in_one_process_match_calls_alone(self, capsys, p4_file, tmp_path):
+        paths = tmp_path / "sys.paths"
+        paths.write_text("0 1 2\n3 2 1\n")
+        calls = [
+            ["profile", p4_file],
+            ["--format", "json", "oracle", p4_file, "--target", "vertices"],
+            ["localize", p4_file, str(paths), "--target", "edges", "--report", "FP"],
+        ]
+
+        def stable(out):  # the oracle's elapsed time differs from run to run
+            if out.startswith("{"):
+                payload = json.loads(out)
+                payload.pop("elapsed", None)
+                return payload
+            return out
+
+        alone = [stable(run_module("-m", "seppaths", *argv).stdout) for argv in calls]
+        for _ in range(2):
+            for argv, expected in zip(calls, alone):
+                code, out, _ = run(capsys, *argv)
+                assert code == 0 and stable(out) == expected
+
+
+class TestConstructVertexWarning:
+    def test_same_warning_line_on_every_call(self, capsys, tmp_path):
+        f = tmp_path / "mismatch.tree"
+        f.write_text("".join(f"{u} {v}\n" for u, v in sorted(enumerate_trees(6)[4].edges)))
+        errs = []
+        for _ in range(2):
+            code, _, err = run(capsys, "construct-vertex", str(f))
+            assert code == 0
+            errs.append(err)
+        assert errs[0] == errs[1]
+        assert errs[0].startswith("warning: BunchMismatchWarning: ")
+        assert errs[0].count("\n") == 1 and "cli.py" not in errs[0]

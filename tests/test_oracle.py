@@ -1,11 +1,15 @@
 """The exact solver and the unlabeled tree enumerator."""
 
+import hashlib
+import random
+
 import pytest
 
-from seppaths import TargetSet, Tree, canonical_form, covers, separates
+from seppaths import TargetSet, Tree, canonical_form, covers, random_tree, separates
 from seppaths.edge_systems import DEPTH2_BINARY
 from seppaths.errors import Infeasible, Timeout, TooLarge
 from seppaths.oracle import (
+    _Search,
     enumerate_paths,
     enumerate_simple_paths,
     enumerate_trees,
@@ -92,6 +96,87 @@ class TestMinSeparating:
     def test_too_large(self):
         with pytest.raises(TooLarge):
             min_separating(path_tree(13), TargetSet.edges(path_tree(13)))
+
+
+def _targets(t):
+    return (TargetSet.edges(t), TargetSet.vertices(t), TargetSet.vertices_and_interior_edges(t))
+
+
+def _state(ts, paths, cover):
+    """The search state a family reaches, computed from its signatures: the
+    same-signature groups of at least two elements and, when covering, the
+    unhit elements, as bitmasks over ts.elements."""
+    classes: dict[frozenset, int] = {}
+    for i, s in enumerate(ts.elements):
+        sig = frozenset(
+            j for j, p in enumerate(paths)
+            if (s in p.vertex_set() if isinstance(s, int) else s in p.edge_set())
+        )
+        classes[sig] = classes.get(sig, 0) | 1 << i
+    groups = tuple(g for g in classes.values() if g & (g - 1))
+    return groups, classes.get(frozenset(), 0) if cover else 0
+
+
+# sha256 of (size, path vertex sequences) of min_separating over
+# enumerate_trees(2..7) x three targets x cover on/off x include_trivial
+# None/True, recorded at commit 0352b0c, before the path-end bound; pruning
+# must leave the first family found, and so every result, unchanged
+ORACLE_DIGEST = "75692cc847e6d65373823e0b0dda2b3b661fae8db8aec2675dc41b5c5e8b102f"
+
+
+class TestPruning:
+    def test_outputs_match_pinned_digest(self):
+        h = hashlib.sha256()
+        for n in range(2, 8):
+            for t in enumerate_trees(n):
+                for ts in _targets(t):
+                    for cover in (True, False):
+                        for trivial in (None, True):
+                            res = min_separating(
+                                t, ts, require_cover=cover, include_trivial=trivial
+                            )
+                            paths = [p.vertices for p in res.system.paths]
+                            h.update(repr((res.size, paths)).encode())
+        assert h.hexdigest() == ORACLE_DIGEST
+
+    def test_root_bound_never_exceeds_the_optimum(self):
+        # v-and-interior targets stop at n = 7: at n = 9 their solves take
+        # about a minute
+        for n in range(2, 10):
+            for t in enumerate_trees(n):
+                for ts in _targets(t)[: 3 if n <= 7 else 2]:
+                    search = _Search(t, ts, True, None)
+                    ends = search.required_ends(*_state(ts, (), True))
+                    assert (ends + 1) // 2 <= min_separating(t, ts).size, (t, ts.kind)
+
+    def test_bound_holds_at_every_prefix_of_a_working_family(self):
+        # a working family completes the state of each of its prefixes, so
+        # the ends that state requires fit in the paths after the prefix
+        rng = random.Random(6)
+        checked = 0
+        for n in range(2, 8):
+            for t in enumerate_trees(n):
+                # every vertex and edge, so that a leaf's vertex and its
+                # pendant edge are both targets (too slow beyond n = 5)
+                everything = (TargetSet.custom(t, [*t.vertices, *t.edges]),) if n <= 5 else ()
+                for ts in (*_targets(t), *everything):
+                    for cover in (True, False):
+                        search = _Search(t, ts, cover, None)
+                        paths = list(min_separating(t, ts, require_cover=cover).system.paths)
+                        extra = [p for p in search.cands if p not in paths]
+                        paths += rng.sample(extra, min(2, len(extra)))
+                        rng.shuffle(paths)
+                        for cut in range(len(paths) + 1):
+                            groups, uncovered = _state(ts, paths[:cut], cover)
+                            ends = search.required_ends(groups, uncovered)
+                            assert ends <= 2 * (len(paths) - cut), (t, ts.kind, cut)
+                            checked += 1
+        assert checked > 1000
+
+    def test_edge_targets_expand_few_nodes(self):
+        # without the path-end bound the search expanded 139381 nodes here
+        t = random_tree(12, 1)
+        assert min_separating(t, TargetSet.edges(t)).nodes_expanded <= 1000
 
 
 class TestGraphOracle:
