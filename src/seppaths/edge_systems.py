@@ -17,6 +17,7 @@ InternalClassificationError instead of handing back an unverified family.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from itertools import combinations
@@ -127,8 +128,9 @@ def planar_construction(t: Tree) -> PathSystem:
     both the edges and the vertices-plus-interior-edges targets, and puts
     every edge on exactly two paths."""
     fs = _verified(t, planar_pairs(t), "planar_construction", also_vertices_interior=True)
+    hits_of = Counter(e for q in fs.paths for e in q.edges())
     for e in t.edges:
-        hits = sum(e in q.edge_set() for q in fs.paths)
+        hits = hits_of[e]
         if hits != 2:
             raise InternalClassificationError(f"edge {e} on {hits} paths, expected 2")
     return fs

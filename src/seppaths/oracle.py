@@ -98,11 +98,11 @@ class _Search:
         eidx = {s: i for i, s in enumerate(elements)}
         masks = []
         for p in cands:
-            vs, es = p.vertex_set(), p.edge_set()
             mask = 0
-            for s in elements:
-                if (s in vs) if isinstance(s, int) else (s in es):
-                    mask |= 1 << eidx[s]
+            for s in p.elements():
+                bit = eidx.get(s)
+                if bit is not None:
+                    mask |= 1 << bit
             masks.append(mask)
         # Candidates splitting the most element pairs come first.
         m = self.m

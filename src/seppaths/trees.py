@@ -61,8 +61,16 @@ class PathInTree:
         return frozenset(self.vertices)
 
     def edge_set(self) -> frozenset[Edge]:
+        return frozenset(self.edges())
+
+    def edges(self) -> tuple[Edge, ...]:
+        """The (min, max) edges between consecutive vertices, in path order."""
         vs = self.vertices
-        return frozenset(edge(vs[i], vs[i + 1]) for i in range(len(vs) - 1))
+        return tuple((a, b) if a < b else (b, a) for a, b in zip(vs, vs[1:]))
+
+    def elements(self) -> tuple[int | Edge, ...]:
+        """Every vertex, then every edge, of the path: one walk along it."""
+        return self.vertices + self.edges()
 
     def __str__(self) -> str:
         return "-".join(str(v) for v in self.vertices)
@@ -76,10 +84,11 @@ class Tree:
     """An immutable free tree with sorted-adjacency access.
 
     The adjacency order (ascending vertex id) doubles as the canonical
-    planar embedding used by the leaf-order constructions.
+    planar embedding used by the leaf-order constructions.  The rooted
+    index behind ``unique_path`` is built on first use, once per tree.
     """
 
-    __slots__ = ("vertices", "edges", "_adj")
+    __slots__ = ("vertices", "edges", "_adj", "_rooted")
 
     def __init__(self, vertices: Iterable[int], edges: Iterable[Edge]):
         vs = tuple(sorted(set(vertices)))
@@ -104,6 +113,7 @@ class Tree:
         self.vertices = vs
         self.edges = es
         self._adj = {v: tuple(sorted(ns)) for v, ns in adj.items()}
+        self._rooted: tuple[dict[int, int], dict[int, int]] | None = None
         self._check_connected()
 
     def _check_connected(self) -> None:
@@ -156,6 +166,13 @@ class Tree:
 
     def leaves(self) -> tuple[int, ...]:
         return tuple(v for v in self.vertices if self.degree(v) == 1)
+
+    def rooted(self) -> tuple[dict[int, int], dict[int, int]]:
+        """(parent, depth) with the tree rooted at its least vertex id, whose
+        parent is itself; built by one BFS on the first call, then cached."""
+        if self._rooted is None:
+            self._rooted = _root_at_least(self)
+        return self._rooted
 
     @classmethod
     def from_edges(cls, edges: Iterable[Edge], extra_vertices: Iterable[int] = ()) -> "Tree":
@@ -258,28 +275,49 @@ def emit_dot(t: Tree) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _root_at_least(t: Tree) -> tuple[dict[int, int], dict[int, int]]:
+    """Parent and depth maps of one BFS from the least vertex id."""
+    root = t.vertices[0]
+    parent, depth = {root: root}, {root: 0}
+    order = [root]
+    for x in order:
+        d = depth[x] + 1
+        for w in t.neighbors(x):
+            if w not in depth:
+                parent[w] = x
+                depth[w] = d
+                order.append(w)
+    return parent, depth
+
+
 def unique_path(t: Tree, u: int, v: int) -> PathInTree:
-    """The unique u-v path of the tree; u == v gives the length-0 path."""
+    """The unique u-v path of the tree; u == v gives the length-0 path.
+
+    Walks parent links up from both ends to their meeting vertex, so the
+    cost is the path length once the tree's rooted index exists.
+    """
     if not t.has_vertex(u):
         raise UnknownVertex(f"vertex {u} not in tree")
     if not t.has_vertex(v):
         raise UnknownVertex(f"vertex {v} not in tree")
     if u == v:
         return PathInTree((u,))
-    prev = {u: u}
-    frontier = [u]
-    while frontier and v not in prev:
-        nxt = []
-        for x in frontier:
-            for w in t.neighbors(x):
-                if w not in prev:
-                    prev[w] = x
-                    nxt.append(w)
-        frontier = nxt
-    seq = [v]
-    while seq[-1] != u:
-        seq.append(prev[seq[-1]])
-    return PathInTree(tuple(reversed(seq)))
+    parent, depth = t.rooted()
+    up, down = [u], [v]
+    a, b = u, v
+    while depth[a] > depth[b]:
+        a = parent[a]
+        up.append(a)
+    while depth[b] > depth[a]:
+        b = parent[b]
+        down.append(b)
+    while a != b:
+        a, b = parent[a], parent[b]
+        up.append(a)
+        down.append(b)
+    down.pop()  # the meeting vertex, already last in `up`
+    up.extend(reversed(down))
+    return PathInTree(tuple(up))
 
 
 def dfs_leaf_order(t: Tree, start: int) -> tuple[int, ...]:

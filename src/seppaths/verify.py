@@ -3,6 +3,11 @@
 Works for any host exposing ``vertices``, ``has_vertex``, ``has_edge`` — both
 trees and the random-graph module's graphs.  An element is either a vertex id
 (int) or an edge ((min, max) tuple).
+
+``signatures`` walks each path once, looking its vertices and consecutive
+edges up among the targets, so a check costs O(total path length + targets)
+rather than O(paths x targets).  Membership tests (``path_contains``,
+``kisses``) likewise scan the path's own vertex sequence.
 """
 
 from __future__ import annotations
@@ -143,9 +148,16 @@ class Verdict:
 
 
 def path_contains(p: PathInTree, s: Element) -> bool:
+    """Whether the vertex, or the edge in either orientation, lies on p."""
+    vs = p.vertices
     if isinstance(s, int):
-        return s in p.vertex_set()
-    return edge(*s) in p.edge_set()
+        return s in vs
+    x, y = s
+    try:
+        i = vs.index(x)
+    except ValueError:
+        return False
+    return (i > 0 and vs[i - 1] == y) or (i + 1 < len(vs) and vs[i + 1] == y)
 
 
 def incidence(fs: PathSystem, s: Element) -> frozenset[int]:
@@ -155,14 +167,17 @@ def incidence(fs: PathSystem, s: Element) -> frozenset[int]:
 
 
 def signatures(fs: PathSystem, ts: TargetSet) -> dict[Element, frozenset[int]]:
-    """Signature of every target element, computed in one sweep."""
+    """Signature of every target element, computed in one sweep.
+
+    Each path is walked once and each of its vertices and edges looked up
+    among the targets: O(total path length + targets).
+    """
     sig: dict[Element, set[int]] = {s: set() for s in ts.elements}
     for i, p in enumerate(fs.paths):
-        vs = p.vertex_set()
-        es = p.edge_set()
-        for s in ts.elements:
-            if (s in vs) if isinstance(s, int) else (s in es):
-                sig[s].add(i)
+        for s in p.elements():
+            hit = sig.get(s)
+            if hit is not None:
+                hit.add(i)
     return {s: frozenset(ix) for s, ix in sig.items()}
 
 
@@ -222,7 +237,7 @@ def check(fs: PathSystem, ts: TargetSet) -> Verdict:
 def kisses(p: PathInTree, e: Edge) -> bool:
     """True iff exactly one endpoint of the edge lies on the path."""
     x, y = e
-    return (x in p.vertex_set()) != (y in p.vertex_set())
+    return (x in p.vertices) != (y in p.vertices)
 
 
 # ---- path-system text format ----

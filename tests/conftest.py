@@ -2,7 +2,7 @@
 
 import pytest
 
-from seppaths import Tree, parse_tree
+from seppaths import Tree, parse_tree, random_tree
 
 SINGLE_EDGE_TEXT = "0 1\n"
 P3_TEXT = "0 1\n1 2\n"
@@ -78,4 +78,15 @@ def spider_tree(legs) -> Tree:
         for _ in range(length):
             edges.append((prev, nxt))
             prev, nxt = nxt, nxt + 1
+    return Tree.from_edges(edges)
+
+
+def leafy_tree(m: int, seed: int) -> Tree:
+    """A random_tree(m, seed) skeleton with three fresh leaves on each
+    skeleton leaf, numbered from m up (the benchmark's leafy trees)."""
+    skeleton = random_tree(m, seed)
+    edges = sorted(skeleton.edges)
+    fresh = iter(range(m, m + 3 * m))
+    for v in skeleton.leaves():
+        edges += [(v, next(fresh)) for _ in range(3)]
     return Tree.from_edges(edges)

@@ -1,8 +1,11 @@
 """Seeded graphs, the set system, spanning-path search, and experiments."""
 
 import math
+import random
 
 import pytest
+
+import seppaths.random_graphs
 
 from seppaths import (
     ExperimentConfig,
@@ -199,6 +202,25 @@ class TestExperiment:
         # a trial regenerates exactly from its logged seed
         r0 = a.per_trial[0]
         assert isolated_count(gen_gnp(16, 0.4, r0.seed)) == r0.isolated
+
+    def test_trial_seeds_follow_the_master_seed(self):
+        stats = run_experiment(ExperimentConfig(n=16, p=0.4, trials=4, seed=123))
+        master = random.Random(123)
+        assert [r.seed for r in stats.per_trial] == [master.getrandbits(64) for _ in range(4)]
+
+    def test_huge_trial_count_starts_without_drawing_every_seed(self, monkeypatch):
+        # the first trial must begin before any further seed is drawn; the
+        # sentinel stops the run there, so no trial actually executes
+        class Started(Exception):
+            pass
+
+        def first_trial(n, p, seed):
+            raise Started(seed)
+
+        monkeypatch.setattr(seppaths.random_graphs, "gen_gnp", first_trial)
+        with pytest.raises(Started) as info:
+            run_experiment(ExperimentConfig(n=16, p=0.4, trials=10**20, seed=7))
+        assert info.value.args == (random.Random(7).getrandbits(64),)
 
     def test_regime_helpers_clamped(self):
         assert subcritical_p(64) == 0.0  # ln 64 < 3 ln ln 64

@@ -2,16 +2,19 @@
 
 import hashlib
 import sys
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import seppaths.trees as trees_module
 from seppaths import (
     Tree,
     canonical_form,
     contract_bare_paths,
     dfs_leaf_order,
+    edge_system,
     emit_dot,
     find_isomorphism,
     parse_tree,
@@ -22,6 +25,7 @@ from seppaths import (
     subdivide_edge,
     suppress_vertex,
     unique_path,
+    vertex_system,
 )
 from seppaths.errors import (
     BadToken,
@@ -33,11 +37,48 @@ from seppaths.errors import (
 )
 from seppaths.oracle import enumerate_trees
 
-from conftest import path_tree
+from conftest import leafy_tree, path_tree
 
 random_trees = st.builds(
     random_tree, n=st.integers(min_value=2, max_value=24), seed=st.integers(0, 2**32)
 )
+
+
+@st.composite
+def _relabeled_tree(draw):
+    """A random tree with shuffled, non-contiguous vertex ids."""
+    t = draw(random_trees)
+    ids = draw(st.lists(st.integers(0, 10**6), min_size=t.n, max_size=t.n, unique=True))
+    new = dict(zip(t.vertices, ids))
+    return Tree.from_edges((new[a], new[b]) for a, b in t.edges)
+
+
+relabeled_trees = _relabeled_tree()
+
+
+def bfs_unique_path(t: Tree, u: int, v: int):
+    """The u-v path by a fresh BFS from u: O(n) per pair, an independent
+    reference for the rooted walk."""
+    if not t.has_vertex(u):
+        raise UnknownVertex(f"vertex {u} not in tree")
+    if not t.has_vertex(v):
+        raise UnknownVertex(f"vertex {v} not in tree")
+    if u == v:
+        return path_of(u)
+    prev = {u: u}
+    frontier = [u]
+    while frontier and v not in prev:
+        nxt = []
+        for x in frontier:
+            for w in t.neighbors(x):
+                if w not in prev:
+                    prev[w] = x
+                    nxt.append(w)
+        frontier = nxt
+    seq = [v]
+    while seq[-1] != u:
+        seq.append(prev[seq[-1]])
+    return path_of(*reversed(seq))
 
 
 class TestParse:
@@ -171,6 +212,64 @@ class TestUniquePath:
         assert unique_path(t, u, v).vertices == tuple(
             reversed(unique_path(t, v, u).vertices)
         )
+
+    @settings(max_examples=80, deadline=None)
+    @given(relabeled_trees, st.data())
+    def test_matches_the_bfs_reference(self, t, data):
+        vs = st.sampled_from(t.vertices)
+        u, v = data.draw(vs), data.draw(vs)
+        root = t.vertices[0]  # the index roots at the least id
+        below = bfs_unique_path(t, root, v).vertices  # ancestors of v, root first
+        anc = data.draw(st.sampled_from(below))
+        for a, b in ((u, v), (v, u), (u, u), (root, v), (v, root), (anc, v), (v, anc)):
+            assert unique_path(t, a, b) == bfs_unique_path(t, a, b), (a, b)
+
+    @settings(max_examples=40, deadline=None)
+    @given(relabeled_trees, st.data())
+    def test_unknown_vertices_raise_like_the_reference(self, t, data):
+        bad = data.draw(st.integers(0, 10**6).filter(lambda x: not t.has_vertex(x)))
+        v = data.draw(st.sampled_from(t.vertices))
+        for a, b in ((bad, v), (v, bad), (bad, bad)):
+            with pytest.raises(UnknownVertex):
+                bfs_unique_path(t, a, b)
+            with pytest.raises(UnknownVertex):
+                unique_path(t, a, b)
+
+    def test_long_path_needs_no_recursion(self):
+        t = path_tree(3000)  # fresh, so its index is built under the low limit
+        old = sys.getrecursionlimit()
+        sys.setrecursionlimit(200)
+        try:
+            p = unique_path(t, 2999, 0)
+            q = unique_path(t, 1000, 2000)
+        finally:
+            sys.setrecursionlimit(old)
+        assert p.vertices == tuple(range(2999, -1, -1))
+        assert q.vertices == tuple(range(1000, 2001))
+
+
+class TestRootedIndex:
+    def test_parent_and_depth(self, depth2):
+        parent, depth = depth2.rooted()
+        assert parent == {1: 1, 2: 1, 3: 1, 4: 2, 5: 2, 6: 3, 7: 3}
+        assert depth == {1: 0, 2: 1, 3: 1, 4: 2, 5: 2, 6: 2, 7: 2}
+        assert depth2.rooted() is depth2.rooted()
+
+    def test_constructions_build_it_at_most_once_per_tree(self, monkeypatch):
+        built = []  # holds the trees, so their ids stay distinct
+        real = trees_module._root_at_least
+
+        def counting(t):
+            built.append(t)
+            return real(t)
+
+        monkeypatch.setattr(trees_module, "_root_at_least", counting)
+        t = leafy_tree(132, 0)
+        assert t.n == 300
+        edge_system(t)
+        vertex_system(t)
+        assert built and t in built
+        assert max(Counter(map(id, built)).values()) == 1
 
 
 class TestLeafOrder:

@@ -12,19 +12,22 @@ from seppaths import (
     TargetSet,
     check,
     covers,
+    edge_system,
+    gen_gnp,
     incidence,
     kisses,
     make_system,
     parse_paths,
     path_of,
     random_tree,
+    random_vertex_system,
     separates,
     serialize_paths,
     signatures,
     unique_path,
 )
 from seppaths.errors import InvalidPath, UnknownElement
-from seppaths.oracle import enumerate_trees, min_separating
+from seppaths.oracle import enumerate_simple_paths, enumerate_trees, min_separating
 
 
 class TestIncidence:
@@ -107,6 +110,70 @@ class TestKisses:
 
     def test_single_vertex_path(self, p4):
         assert kisses(path_of(3), (2, 3))
+
+
+def nested_loop_signatures(fs, ts):
+    """Every target element tested against every path's vertex and edge
+    sets: O(paths x targets), an independent reference for the path walk."""
+    sig = {s: set() for s in ts.elements}
+    for i, p in enumerate(fs.paths):
+        vs = p.vertex_set()
+        es = p.edge_set()
+        for s in ts.elements:
+            if (s in vs) if isinstance(s, int) else (s in es):
+                sig[s].add(i)
+    return {s: frozenset(ix) for s, ix in sig.items()}
+
+
+def _perturbed(data, working, candidates):
+    """A working family with a few paths dropped and a few extra ones added."""
+    drop = data.draw(st.sets(st.sampled_from(range(len(working))), max_size=3)) if working else set()
+    extra = data.draw(st.lists(st.sampled_from(candidates), max_size=3))
+    return tuple(p for i, p in enumerate(working) if i not in drop) + tuple(extra)
+
+
+def _custom_target(data, host):
+    pool = [*host.vertices, *sorted(host.edges)]
+    return TargetSet.custom(host, data.draw(st.lists(st.sampled_from(pool), max_size=8)))
+
+
+class TestSignatureWalk:
+    """The path walk gives the nested-loop reference's tables, on working
+    families and on perturbed ones that fail."""
+
+    def _agree(self, fs, targets):
+        for ts in targets:
+            ref = nested_loop_signatures(fs, ts)
+            assert signatures(fs, ts) == ref, ts.kind
+            for s in ts.elements:
+                assert incidence(fs, s) == ref[s], s
+        for p in fs.paths:
+            vs = p.vertex_set()
+            for x, y in fs.host.edges:
+                assert kisses(p, (x, y)) == ((x in vs) != (y in vs))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(2, 30), st.integers(0, 2**32), st.data())
+    def test_trees(self, n, seed, data):
+        t = random_tree(n, seed)
+        vs = st.sampled_from(t.vertices)
+        candidates = [unique_path(t, data.draw(vs), data.draw(vs)) for _ in range(4)]
+        fs = PathSystem(t, _perturbed(data, list(edge_system(t).paths), candidates))
+        self._agree(fs, (
+            TargetSet.edges(t),
+            TargetSet.vertices(t),
+            TargetSet.vertices_and_interior_edges(t),
+            _custom_target(data, t),
+        ))
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(3, 7), st.sampled_from((0.3, 0.5, 0.7)), st.integers(0, 2**32), st.data())
+    def test_gnp_hosts(self, n, p, seed, data):
+        g = gen_gnp(n, p, seed)
+        working = random_vertex_system(g, seed)
+        candidates = list(enumerate_simple_paths(g, True))
+        fs = PathSystem(g, _perturbed(data, list(working.paths) if working else [], candidates))
+        self._agree(fs, (TargetSet.edges(g), TargetSet.vertices(g), _custom_target(data, g)))
 
 
 class TestSignatureEquivalence:

@@ -1,5 +1,6 @@
 """Vertex bounds, the contraction-lift construction, windows, sharp values."""
 
+import hashlib
 import warnings
 
 import pytest
@@ -10,6 +11,7 @@ from seppaths import (
     covers,
     profile,
     kisses,
+    random_tree,
     separates,
     sharp_value,
     sliding_window_cover,
@@ -29,7 +31,7 @@ from seppaths.vertex_systems import (
 )
 from seppaths.trees import canonical_form, suppress_vertex
 
-from conftest import path_tree, star_tree
+from conftest import leafy_tree, path_tree, star_tree
 
 
 class TestBounds:
@@ -300,3 +302,38 @@ class TestSharpValues:
     def test_unrecognized_returns_none(self, broom):
         assert sharp_value(broom, TargetSet.vertices(broom)) is None
         assert sharp_value(broom, TargetSet.edges(broom)) is None
+
+
+def _pinned_trees():
+    for n in range(2, 11):
+        yield from enumerate_trees(n)
+    for n in range(2, 121):
+        yield random_tree(n, n)
+    for m in range(5, 65, 5):
+        yield leafy_tree(m, m)
+
+
+# sha256 of the vertex_system and vertex_interior_system vertex sequences
+# over _pinned_trees(), recorded at commit ec54f3c (a fresh BFS per path);
+# an unsupported tree adds its error name
+VERTEX_DIGEST = "4854ce5858eb3f0f2487be0de406df0b167f80a1d0ddbd192b74b1bf69108dbc"
+
+
+def test_outputs_match_pinned_digest():
+    h = hashlib.sha256()
+    count = 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", BunchMismatchWarning)
+        for t in _pinned_trees():
+            for build in (vertex_system, vertex_interior_system):
+                try:
+                    paths = build(t).paths
+                except (UnsupportedTree, PreconditionViolated) as exc:
+                    h.update(f"!{type(exc).__name__}\n".encode())
+                else:
+                    for p in paths:
+                        h.update(" ".join(map(str, p.vertices)).encode() + b"\n")
+                h.update(b"--\n")
+            count += 1
+    assert count == 331
+    assert h.hexdigest() == VERTEX_DIGEST
