@@ -33,7 +33,6 @@ from .vertex_systems import (
 )
 from .verify import (
     PathSystem,
-    TargetKind,
     TargetSet,
     check,
     parse_paths,
@@ -43,9 +42,9 @@ from .verify import (
 DEFAULT_SEED = 42
 
 _TARGETS = {
-    "edges": TargetKind.EDGES,
-    "vertices": TargetKind.VERTICES,
-    "v-and-interior": TargetKind.VERTICES_AND_INTERIOR_EDGES,
+    "edges": TargetSet.edges,
+    "vertices": TargetSet.vertices,
+    "v-and-interior": TargetSet.vertices_and_interior_edges,
 }
 
 
@@ -67,15 +66,6 @@ def _read_text(path: str) -> str:
 
 def _load_tree(path: str) -> Tree:
     return parse_tree(_read_text(path))
-
-
-def _target_set(t: Tree, name: str) -> TargetSet:
-    kind = _TARGETS[name]
-    if kind is TargetKind.EDGES:
-        return TargetSet.edges(t)
-    if kind is TargetKind.VERTICES:
-        return TargetSet.vertices(t)
-    return TargetSet.vertices_and_interior_edges(t)
 
 
 def _emit(args, text_lines, payload) -> None:
@@ -173,7 +163,7 @@ def cmd_verify(args) -> int:
     fs = parse_paths(t, _read_text(args.paths))
     for warning in fs.lint():
         print(f"warning: {warning}", file=sys.stderr)
-    ts = _target_set(t, args.target)
+    ts = _TARGETS[args.target](t)
     verdict = check(fs, ts)
     if not verdict:
         print(str(verdict), file=sys.stderr)
@@ -185,7 +175,7 @@ def cmd_verify(args) -> int:
 
 def cmd_oracle(args) -> int:
     t = _load_tree(args.tree)
-    ts = _target_set(t, args.target)
+    ts = _TARGETS[args.target](t)
     res = min_separating(
         t, ts, require_cover=not args.no_cover, budget_ms=args.budget_ms
     )
@@ -250,7 +240,7 @@ def cmd_random_exp(args) -> int:
 def cmd_localize(args) -> int:
     t = _load_tree(args.tree)
     fs = parse_paths(t, _read_text(args.paths))
-    ts = _target_set(t, args.target)
+    ts = _TARGETS[args.target](t)
     table = signature_table(fs, ts)
     report_bits = args.report.strip().upper()
     if set(report_bits) - {"P", "F"}:

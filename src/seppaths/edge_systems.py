@@ -31,6 +31,7 @@ from .errors import (
 from .trees import (
     Tree,
     TreeProfile,
+    canonical_form,
     dfs_leaf_order,
     edge,
     find_isomorphism,
@@ -51,13 +52,33 @@ def edge_formula(h1: int, h2: int) -> int:
 
 # The depth-2 binary tree: the unique tree where the formula is off by one.
 DEPTH2_BINARY = Tree.from_edges([(1, 2), (1, 3), (2, 4), (2, 5), (3, 6), (3, 7)])
-_DEPTH2_FAMILY = ((1, 4), (1, 5), (1, 6), (1, 7))
+
+# Irreducible bottoms of the reduction.  The 9-vertex tree is the one whose
+# every reduction pair lands on the depth-2 binary tree.
+_FIVE_FIXTURE = Tree.from_edges([(0, 2), (1, 2), (2, 3), (3, 4)])
+_SIX_FIXTURE = Tree.from_edges([(0, 1), (1, 2), (2, 3), (3, 4), (2, 5)])
+_NINE_FIXTURE = Tree.from_edges(
+    [(0, 3), (1, 3), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7), (5, 8)]
+)
+
+# Each fixture's explicit family, as end pairs, keyed by its canonical form;
+# the 9-vertex tree's printed family needed one corrected path.
+_FIXTURES = {
+    canonical_form(fixture): (fixture, family)
+    for fixture, family in (
+        (DEPTH2_BINARY, ((1, 4), (1, 5), (1, 6), (1, 7))),
+        (_FIVE_FIXTURE, ((0, 3), (1, 4), (3, 4))),
+        (_SIX_FIXTURE, ((0, 3), (1, 4), (1, 5))),
+        (_NINE_FIXTURE, ((0, 6), (1, 7), (2, 4), (1, 8))),
+    )
+}
+_DEPTH2_FORM = canonical_form(DEPTH2_BINARY)
 
 
 def is_depth2_binary(t: Tree) -> bool:
     if t.n != 7 or sorted(map(t.degree, t.vertices)) != [1, 1, 1, 1, 2, 3, 3]:
         return False
-    return find_isomorphism(t, DEPTH2_BINARY) is not None
+    return canonical_form(t) == _DEPTH2_FORM
 
 
 def edge_target_size(t: Tree) -> int:
@@ -345,7 +366,7 @@ def _edge_pairs(t: Tree) -> tuple[list[Pair], str]:
     if t.n == 2:
         return [tuple(t.vertices)], "single edge"
     if is_depth2_binary(t):
-        return _mapped(DEPTH2_BINARY, _DEPTH2_FAMILY, t), "depth-2 binary tree"
+        return _mapped(t), "depth-2 binary tree"
     p = profile(t)
     if p.h1 < p.h2:
         return _more_degree2(t, p), "h1 < h2"
@@ -356,11 +377,12 @@ def _edge_pairs(t: Tree) -> tuple[list[Pair], str]:
     return _reduce_and_lift(t), "reduction lift"
 
 
-def _mapped(fixture: Tree, family, t: Tree) -> list[Pair]:
-    """A fixture family carried onto an isomorphic tree."""
-    iso = find_isomorphism(fixture, t)
-    if iso is None:
+def _mapped(t: Tree) -> list[Pair]:
+    """The family of the fixture isomorphic to t, carried onto t."""
+    fixture, family = _FIXTURES.get(canonical_form(t), (None, ()))
+    if fixture is None:
         raise InternalClassificationError(f"tree {t!r} matches no fixture")
+    iso = find_isomorphism(fixture, t)
     return [(iso[a], iso[b]) for a, b in family]
 
 
@@ -419,33 +441,10 @@ def _reduce_and_lift(t: Tree) -> list[Pair]:
     t = _as_tree(adj)
     p = profile(t)
     if p.h2 and p.useful_leaves:
-        base = _irreducible_fixture(t)
+        base = _mapped(t)
     else:
         base = _no_degree2(t, p) if not p.h2 else _cyclic_leaf_pairs(t, p)
     return base + appended[::-1]
-
-
-# Irreducible bottoms of the reduction, with their explicit families as end
-# pairs.  The 9-vertex tree is the one whose every reduction pair lands on
-# the depth-2 binary tree; its printed family needed one corrected path.
-_FIVE_FIXTURE = Tree.from_edges([(0, 2), (1, 2), (2, 3), (3, 4)])
-_FIVE_FAMILY = ((0, 3), (1, 4), (3, 4))
-_SIX_FIXTURE = Tree.from_edges([(0, 1), (1, 2), (2, 3), (3, 4), (2, 5)])
-_SIX_FAMILY = ((0, 3), (1, 4), (1, 5))
-_NINE_FIXTURE = Tree.from_edges(
-    [(0, 3), (1, 3), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7), (5, 8)]
-)
-_NINE_FAMILY = ((0, 6), (1, 7), (2, 4), (1, 8))
-
-
-def _irreducible_fixture(t: Tree) -> list[Pair]:
-    if find_reduction_pair(t) is not None:
-        return _mapped(_NINE_FIXTURE, _NINE_FAMILY, t)
-    if t.n == 5:
-        return _mapped(_FIVE_FIXTURE, _FIVE_FAMILY, t)
-    if t.n == 6:
-        return _mapped(_SIX_FIXTURE, _SIX_FAMILY, t)
-    raise InternalClassificationError(f"unclassified irreducible tree {t!r}")
 
 
 def _more_degree2(t: Tree, p: TreeProfile) -> list[Pair]:

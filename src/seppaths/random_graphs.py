@@ -250,44 +250,37 @@ def _posa(adj, block, start, rng, step_budget: int) -> list[int] | None:
 
 
 def _exact_path(adj, block, forced_ends: list[int], node_budget: int):
-    """Backtracking over (endpoint, visited) states; least-degree first."""
+    """Backtracking over (endpoint, visited) states; least-degree first.
+
+    Depth-first with an explicit stack of neighbour iterators, one per
+    vertex of the current path, so a long block needs no recursion."""
     target = len(block)
     nodes = 0
-    budget_hit = False
+    by_degree = {v: sorted(adj[v], key=lambda x: len(adj[x])) for v in block}
 
     starts = forced_ends or sorted(block, key=lambda v: len(adj[v]))
-
-    def rec(v: int, visited: set[int], seq: list[int]) -> list[int] | None:
-        nonlocal nodes, budget_hit
-        nodes += 1
-        if nodes > node_budget:
-            budget_hit = True
-            return None
-        if len(seq) == target:
-            return list(seq)
-        for w in sorted(adj[v], key=lambda x: len(adj[x])):
-            if w in visited:
-                continue
-            visited.add(w)
-            seq.append(w)
-            got = rec(w, visited, seq)
-            if got is not None:
-                return got
-            seq.pop()
-            visited.remove(w)
-            if budget_hit:
-                return None
-        return None
-
     for s in starts:
-        got = rec(s, {s}, [s])
-        if got is not None:
-            return got, False, nodes
-        if budget_hit:
-            return None, False, nodes
+        seq: list[int] = []
+        visited: set[int] = set()
+        frames = [iter((s,))]  # frames[i + 1] extends the path beyond seq[i]
+        while frames:
+            w = next((x for x in frames[-1] if x not in visited), None)
+            if w is None:
+                frames.pop()
+                if seq:
+                    visited.remove(seq.pop())
+                continue
+            nodes += 1
+            if nodes > node_budget:
+                return None, False, nodes
+            seq.append(w)
+            visited.add(w)
+            if len(seq) == target:
+                return seq, False, nodes
+            frames.append(iter(by_degree[w]))
         if forced_ends:
             break  # a degree-1 vertex must be an endpoint; one start suffices
-    return None, not budget_hit, nodes
+    return None, True, nodes
 
 
 def random_vertex_system(g: Graph, seed: int) -> PathSystem | None:

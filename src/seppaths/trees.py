@@ -367,7 +367,7 @@ def profile(t: Tree) -> TreeProfile:
     )
     assert h2star == by_sum, "bare-path decomposition is inconsistent"
 
-    bunches = _bunches(t, set(interior), leafset)
+    bunches = _bunches(t, leaves)
     useful = tuple(v for v in leaves if t.degree(t.neighbors(v)[0]) != 2)
     return TreeProfile(
         h1=len(leaves),
@@ -411,30 +411,15 @@ def _bare_paths(t: Tree) -> tuple[PathInTree, ...]:
     return tuple(paths)
 
 
-def _bunches(t: Tree, interior: set[Edge], leafset: set[int]) -> tuple[Bunch, ...]:
-    pendant = [e for e in t.edges if e not in interior]
-    comp: dict[int, int] = {}
-
-    def find(x: int) -> int:
-        while comp[x] != x:
-            comp[x] = comp[comp[x]]
-            x = comp[x]
-        return x
-
-    for u, v in pendant:
-        comp.setdefault(u, u)
-        comp.setdefault(v, v)
-        comp[find(u)] = find(v)
+def _bunches(t: Tree, leaves: tuple[int, ...]) -> tuple[Bunch, ...]:
+    """The components of the pendant edges: each support vertex with its
+    leaves, or the whole tree when it is a single edge."""
+    if t.n == 2:
+        return (Bunch(t.vertices, t.vertices),)
     groups: dict[int, list[int]] = {}
-    for v in comp:
-        groups.setdefault(find(v), []).append(v)
-    bunches = [
-        Bunch(
-            vertices=tuple(sorted(vs)),
-            leaves=tuple(sorted(x for x in vs if x in leafset)),
-        )
-        for vs in groups.values()
-    ]
+    for v in leaves:
+        groups.setdefault(t.neighbors(v)[0], []).append(v)
+    bunches = [Bunch(tuple(sorted([s, *ls])), tuple(ls)) for s, ls in groups.items()]
     bunches.sort(key=lambda b: b.vertices[0])
     return tuple(bunches)
 
@@ -525,8 +510,10 @@ def tree_centers(t: Tree) -> tuple[int, ...]:
     return tuple(sorted(layer))
 
 
-def _rooted_canon(t: Tree, root: int) -> str:
-    """The AHU form rooted at `root`, built bottom-up without recursion."""
+def _rooted_labeling(t: Tree, root: int) -> tuple[str, list[int]]:
+    """The AHU form rooted at `root`, and the BFS order that visits each
+    vertex's children sorted by (form, id); built bottom-up without
+    recursion."""
     parent = {root: -1}
     order = [root]
     for v in order:
@@ -534,66 +521,41 @@ def _rooted_canon(t: Tree, root: int) -> str:
             if w != parent[v]:
                 parent[w] = v
                 order.append(w)
-    subs: dict[int, list[str]] = {v: [] for v in order}
-    for v in reversed(order[1:]):
-        subs[parent[v]].append("(" + "".join(sorted(subs.pop(v))) + ")")
-    return "(" + "".join(sorted(subs[root])) + ")"
+    formed: dict[int, list[tuple[str, int]]] = {v: [] for v in order}
+    kids: dict[int, list[int]] = {}
+    for v in reversed(order):
+        ranked = sorted(formed.pop(v))
+        form = "(" + "".join(f for f, _ in ranked) + ")"
+        kids[v] = [w for _, w in ranked]
+        if v != root:
+            formed[parent[v]].append((form, v))
+    bfs = [root]
+    for v in bfs:
+        bfs += kids[v]
+    return form, bfs
+
+
+def _canonical_labeling(t: Tree) -> tuple[str, list[int]]:
+    """The rooted labeling at the center with the smaller form (the lower
+    id on a tie): two trees are isomorphic exactly when their forms are
+    equal, and then their orders, zipped, map one onto the other."""
+    return min((_rooted_labeling(t, c) for c in tree_centers(t)), key=lambda fo: fo[0])
 
 
 def canonical_form(t: Tree) -> str:
     """An isomorphism-invariant string (AHU form rooted at the center)."""
-    return min(_rooted_canon(t, c) for c in tree_centers(t))
+    return _canonical_labeling(t)[0]
 
 
 def find_isomorphism(t1: Tree, t2: Tree) -> dict[int, int] | None:
     """A vertex bijection t1 -> t2 preserving adjacency, or None.
 
-    Degree-multiset check first, then backtracking over a connected order;
-    intended for the small fixture trees, not for bulk isomorphism work.
+    Both trees get their canonical labeling; equal forms mean isomorphic
+    trees, and the i-th vertex of one canonical order maps to the i-th of
+    the other.  No recursion and no search, for trees of any size.
     """
     if t1.n != t2.n:
         return None
-    if sorted(map(t1.degree, t1.vertices)) != sorted(map(t2.degree, t2.vertices)):
-        return None
-
-    order = _connected_order(t1)
-    mapping: dict[int, int] = {}
-    used: set[int] = set()
-
-    def extend(i: int) -> bool:
-        if i == len(order):
-            return True
-        v = order[i]
-        anchors = [w for w in t1.neighbors(v) if w in mapping]
-        if anchors:
-            candidates = [x for x in t2.neighbors(mapping[anchors[0]]) if x not in used]
-        else:
-            candidates = [x for x in t2.vertices if x not in used]
-        for x in candidates:
-            if t2.degree(x) != t1.degree(v):
-                continue
-            if any(not t2.has_edge(x, mapping[w]) for w in anchors):
-                continue
-            mapping[v] = x
-            used.add(x)
-            if extend(i + 1):
-                return True
-            del mapping[v]
-            used.remove(x)
-        return False
-
-    return dict(mapping) if extend(0) else None
-
-
-def _connected_order(t: Tree) -> list[int]:
-    start = max(t.vertices, key=t.degree)
-    order = [start]
-    seen = {start}
-    qi = 0
-    while qi < len(order):
-        for w in t.neighbors(order[qi]):
-            if w not in seen:
-                seen.add(w)
-                order.append(w)
-        qi += 1
-    return order
+    form1, order1 = _canonical_labeling(t1)
+    form2, order2 = _canonical_labeling(t2)
+    return dict(zip(order1, order2)) if form1 == form2 else None

@@ -2,6 +2,7 @@
 
 import math
 import random
+import sys
 
 import pytest
 
@@ -22,6 +23,7 @@ from seppaths import (
 from seppaths.oracle import min_separating
 from seppaths.errors import TooLarge
 from seppaths.random_graphs import (
+    _exact_path,
     find_spanning_path,
     subcritical_p,
     supercritical_p,
@@ -101,6 +103,65 @@ class TestSetSystem:
             assert separating_set_system(n).blocks == self._reference_blocks(n), n
 
 
+def recursive_exact_path(adj, block, forced_ends, node_budget):
+    """The exact spanning-path search as one recursive call per path
+    vertex: a reference for the explicit-stack search."""
+    target = len(block)
+    nodes = 0
+    budget_hit = False
+    starts = forced_ends or sorted(block, key=lambda v: len(adj[v]))
+
+    def rec(v, visited, seq):
+        nonlocal nodes, budget_hit
+        nodes += 1
+        if nodes > node_budget:
+            budget_hit = True
+            return None
+        if len(seq) == target:
+            return list(seq)
+        for w in sorted(adj[v], key=lambda x: len(adj[x])):
+            if w in visited:
+                continue
+            visited.add(w)
+            seq.append(w)
+            got = rec(w, visited, seq)
+            if got is not None:
+                return got
+            seq.pop()
+            visited.remove(w)
+            if budget_hit:
+                return None
+        return None
+
+    for s in starts:
+        got = rec(s, {s}, [s])
+        if got is not None:
+            return got, False, nodes
+        if budget_hit:
+            return None, False, nodes
+        if forced_ends:
+            break
+    return None, not budget_hit, nodes
+
+
+def theta_graph(arms: int, k: int) -> Graph:
+    """Hubs 0 and 1 joined by `arms` internally disjoint paths of k inner
+    vertices each, numbered arm by arm from 2."""
+    edges, nxt = [], 2
+    for _ in range(arms):
+        prev = 0
+        for _ in range(k):
+            edges.append((prev, nxt))
+            prev, nxt = nxt, nxt + 1
+        edges.append((prev, 1))
+    return Graph(nxt, edges)
+
+
+def _induced(g: Graph, block):
+    inblock = set(block)
+    return {v: tuple(w for w in g.neighbors(v) if w in inblock) for v in block}
+
+
 class TestSpanningPath:
     def test_complete_graph(self):
         g = gen_gnp(4, 1.0, 0)
@@ -127,6 +188,34 @@ class TestSpanningPath:
         g = Graph(4, [(0, 1), (2, 3)])
         r = find_spanning_path(g, [0, 1, 2, 3])
         assert r.path is None and r.certified_absent
+
+    def test_exact_search_matches_the_recursive_reference(self):
+        rng = random.Random(4)
+        cases = [(theta_graph(a, k), None) for a in (2, 3, 4) for k in range(1, 6)]
+        for seed in range(40):
+            g = gen_gnp(rng.randrange(3, 13), rng.choice((0.25, 0.4, 0.6)), seed)
+            cases.append((g, None))
+            cases.append((g, rng.sample(g.vertices, rng.randrange(2, g.n + 1))))
+        for g, block in cases:
+            block = sorted(block or g.vertices)
+            adj = _induced(g, block)
+            ends = [v for v in block if len(adj[v]) == 1]
+            for forced in (ends, []):
+                for budget in (7, 60, 20_000):
+                    args = (adj, block, forced, budget)
+                    assert _exact_path(*args) == recursive_exact_path(*args), (g, block, args)
+
+    def test_long_theta_needs_no_recursion(self):
+        g = theta_graph(4, 60)  # four arms: no spanning path
+        assert g.n == 242
+        old = sys.getrecursionlimit()
+        sys.setrecursionlimit(150)
+        try:
+            r = find_spanning_path(g, g.vertices)
+        finally:
+            sys.setrecursionlimit(old)
+        assert r.path is None and r.certified_absent
+        assert r.nodes_expanded == 319930
 
 
 class TestRandomVertexSystem:

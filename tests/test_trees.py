@@ -1,7 +1,9 @@
 """Tree parsing, profiles, traversals, contraction, and their invariants."""
 
 import hashlib
+import random
 import sys
+import time
 from collections import Counter
 
 import pytest
@@ -10,6 +12,7 @@ from hypothesis import strategies as st
 
 import seppaths.trees as trees_module
 from seppaths import (
+    Bunch,
     Tree,
     canonical_form,
     contract_bare_paths,
@@ -27,6 +30,7 @@ from seppaths import (
     unique_path,
     vertex_system,
 )
+from seppaths.edge_systems import _FIXTURES
 from seppaths.errors import (
     BadToken,
     DuplicateEdge,
@@ -79,6 +83,104 @@ def bfs_unique_path(t: Tree, u: int, v: int):
     while seq[-1] != u:
         seq.append(prev[seq[-1]])
     return path_of(*reversed(seq))
+
+
+def backtracking_isomorphism(t1: Tree, t2: Tree):
+    """A t1 -> t2 isomorphism by backtracking over a BFS order from a
+    maximum-degree vertex, lowest-id candidates first: an independent
+    reference for the canonical-labeling mapping."""
+    if t1.n != t2.n:
+        return None
+    if sorted(map(t1.degree, t1.vertices)) != sorted(map(t2.degree, t2.vertices)):
+        return None
+    start = max(t1.vertices, key=t1.degree)
+    order, seen = [start], {start}
+    for x in order:
+        for w in t1.neighbors(x):
+            if w not in seen:
+                seen.add(w)
+                order.append(w)
+    mapping: dict[int, int] = {}
+    used: set[int] = set()
+
+    def extend(i: int) -> bool:
+        if i == len(order):
+            return True
+        v = order[i]
+        anchors = [w for w in t1.neighbors(v) if w in mapping]
+        if anchors:
+            candidates = [x for x in t2.neighbors(mapping[anchors[0]]) if x not in used]
+        else:
+            candidates = [x for x in t2.vertices if x not in used]
+        for x in candidates:
+            if t2.degree(x) != t1.degree(v):
+                continue
+            if any(not t2.has_edge(x, mapping[w]) for w in anchors):
+                continue
+            mapping[v] = x
+            used.add(x)
+            if extend(i + 1):
+                return True
+            del mapping[v]
+            used.remove(x)
+        return False
+
+    return dict(mapping) if extend(0) else None
+
+
+def union_find_bunches(t: Tree):
+    """The components of the pendant edges by union-find: an independent
+    reference for the grouping in ``profile``."""
+    leafset = set(t.leaves())
+    comp: dict[int, int] = {}
+
+    def find(x: int) -> int:
+        while comp[x] != x:
+            comp[x] = comp[comp[x]]
+            x = comp[x]
+        return x
+
+    for u, v in t.edges:
+        if u in leafset or v in leafset:
+            comp.setdefault(u, u)
+            comp.setdefault(v, v)
+            comp[find(u)] = find(v)
+    groups: dict[int, list[int]] = {}
+    for v in comp:
+        groups.setdefault(find(v), []).append(v)
+    bunches = [
+        Bunch(tuple(sorted(vs)), tuple(sorted(x for x in vs if x in leafset)))
+        for vs in groups.values()
+    ]
+    return tuple(sorted(bunches, key=lambda b: b.vertices[0]))
+
+
+def relabeled(t: Tree, rng: random.Random) -> Tree:
+    """A copy of t on shuffled, non-contiguous ids."""
+    new = dict(zip(t.vertices, rng.sample(range(10**6), t.n)))
+    return Tree.from_edges((new[a], new[b]) for a, b in t.edges)
+
+
+def forked_spider(chains) -> Tree:
+    """Center 0 with one leg per entry: a chain of that many vertices whose
+    last vertex carries two leaves."""
+    edges, nxt = [], 1
+    for k in chains:
+        prev = 0
+        for _ in range(k):
+            edges.append((prev, nxt))
+            prev, nxt = nxt, nxt + 1
+        edges += [(prev, nxt), (prev, nxt + 1)]
+        nxt += 2
+    return Tree.from_edges(edges)
+
+
+def is_isomorphism(t1: Tree, t2: Tree, iso) -> bool:
+    return (
+        sorted(iso) == list(t1.vertices)
+        and sorted(iso.values()) == list(t2.vertices)
+        and all(t2.has_edge(iso[u], iso[v]) for u, v in t1.edges)
+    )
 
 
 class TestParse:
@@ -182,6 +284,14 @@ class TestProfile:
     def test_h2star_between_0_and_h2(self, t):
         p = profile(t)  # profile itself asserts the two h2* formulas agree
         assert 0 <= p.h2star <= p.h2
+
+    def test_bunches_match_the_union_find_reference(self):
+        ts = [Tree([0], [])]
+        ts += [t for n in range(2, 11) for t in enumerate_trees(n)]
+        ts += [random_tree(n, s) for n in range(2, 300) for s in (0, 1, 2)]
+        assert len(ts) == 1095
+        for t in ts:
+            assert profile(t).bunches == union_find_bunches(t), t
 
     def test_bunch_sizes_sum_to_h1(self):
         for n in range(2, 9):
@@ -410,6 +520,53 @@ class TestIsomorphism:
             sys.setrecursionlimit(old)
         # rooted at a center: two hanging chains of 500 and 499 vertices
         assert form == "(" + chain(500) + chain(499) + ")"
+
+    def test_fixture_families_map_like_the_backtracking_reference(self):
+        rng = random.Random(8)
+        for fixture, family in _FIXTURES.values():
+            for _ in range(200):
+                t = relabeled(fixture, rng)
+                new = find_isomorphism(fixture, t)
+                ref = backtracking_isomorphism(fixture, t)
+                assert [(new[a], new[b]) for a, b in family] == [
+                    (ref[a], ref[b]) for a, b in family
+                ], t
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        st.integers(2, 12), st.integers(0, 2**32), st.integers(0, 2**32), st.integers(0, 2**32)
+    )
+    def test_bijection_or_none_like_the_reference(self, n, s1, s2, s3):
+        t1 = random_tree(n, s1)
+        rng = random.Random(s3)
+        for t2 in (relabeled(t1, rng), relabeled(random_tree(n, s2), rng)):
+            iso = find_isomorphism(t1, t2)
+            if backtracking_isomorphism(t1, t2) is None:
+                assert iso is None
+            else:
+                assert iso is not None and is_isomorphism(t1, t2, iso)
+
+    def test_long_path_needs_no_recursion(self):
+        t1 = path_tree(3000)
+        t2 = relabeled(t1, random.Random(3))
+        old = sys.getrecursionlimit()
+        sys.setrecursionlimit(200)
+        try:
+            iso = find_isomorphism(t1, t2)
+        finally:
+            sys.setrecursionlimit(old)
+        assert iso is not None and is_isomorphism(t1, t2, iso)
+
+    def test_forked_spiders_sharing_degrees_rejected_fast(self):
+        # one fork moved up a step and another down: same degree sequence,
+        # not isomorphic; a backtracking search is factorial in the legs
+        t1 = forked_spider([3] * 12)
+        t2 = forked_spider([2, 4] + [3] * 10)
+        assert t1.n == t2.n == 61
+        assert sorted(map(t1.degree, t1.vertices)) == sorted(map(t2.degree, t2.vertices))
+        start = time.perf_counter()
+        assert find_isomorphism(t1, t2) is None
+        assert time.perf_counter() - start < 1.0
 
 
 class TestDot:
