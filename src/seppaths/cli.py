@@ -174,6 +174,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_oracle(args) -> int:
+    if args.budget_ms is not None and not args.budget_ms >= 0:  # NaN fails too
+        raise UsageError(f"--budget-ms {args.budget_ms} is not a non-negative number")
     t = _load_tree(args.tree)
     ts = _TARGETS[args.target](t)
     res = min_separating(

@@ -85,10 +85,11 @@ class Tree:
 
     The adjacency order (ascending vertex id) doubles as the canonical
     planar embedding used by the leaf-order constructions.  The rooted
-    index behind ``unique_path`` is built on first use, once per tree.
+    index behind ``unique_path`` and the ``profile`` are built on first
+    use, once per tree.
     """
 
-    __slots__ = ("vertices", "edges", "_adj", "_rooted")
+    __slots__ = ("vertices", "edges", "_adj", "_rooted", "_profile")
 
     def __init__(self, vertices: Iterable[int], edges: Iterable[Edge]):
         vs = tuple(sorted(set(vertices)))
@@ -114,6 +115,7 @@ class Tree:
         self.edges = es
         self._adj = {v: tuple(sorted(ns)) for v, ns in adj.items()}
         self._rooted: tuple[dict[int, int], dict[int, int]] | None = None
+        self._profile: TreeProfile | None = None
         self._check_connected()
 
     def _check_connected(self) -> None:
@@ -345,7 +347,14 @@ def dfs_leaf_order(t: Tree, start: int) -> tuple[int, ...]:
 
 
 def profile(t: Tree) -> TreeProfile:
-    """Compute every structural parameter of the tree in one pass."""
+    """Every structural parameter of the tree, computed in one pass on the
+    first call, then cached on the tree."""
+    if t._profile is None:
+        t._profile = _profile(t)
+    return t._profile
+
+
+def _profile(t: Tree) -> TreeProfile:
     leaves = tuple(v for v in t.vertices if t.degree(v) == 1)
     deg2 = tuple(v for v in t.vertices if t.degree(v) == 2)
     leafset = set(leaves)
@@ -433,9 +442,7 @@ def contract_bare_paths(t: Tree) -> tuple[Tree, dict[Edge, PathInTree]]:
     """
     if t.n < 2:
         raise TreeTooSmall("cannot contract a single-vertex tree")
-    edge_map: dict[Edge, PathInTree] = {}
-    for p in _bare_paths(t):
-        edge_map[edge(p.vertices[0], p.vertices[-1])] = p
+    edge_map = {edge(p.vertices[0], p.vertices[-1]): p for p in profile(t).bare_paths}
     return Tree.from_edges(edge_map.keys()), edge_map
 
 

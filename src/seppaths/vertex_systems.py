@@ -1,10 +1,17 @@
 """Vertex-separating systems: bounds, the contraction-lift construction with
 its pairing/refinement/window steps, and exact values on the sharp families.
+
+The refinement step works on end pairs.  Each end of an added path records
+its bare path, its position there and its heading, the extreme its path
+leaves by, so every overlap inside a bare path is read off positions and
+headings, and a fix re-examines only its own bare path.
 """
 
 from __future__ import annotations
 
+import heapq
 import warnings
+from collections import deque
 
 from .errors import (
     InternalClassificationError,
@@ -90,7 +97,7 @@ def vertex_system(t: Tree) -> PathSystem:
 
     # A path between surviving vertices lifts to the unique path in t.
     lifted = [unique_path(t, a, b) for a, b in bunch_pairs(contracted)]
-    added = _separate_degree2(t, prof, lifted)
+    added = _separate_degree2(t, prof)
 
     fs = PathSystem(t, tuple(lifted + added))
     verdict = check(fs, TargetSet.vertices(t))
@@ -103,131 +110,114 @@ def vertex_system(t: Tree) -> PathSystem:
     return fs
 
 
-class _AddedPaths:
-    """The paths added for degree-2 vertices, keyed by their two endpoints.
-
-    Each involved degree-2 vertex is an endpoint of exactly one added path;
-    endpoint exchanges preserve that invariant.
-    """
-
-    def __init__(self, t: Tree):
-        self.t = t
-        self.pairs: list[list[int]] = []
-        self.end_at: dict[int, int] = {}
-
-    def add(self, u: int, v: int) -> None:
-        self.pairs.append([u, v])
-        self.end_at[u] = self.end_at[v] = len(self.pairs) - 1
-
-    def partner(self, u: int) -> int:
-        a, b = self.pairs[self.end_at[u]]
-        return b if a == u else a
-
-    def path_of(self, u: int) -> PathInTree:
-        return unique_path(self.t, u, self.partner(u))
-
-    def swap_partners(self, u: int, v: int) -> None:
-        """u-x and v-y become u-y and v-x."""
-        x, y = self.partner(u), self.partner(v)
-        self.pairs[self.end_at[u]] = [u, y]
-        self.pairs[self.end_at[v]] = [v, x]
-        self.end_at[y] = self.end_at[u]
-        self.end_at[x] = self.end_at[v]
-
-    def hand_off(self, u: int, m: int) -> None:
-        """u-x becomes m-x; u no longer owns a path."""
-        x = self.partner(u)
-        idx = self.end_at.pop(u)
-        self.pairs[idx] = [m, x]
-        self.end_at[m] = idx
-
-    def total_length(self) -> int:
-        return sum(unique_path(self.t, a, b).length for a, b in self.pairs)
-
-    def paths(self) -> list[PathInTree]:
-        return [unique_path(self.t, a, b) for a, b in self.pairs]
-
-
-def _separate_degree2(t: Tree, prof: TreeProfile, lifted: list[PathInTree]) -> list[PathInTree]:
+def _separate_degree2(t: Tree, prof: TreeProfile) -> list[PathInTree]:
     """Steps 3 and 4: pair unmarked degree-2 vertices across distinct bare
     paths, exchange endpoints until no two added paths overlap inside a bare
     path, then window the single leftover run."""
-    runs: dict[int, list[int]] = {}
-    clean: list[int] = []  # one interior vertex per I-path keeps the bare signature
+    runs: dict[int, deque[int]] = {}
+    clean: dict[int, int] = {}  # one interior vertex per I-path keeps the bare signature
     iset = set(prof.set_i)
     for i, bp in enumerate(prof.bare_paths):
-        interior = list(bp.vertices[1:-1])
-        if not interior:
-            continue
+        interior = bp.vertices[1:-1]
         if i in iset:
-            clean.append(interior[0])
+            clean[i] = interior[0]
             interior = interior[1:]
         if interior:
-            runs[i] = interior
+            runs[i] = deque(interior)
 
-    addp = _AddedPaths(t)
-    while True:
-        busy = sorted(runs, key=lambda i: (-len(runs[i]), i))
-        if len(busy) < 2:
-            break
-        i, j = busy[0], busy[1]
-        addp.add(runs[i].pop(0), runs[j].pop(0))
-        if not runs[i]:
-            del runs[i]
-        if not runs[j]:
-            del runs[j]
+    # the two longest runs (the lower index on a tie) give up their first vertices
+    busy = [(-len(run), i) for i, run in runs.items()]
+    heapq.heapify(busy)
+    added: list[PathInTree] = []
+    while len(busy) >= 2:
+        (ni, i), (nj, j) = heapq.heappop(busy), heapq.heappop(busy)
+        added.append(unique_path(t, runs[i].popleft(), runs[j].popleft()))
+        for n, k in ((ni + 1, i), (nj + 1, j)):
+            if n:
+                heapq.heappush(busy, (n, k))
 
-    _refine_overlaps(t, prof, addp, clean)
+    _refine_overlaps(t, prof, added, clean)
 
-    out = addp.paths()
-    leftover = next(iter(runs.values()), None)
-    if leftover:
-        out.extend(sliding_window_cover(t, tuple(leftover)))
-    return out
+    if busy:
+        added.extend(sliding_window_cover(t, tuple(runs[busy[0][1]])))
+    return added
 
 
-def _refine_overlaps(t: Tree, prof: TreeProfile, addp: _AddedPaths, clean: list[int]) -> None:
-    """Endpoint exchange to a fixpoint.
+def _refine_overlaps(
+    t: Tree, prof: TreeProfile, added: list[PathInTree], clean: dict[int, int]
+) -> None:
+    """Endpoint exchange to a fixpoint, least end first.
 
-    A same-bare-path collision forces the mutual-overlap geometry, so either
-    swapping the two partners or handing the path end to the clean marked
-    vertex resolves it; each fix strictly shrinks the total added length,
-    which bounds the loop.
+    Each end u of an added path lies inside a bare path, and records its
+    position there and its heading (+1 or -1): the extreme its path leaves
+    by.  Inside u's bare path, the path is the run from u towards its
+    heading.  So two ends heading at each other overlap, and swapping their
+    partners swaps their headings; an end heading over the clean marked
+    vertex hands its path end to it.  A fix changes nothing outside its own
+    bare path, so only that bare path's first conflict is found again.  Each
+    fix strictly shrinks the length of the paths it rewrites, which bounds
+    the loop.
     """
     bare_of: dict[int, int] = {}
+    pos: dict[int, int] = {}
     for i, bp in enumerate(prof.bare_paths):
-        for v in bp.vertices[1:-1]:
-            bare_of[v] = i
+        for k, v in enumerate(bp.vertices[1:-1], start=1):
+            bare_of[v], pos[v] = i, k
+    slot: dict[int, int] = {}  # end -> index of its path in `added`
+    head: dict[int, int] = {}
+    ends: dict[int, set[int]] = {}  # bare path -> the ends inside it
+    for k, p in enumerate(added):
+        for u, step in ((p.vertices[0], p.vertices[1]), (p.vertices[-1], p.vertices[-2])):
+            slot[u] = k
+            head[u] = 1 if step == prof.bare_paths[bare_of[u]].vertices[pos[u] + 1] else -1
+            ends.setdefault(bare_of[u], set()).add(u)
 
-    while True:
-        conflict = _find_conflict(t, addp, clean, bare_of)
-        if conflict is None:
-            return
-        before = addp.total_length()
-        kind, u, v = conflict
-        if kind == "swap":
-            addp.swap_partners(u, v)
-        else:  # the collision partner is a clean marked vertex
-            addp.hand_off(u, v)
-            clean.remove(v)
-            clean.append(u)
-        if addp.total_length() >= before:
+    def partner(u: int) -> int:
+        a, b = added[slot[u]].endpoints
+        return b if a == u else a
+
+    def ahead(u: int, w: int | None) -> bool:
+        return w is not None and (pos[w] - pos[u]) * head[u] > 0
+
+    def first_conflict(b: int) -> tuple[int, int, int] | None:
+        """(u, v, b): the least end u of bare path b whose path meets
+        another end v heading back at u, or else the clean vertex v."""
+        here, c = ends[b], clean.get(b)
+        # u meets an end heading back at it iff it heads at the farthest one
+        far = {
+            h: max((v for v in here if head[v] == -h), key=lambda v: pos[v] * h, default=None)
+            for h in (1, -1)
+        }
+        u = min((u for u in here if ahead(u, far[head[u]]) or ahead(u, c)), default=None)
+        if u is None:
+            return None
+        return u, min((v for v in here if ahead(u, v) and ahead(v, u)), default=c), b
+
+    queue = [c for c in map(first_conflict, ends) if c]
+    heapq.heapify(queue)
+    while queue:
+        u, v, b = heapq.heappop(queue)
+        ku, x = slot[u], partner(u)
+        if v in slot:  # swap: u-x and v-y become u-y and v-x
+            kv, y = slot[v], partner(v)
+            changed = (ku, kv)
+            before = added[ku].length + added[kv].length
+            added[ku], added[kv] = unique_path(t, u, y), unique_path(t, v, x)
+            slot[y], slot[x] = ku, kv
+            head[u], head[v] = head[v], head[u]
+        else:  # hand-off: u-x becomes v-x, and u is the clean vertex
+            changed = (ku,)
+            before = added[ku].length
+            added[ku] = unique_path(t, v, x)
+            slot[v], head[v] = slot.pop(u), head.pop(u)
+            ends[b].remove(u)
+            ends[b].add(v)
+            clean[b] = u
+        if sum(added[k].length for k in changed) >= before:
             raise InternalClassificationError("refinement failed to make progress")
-
-
-def _find_conflict(t, addp: _AddedPaths, clean: list[int], bare_of) -> tuple[str, int, int] | None:
-    owners = sorted(addp.end_at)
-    for u in owners:
-        pu = addp.path_of(u).vertex_set()
-        for v in owners:
-            if v <= u or bare_of.get(v) != bare_of.get(u):
-                continue
-            if v in pu and u in addp.path_of(v).vertex_set():
-                return ("swap", u, v)
-        for m in clean:
-            if bare_of.get(m) == bare_of.get(u) and m in pu:
-                return ("handoff", u, m)
-    return None
+        c = first_conflict(b)
+        if c:
+            heapq.heappush(queue, c)
 
 
 def vertex_interior_system(t: Tree) -> PathSystem:

@@ -102,6 +102,15 @@ class TestOracle:
         assert code == 0
         assert json.loads(out)["size"] == 2
 
+    @pytest.mark.parametrize("budget", ["nan", "-5"])
+    def test_bad_budget_exit_2(self, capsys, p4_file, budget):
+        # NaN would compare false against every deadline and switch it off
+        code, out, err = run(
+            capsys, "oracle", p4_file, "--target", "edges", "--budget-ms", budget
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("usage error: --budget-ms")
+
 
 class TestProfileAndFormats:
     def test_text_and_json_agree(self, capsys, depth2_file):

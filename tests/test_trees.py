@@ -30,6 +30,7 @@ from seppaths import (
     unique_path,
     vertex_system,
 )
+from seppaths.cli import main
 from seppaths.edge_systems import _FIXTURES
 from seppaths.errors import (
     BadToken,
@@ -298,6 +299,25 @@ class TestProfile:
             for t in enumerate_trees(n):
                 p = profile(t)
                 assert sum(b.size for b in p.bunches) == p.h1
+
+    def test_cached_on_the_tree(self, broom):
+        assert profile(broom) is profile(broom)
+
+    def test_construct_vertex_profiles_each_tree_once(self, monkeypatch, tmp_path):
+        built = []  # holds the trees, so their ids stay distinct
+        real = trees_module._profile
+
+        def counting(t):
+            built.append(t)
+            return real(t)
+
+        monkeypatch.setattr(trees_module, "_profile", counting)
+        f = tmp_path / "leafy.tree"
+        f.write_text(serialize_tree(leafy_tree(132, 0)))
+        assert main(["construct-vertex", str(f)]) == 0
+        # the input tree and its bare-path contraction
+        assert len(built) == 2
+        assert max(Counter(map(id, built)).values()) == 1
 
 
 class TestUniquePath:

@@ -2,9 +2,11 @@
 
 import hashlib
 import warnings
+from collections import Counter
 
 import pytest
 
+import seppaths.vertex_systems as vs
 from seppaths import (
     TargetSet,
     Tree,
@@ -22,6 +24,7 @@ from seppaths import (
 )
 from seppaths.errors import NotConsecutive, PreconditionViolated, UnsupportedTree
 from seppaths.oracle import enumerate_trees, min_separating
+from seppaths.edge_systems import bunch_pairs
 from seppaths.vertex_systems import (
     BunchMismatchWarning,
     grow_cubic_leafy,
@@ -29,7 +32,7 @@ from seppaths.vertex_systems import (
     is_subdivided_cubic_leafy,
     subdivide_interior_edges,
 )
-from seppaths.trees import canonical_form, suppress_vertex
+from seppaths.trees import canonical_form, contract_bare_paths, suppress_vertex, unique_path
 
 from conftest import leafy_tree, path_tree, star_tree
 
@@ -103,6 +106,15 @@ class TestSlidingWindows:
             assert separates(fs, ts) and covers(fs, ts)
 
 
+def _swap_tree():
+    # hubs 1 and 2 joined by the bare path 1-4-5-6-2, with bare legs 1-8-9
+    # and 2-3-0 and two plain leaves on each hub
+    return Tree.from_edges(
+        [(1, 4), (4, 5), (5, 6), (6, 2), (2, 3), (3, 0),
+         (1, 8), (8, 9), (1, 10), (1, 11), (2, 12), (2, 13)]
+    )
+
+
 class TestVertexSystem:
     def test_double_star(self, double_star):
         assert vertex_system(double_star).size == 4
@@ -152,14 +164,37 @@ class TestVertexSystem:
         # the first pairing crosses the far broom, the second crosses back
         # over both the first vertex and the clean marked vertex, forcing
         # one endpoint exchange and one hand-off
-        t = Tree.from_edges(
-            [(1, 4), (4, 5), (5, 6), (6, 2), (2, 3), (3, 0),
-             (1, 8), (8, 9), (1, 10), (1, 11), (2, 12), (2, 13)]
-        )
+        t = _swap_tree()
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", BunchMismatchWarning)
             fs = vertex_system(t)
         assert fs.size <= vertex_upper_formula(profile(t))
+        assert [p.vertices for p in fs.paths] == [
+            (12, 2, 13),
+            (13, 2, 6, 5, 4, 1, 8, 9),
+            (10, 1, 11),
+            (11, 1, 4, 5, 6, 2, 3, 0),
+            (4, 1, 8),
+            (6, 2, 3),
+        ]
+        fixes = Counter()
+        _reference_vertex_paths(t, fixes)
+        assert fixes == {"swap": 1, "handoff": 1}
+
+    def test_unique_path_called_less_than_twice_per_path(self, monkeypatch):
+        # one walk per lifted path, one per added pair for its headings, and
+        # one per path an endpoint exchange rewrites
+        calls = []
+        real = vs.unique_path
+
+        def counting(t, u, v):
+            calls.append((u, v))
+            return real(t, u, v)
+
+        monkeypatch.setattr(vs, "unique_path", counting)
+        fs = vertex_system(leafy_tree(1600, 1))
+        assert fs.size == 1244
+        assert len(calls) < 2 * fs.size
 
     def test_sandwich_on_small_trees(self):
         warnings.simplefilter("ignore", BunchMismatchWarning)
@@ -337,3 +372,123 @@ def test_outputs_match_pinned_digest():
             count += 1
     assert count == 331
     assert h.hexdigest() == VERTEX_DIGEST
+
+
+# ---- reference: the endpoint exchange that rescans the whole family ----
+
+class _ReferenceAddedPaths:
+    """The added paths keyed by their two endpoints, rebuilt from scratch
+    for every conflict test and every progress check."""
+
+    def __init__(self, t):
+        self.t = t
+        self.pairs = []
+        self.end_at = {}
+
+    def add(self, u, v):
+        self.pairs.append([u, v])
+        self.end_at[u] = self.end_at[v] = len(self.pairs) - 1
+
+    def partner(self, u):
+        a, b = self.pairs[self.end_at[u]]
+        return b if a == u else a
+
+    def path_of(self, u):
+        return unique_path(self.t, u, self.partner(u))
+
+    def swap_partners(self, u, v):
+        x, y = self.partner(u), self.partner(v)
+        self.pairs[self.end_at[u]] = [u, y]
+        self.pairs[self.end_at[v]] = [v, x]
+        self.end_at[y] = self.end_at[u]
+        self.end_at[x] = self.end_at[v]
+
+    def hand_off(self, u, m):
+        x = self.partner(u)
+        idx = self.end_at.pop(u)
+        self.pairs[idx] = [m, x]
+        self.end_at[m] = idx
+
+    def total_length(self):
+        return sum(unique_path(self.t, a, b).length for a, b in self.pairs)
+
+    def paths(self):
+        return [unique_path(self.t, a, b) for a, b in self.pairs]
+
+
+def _reference_find_conflict(addp, clean, bare_of):
+    owners = sorted(addp.end_at)
+    for u in owners:
+        pu = addp.path_of(u).vertex_set()
+        for v in owners:
+            if v <= u or bare_of.get(v) != bare_of.get(u):
+                continue
+            if v in pu and u in addp.path_of(v).vertex_set():
+                return ("swap", u, v)
+        for m in clean:
+            if bare_of.get(m) == bare_of.get(u) and m in pu:
+                return ("handoff", u, m)
+    return None
+
+
+def _reference_vertex_paths(t, fixes):
+    """The vertex_system family before its check, pairing by re-sorting
+    every run and exchanging endpoints by whole-family rescans; counts the
+    fixes of each kind into `fixes`."""
+    prof = profile(t)
+    contracted, _ = contract_bare_paths(t)
+    lifted = [unique_path(t, a, b) for a, b in bunch_pairs(contracted)]
+    runs, clean = {}, []
+    iset = set(prof.set_i)
+    for i, bp in enumerate(prof.bare_paths):
+        interior = list(bp.vertices[1:-1])
+        if not interior:
+            continue
+        if i in iset:
+            clean.append(interior[0])
+            interior = interior[1:]
+        if interior:
+            runs[i] = interior
+    addp = _ReferenceAddedPaths(t)
+    while True:
+        busy = sorted(runs, key=lambda i: (-len(runs[i]), i))
+        if len(busy) < 2:
+            break
+        i, j = busy[0], busy[1]
+        addp.add(runs[i].pop(0), runs[j].pop(0))
+        if not runs[i]:
+            del runs[i]
+        if not runs[j]:
+            del runs[j]
+    bare_of = {v: i for i, bp in enumerate(prof.bare_paths) for v in bp.vertices[1:-1]}
+    while True:
+        conflict = _reference_find_conflict(addp, clean, bare_of)
+        if conflict is None:
+            break
+        before = addp.total_length()
+        kind, u, v = conflict
+        fixes[kind] += 1
+        if kind == "swap":
+            addp.swap_partners(u, v)
+        else:
+            addp.hand_off(u, v)
+            clean.remove(v)
+            clean.append(u)
+        assert addp.total_length() < before
+    out = lifted + addp.paths()
+    leftover = next(iter(runs.values()), None)
+    if leftover:
+        out.extend(sliding_window_cover(t, tuple(leftover)))
+    return [p.vertices for p in out]
+
+
+def test_endpoint_exchange_matches_whole_family_rescan():
+    trees = [leafy_tree(m, s) for m in range(5, 121, 5) for s in range(4)]
+    trees.append(_swap_tree())
+    fixes = Counter()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", BunchMismatchWarning)
+        for t in trees:
+            assert [p.vertices for p in vertex_system(t).paths] == _reference_vertex_paths(t, fixes)
+    # 10 swaps and 271 hand-offs on the leafy trees, one of each on _swap_tree
+    assert fixes == {"swap": 11, "handoff": 272}
