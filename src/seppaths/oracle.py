@@ -237,8 +237,12 @@ def min_separating(
     certified minimum.  Length-0 candidate paths are included whenever the
     target contains a vertex and skipped for pure edge targets; pass
     ``include_trivial`` to override.  Exceeding the size cap or the
-    wall-clock budget raises; there is no approximation.
+    wall-clock budget raises; there is no approximation.  A NaN or
+    negative ``budget_ms`` raises ValueError; 0 times out at the first clock
+    check.
     """
+    if budget_ms is not None and not budget_ms >= 0:  # NaN fails too
+        raise ValueError(f"budget_ms={budget_ms} is not a non-negative number")
     if host.n > max_n:
         raise TooLarge(f"n={host.n} exceeds cap {max_n}")
     started = time.monotonic()

@@ -7,6 +7,8 @@ import math
 import random
 import time
 from dataclasses import dataclass
+from itertools import compress, filterfalse, repeat
+from struct import unpack_from
 from typing import Iterable, Sequence
 
 from .errors import HasCycle, UnknownVertex
@@ -57,19 +59,56 @@ class Graph:
 
 def gen_gnp(n: int, p: float, seed: int) -> Graph:
     """G(n, p): each of the C(n, 2) pairs included independently; the same
-    (n, p, seed) always reproduces the same graph."""
+    (n, p, seed) always reproduces the same graph.
+
+    Pair (i, j), i < j, in row-major order, is an edge exactly when
+    `random.Random(seed).random() < p` holds for its turn in the stream.
+    That draw is K / 2^53 with K = (w0 >> 5) * 2^26 + (w1 >> 6), for the
+    next two 32-bit Mersenne Twister words w0, w1, so the test is K < cut
+    with cut = ceil(p * 2^53) (both sides are exact doubles).  Row i takes
+    its n - 1 - i pairs as one `getrandbits` block, which consumes the same
+    words in the same order; as little-endian bytes, pair k's w0 is bytes
+    8k..8k+3 and its w1 bytes 8k+4..8k+7.  The top byte of w0 is K >> 45:
+    below (cut - 1) >> 45 the pair is an edge, above it the pair is not,
+    and only a pair that hits it exactly (at most 1/256 of them) needs the
+    whole K.  Cost: Θ(n²) words drawn and scanned in C, Python work only
+    per candidate pair, and one row's block of memory at a time.
+    """
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"p={p} outside [0, 1]")
-    rng = random.Random(seed)
     edges = []
     if p >= 1.0:
         edges = [(i, j) for i in range(n) for j in range(i + 1, n)]
     elif p > 0.0:
-        for i in range(n):
-            for j in range(i + 1, n):
-                if rng.random() < p:
-                    edges.append((i, j))
+        rng = random.Random(seed)
+        cut = math.ceil(math.ldexp(p, 53))
+        hi = (cut - 1) >> 45
+        # Once certain edges are dense (p > 1/16), one compress per row picks
+        # them out in C faster than the probe loop; below that the loop
+        # visits them too.
+        bulk = hi >= 16
+        sure = bytes(b < hi for b in range(256))
+        probe = bytes(b == hi if bulk else b <= hi for b in range(256))
+        cols = tuple(range(n)) if bulk else ()
+        for i in range(n - 1):
+            m = n - 1 - i
+            data = rng.getrandbits(64 * m).to_bytes(8 * m, "little")
+            tops = data[3::8]
+            if bulk:
+                edges.extend(zip(repeat(i), compress(cols[i + 1 :], tops.translate(sure))))
+            marks = tops.translate(probe)
+            k = marks.find(1)
+            while k >= 0:
+                if tops[k] < hi or _draw53(data, k) < cut:
+                    edges.append((i, i + 1 + k))
+                k = marks.find(1, k + 1)
     return Graph(n, edges)
+
+
+def _draw53(data: bytes, k: int) -> int:
+    """The K of pair k's draw K / 2^53, read from its two words in data."""
+    w0, w1 = unpack_from("<2I", data, 8 * k)
+    return (w0 >> 5) << 26 | w1 >> 6
 
 
 def isolated_count(g: Graph) -> int:
@@ -185,8 +224,10 @@ def find_spanning_path(g: Graph, block: Sequence[int], *, seed: int = 0,
     if len(block) == 1:
         return SpanningPathSearch(PathInTree((block[0],)), False, 0)
 
-    inblock = set(block)
-    adj = {v: tuple(w for w in g.neighbors(v) if w in inblock) for v in block}
+    inblock = [False] * g.n
+    for v in block:
+        inblock[v] = True
+    adj = {v: tuple(filter(inblock.__getitem__, g.neighbors(v))) for v in block}
 
     # cheap certified impossibilities: isolation, too many degree-<=1
     # vertices, or a disconnected induced subgraph
@@ -202,7 +243,7 @@ def find_spanning_path(g: Graph, block: Sequence[int], *, seed: int = 0,
     ends = [v for v, d in degs.items() if d == 1]
     for _ in range(max(restarts, 1)):
         start = ends[0] if ends else rng.choice(block)
-        found = _posa(adj, block, start, rng, step_budget=60 * len(block))
+        found = _posa(adj, degs, block, start, rng, step_budget=60 * len(block))
         if found is not None:
             return SpanningPathSearch(PathInTree(tuple(found)), False, 0)
 
@@ -223,8 +264,9 @@ def _connected(block: list[int], adj: dict[int, tuple[int, ...]]) -> bool:
     return len(seen) == len(block)
 
 
-def _posa(adj, block, start, rng, step_budget: int) -> list[int] | None:
+def _posa(adj, degs, block, start, rng, step_budget: int) -> list[int] | None:
     """One rotation-extension run from `start`."""
+    rnd = rng.random
     path = [start]
     on_path = {start}
     target = len(block)
@@ -232,10 +274,11 @@ def _posa(adj, block, start, rng, step_budget: int) -> list[int] | None:
     while len(path) < target and steps < step_budget:
         steps += 1
         tail = path[-1]
-        fresh = [w for w in adj[tail] if w not in on_path]
+        fresh = list(filterfalse(on_path.__contains__, adj[tail]))
         if fresh:
-            # prefer scarce vertices so low-degree ones don't strand
-            nxt = min(fresh, key=lambda w: (len(adj[w]), rng.random()))
+            # prefer scarce vertices so low-degree ones don't strand; fresh
+            # ascends, so a full tie goes to the least vertex
+            nxt = min([(degs[w], rnd(), w) for w in fresh])[2]
             path.append(nxt)
             on_path.add(nxt)
             continue

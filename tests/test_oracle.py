@@ -93,6 +93,18 @@ class TestMinSeparating:
         with pytest.raises(Timeout):
             min_separating(t, TargetSet.vertices(t), budget_ms=0.001)
 
+    @pytest.mark.parametrize("budget", [float("nan"), -1.0])
+    def test_bad_budget_rejected(self, budget):
+        # NaN would never pass the deadline, so the search would run unbounded
+        t = path_tree(10)
+        with pytest.raises(ValueError):
+            min_separating(t, TargetSet.vertices(t), budget_ms=budget)
+
+    def test_zero_budget_times_out(self):
+        t = path_tree(10)
+        with pytest.raises(Timeout):
+            min_separating(t, TargetSet.vertices(t), budget_ms=0.0)
+
     def test_too_large(self):
         with pytest.raises(TooLarge):
             min_separating(path_tree(13), TargetSet.edges(path_tree(13)))

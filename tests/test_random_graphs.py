@@ -1,10 +1,17 @@
 """Seeded graphs, the set system, spanning-path search, and experiments."""
 
+import contextlib
+import hashlib
+import io
 import math
 import random
 import sys
+import tracemalloc
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import seppaths.random_graphs
 
@@ -20,6 +27,7 @@ from seppaths import (
     separates,
     separating_set_system,
 )
+from seppaths.cli import main
 from seppaths.oracle import min_separating
 from seppaths.errors import TooLarge
 from seppaths.random_graphs import (
@@ -27,6 +35,44 @@ from seppaths.random_graphs import (
     find_spanning_path,
     subcritical_p,
     supercritical_p,
+)
+
+
+def reference_gnp_edges(n, p, rng):
+    """The G(n, p) coin flips as one `rng.random() < p` per pair, in
+    row-major order: a reference for the block draws of gen_gnp."""
+    return {(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p}
+
+
+def _untemper(y):
+    """The Mersenne Twister state word whose tempered output is y."""
+    y ^= y >> 18
+    y ^= (y << 15) & 0xEFC60000
+    r = y
+    for _ in range(4):
+        r = y ^ ((r << 7) & 0x9D2C5680)
+    y = r & 0xFFFFFFFF
+    return y ^ (y >> 11) ^ (y >> 22)
+
+
+def scripted_random(words):
+    """A random.Random whose next outputs are the given 32-bit words (at
+    most 624): its state is set as a twist leaves it, with each word
+    untempered."""
+    state = [_untemper(w) for w in words] + [0] * (624 - len(words))
+    rng = random.Random()
+    rng.setstate((3, (*state, 0), None))
+    return rng
+
+
+# p values at the edges of the byte test: the extremes, the multiples of
+# 1/256 where the top-byte threshold moves and their neighbours, values with
+# p * 2^53 an integer (a draw equal to p is not an edge), and any float
+boundary_p = st.one_of(
+    st.sampled_from([5e-324, 2.0**-53, 1 - 2.0**-53, 0.5]),
+    st.builds(lambda k, d: (k * 2**45 + d) / 2**53, st.integers(1, 255), st.integers(-2, 2)),
+    st.integers(1, 2**53 - 1).map(lambda k: k / 2**53),
+    st.floats(0.0, 1.0),
 )
 
 
@@ -53,6 +99,54 @@ class TestGenGnp:
     def test_bad_p(self):
         with pytest.raises(ValueError):
             gen_gnp(5, 1.5, 0)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 40), boundary_p, st.integers(0, 2**64 - 1))
+    def test_matches_the_per_pair_reference(self, n, p, seed):
+        ref = reference_gnp_edges(n, p, random.Random(seed))
+        assert gen_gnp(n, p, seed).edges == ref
+
+    @pytest.mark.parametrize("n", [1024, 2048])
+    @pytest.mark.parametrize("p_of", [subcritical_p, supercritical_p])
+    def test_matches_the_reference_in_both_regimes(self, n, p_of):
+        p = p_of(n)
+        assert gen_gnp(n, p, 7).edges == reference_gnp_edges(n, p, random.Random(7))
+
+    @pytest.mark.parametrize("p", [5e-324, 2.0**-53, 3 / 256, 0.25, 0.5, 1 - 2.0**-53])
+    def test_threshold_draws_match_random(self, monkeypatch, p):
+        # K, the 53-bit draw, at and around cut = ceil(p * 2^53) and at the
+        # borders of the top byte, with random bits in the unused low bits
+        cut = math.ceil(math.ldexp(p, 53))
+        hi = (cut - 1) >> 45
+        ks = [cut - 2, cut - 1, cut, cut + 1, hi << 45, (hi << 45) - 1,
+              ((hi + 1) << 45) - 1, (hi + 1) << 45, 0, 2**53 - 1]
+        ks = [k for k in ks if 0 <= k < 2**53]
+        n = 24  # 276 pairs, 552 words: no twist before the last pair
+        fill = random.Random(p)
+        kpairs = [ks[t % len(ks)] if t % 3 else fill.getrandbits(53) for t in range(n * (n - 1) // 2)]
+        words = []
+        for k in kpairs:
+            words += [(k >> 26) << 5 | fill.getrandbits(5), (k & (2**26 - 1)) << 6 | fill.getrandbits(6)]
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        want = {pair for pair, k in zip(pairs, kpairs) if k < cut}
+        assert reference_gnp_edges(n, p, scripted_random(words)) == want
+        assert cut - 1 in kpairs and want != set(pairs)
+
+        monkeypatch.setattr(seppaths.random_graphs, "random",
+                            SimpleNamespace(Random=lambda seed: scripted_random(words)))
+        assert gen_gnp(n, p, 0).edges == want
+
+    def test_draws_one_row_at_a_time(self):
+        # the whole C(2048, 2)-pair stream at once would be over 30 MB
+        n = 2048
+        tracemalloc.start()
+        try:
+            g = gen_gnp(n, subcritical_p(n), 3)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert g.edges
+        assert peak - kept <= 0.5 * 2**20
 
 
 class TestSetSystem:
@@ -314,3 +408,32 @@ class TestExperiment:
     def test_regime_helpers_clamped(self):
         assert subcritical_p(64) == 0.0  # ln 64 < 3 ln ln 64
         assert 0.0 < supercritical_p(64) < 1.0
+
+
+# sha256 over a seeded grid, n in {16, 64, 300, 1024} and both regimes: per
+# seed, the isolated count and the random_vertex_system path vertex
+# sequences; per (n, regime), the `random-exp --format json` output (its
+# payload carries no wall time).  Recorded at commit 35f19e1, where gen_gnp
+# flipped one rng.random() coin per pair.
+GNP_DIGEST = "ea98594ee09e926953ee62a7dc0382b1ac9d998d0e9e3a0ea5e9115488273fca"
+
+
+def test_outputs_match_pinned_digest():
+    h = hashlib.sha256()
+    for n in (16, 64, 300, 1024):
+        for regime, p_of in (("subcritical", subcritical_p), ("supercritical", supercritical_p)):
+            p = p_of(n)
+            for seed in (0, 1, 2, 2**64 - 1):
+                g = gen_gnp(n, p, seed)
+                fs = random_vertex_system(g, seed)
+                h.update(f"{n} {regime} {seed} {isolated_count(g)}\n".encode())
+                for path in () if fs is None else fs.paths:
+                    h.update(" ".join(map(str, path.vertices)).encode() + b"\n")
+                h.update(b"--\n")
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                argv = ["--format", "json", "random-exp", "--n", str(n),
+                        f"--auto-{regime}", "--trials", "3", "--seed", "11"]
+                assert main(argv) == 0
+            h.update(out.getvalue().encode())
+    assert h.hexdigest() == GNP_DIGEST
