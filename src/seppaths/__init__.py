@@ -53,12 +53,10 @@ from .oracle import (
 )
 from .edge_systems import (
     abc_construction,
-    apply_reduction,
     bunch_construction,
     edge_formula,
     edge_system,
     edge_target_size,
-    find_reduction_pair,
     planar_construction,
 )
 from .vertex_systems import (

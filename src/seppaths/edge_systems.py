@@ -10,7 +10,11 @@ between its two ends, and retiring a leaf or a degree-2 vertex never moves
 the ends of the surviving paths, so each reduction step just records one
 more pair.  One loop, ``_reduce_and_lift``, retires the pairs from a single
 adjacency map that it shrinks in place, and builds a Tree only for the base
-case it stops at.  Each public function checks its result once, through the
+case it stops at.  It finds each next pair on two min-heaps, of the degree-2
+vertices and of the candidate leaves, with lazy deletion: reductions only
+lower degrees and only shrink the degree-2 set, so the lexicographically
+least pair is always within a few heap entries, and the whole search is
+O(n log n).  Each public function checks its result once, through the
 verifier, before returning; a failed check raises
 InternalClassificationError instead of handing back an unverified family.
 """
@@ -20,11 +24,11 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
+from heapq import heapify, heappop, heappush
 from itertools import combinations
 
 from .errors import (
     InternalClassificationError,
-    InvalidPair,
     PreconditionViolated,
     TreeTooSmall,
 )
@@ -72,13 +76,21 @@ _FIXTURES = {
         (_NINE_FIXTURE, ((0, 6), (1, 7), (2, 4), (1, 8))),
     )
 }
-_DEPTH2_FORM = canonical_form(DEPTH2_BINARY)
+
+
+def _depth2_shape(nbrs) -> bool:
+    """Whether a tree's neighbor map {v: neighbors} is the depth-2 binary
+    tree: degrees 1,1,1,1,2,3,3 with the degree-2 vertex between the two of
+    degree 3.  The one other tree with those degrees hangs it between a
+    degree-3 vertex and a leaf."""
+    if len(nbrs) != 7 or sorted(map(len, nbrs.values())) != [1, 1, 1, 1, 2, 3, 3]:
+        return False
+    (root,) = (v for v, ns in nbrs.items() if len(ns) == 2)
+    return all(len(nbrs[w]) == 3 for w in nbrs[root])
 
 
 def is_depth2_binary(t: Tree) -> bool:
-    if t.n != 7 or sorted(map(t.degree, t.vertices)) != [1, 1, 1, 1, 2, 3, 3]:
-        return False
-    return canonical_form(t) == _DEPTH2_FORM
+    return t.n == 7 and _depth2_shape({v: t.neighbors(v) for v in t.vertices})
 
 
 def edge_target_size(t: Tree) -> int:
@@ -286,34 +298,6 @@ class ReductionPair:
     case: ReductionCase
 
 
-def _pair_case(adj: Adjacency, u: int, v: int) -> ReductionCase | None:
-    if len(adj.get(u, ())) != 1 or len(adj.get(v, ())) != 2:
-        return None
-    (w,) = adj[u]
-    if len(adj[w]) == 2:
-        return None  # u is not a useful leaf
-    if len(adj[w]) >= 4:
-        return ReductionCase.DEGREE_AT_LEAST_4
-    if len(adj[w]) == 3 and v not in adj[w]:
-        return ReductionCase.DEGREE_3_NON_NEIGHBOR
-    return None
-
-
-def _deg2(adj: Adjacency) -> list[int]:
-    return sorted(v for v, ns in adj.items() if len(ns) == 2)
-
-
-def _reduction_pairs(adj: Adjacency):
-    """Every qualifying pair, lexicographically least (u, v) first."""
-    deg2 = _deg2(adj)
-    useful = (u for u, ns in adj.items() if len(ns) == 1 and len(adj[min(ns)]) != 2)
-    for u in sorted(useful):
-        for v in deg2:
-            case = _pair_case(adj, u, v)
-            if case is not None:
-                yield ReductionPair(u, v, case)
-
-
 def _reduce(adj: Adjacency, rp: ReductionPair) -> None:
     """Shrink (h1, h2) by (1, 1): remove the pair (and, in the degree-3
     case, the leaf's neighbor), bridging the holes."""
@@ -324,26 +308,94 @@ def _reduce(adj: Adjacency, rp: ReductionPair) -> None:
 
 
 def _allowed(adj: Adjacency, rp: ReductionPair) -> bool:
-    """Whether the reduced tree is not the depth-2 binary tree."""
+    """Whether the reduced tree is not the depth-2 binary tree.  Only a tree
+    of 9 or 10 vertices can reduce to it, so only such a map is copied."""
     removed = 3 if rp.case is ReductionCase.DEGREE_3_NON_NEIGHBOR else 2
     if len(adj) - removed != DEPTH2_BINARY.n:
         return True
-    return not is_depth2_binary(apply_reduction(_as_tree(adj), rp)[0])
+    reduced = {v: set(ns) for v, ns in adj.items()}
+    _reduce(reduced, rp)
+    return not _depth2_shape(reduced)
 
 
-def find_reduction_pair(t: Tree) -> ReductionPair | None:
-    """The lexicographically least qualifying (u, v), or None."""
-    return next(_reduction_pairs(_adjacency(t)), None)
+def _degree2_pair(adj: Adjacency, deg2: list[int]) -> Pair:
+    """The lexicographically least non-adjacent pair of degree-2 vertices.
+
+    The least one, d0, has at most two degree-2 neighbors, so when at least
+    four remain its partner is among the next three; when fewer remain all
+    of them are popped.  The unused ones go back on the heap.  No entry is
+    stale here: only the popped pairs have left the map.
+    """
+    head = [heappop(deg2) for _ in range(min(4, len(deg2)))]
+    pair = next((q for q in combinations(head, 2) if q[1] not in adj[q[0]]), None)
+    if pair is None:
+        raise InternalClassificationError("no non-adjacent degree-2 pair found")
+    for v in head:
+        if v not in pair:
+            heappush(deg2, v)
+    return pair
 
 
-def apply_reduction(t: Tree, rp: ReductionPair) -> tuple[Tree, Pair]:
-    """The reduced tree, and the end pair of the one path a lift appends:
-    every path of a reduced-tree system keeps its ends."""
-    adj = _adjacency(t)
-    if _pair_case(adj, rp.u, rp.v) is not rp.case:
-        raise InvalidPair(f"({rp.u},{rp.v}) is not a {rp.case.value} reduction pair")
-    _reduce(adj, rp)
-    return _as_tree(adj), (rp.u, rp.v)
+def _partner(adj: Adjacency, u: int, deg2: list[int]) -> tuple[ReductionPair | None, bool]:
+    """The least allowed reduction pair with the leaf u, and whether u has
+    any partner at all (allowed or not).
+
+    A support of degree >= 4 takes any degree-2 vertex and one of degree 3
+    any outside its neighborhood, which holds at most two of them; so the
+    walk down the heap stops within three live entries unless ``_allowed``
+    refuses, which happens only on trees of 9 or 10 vertices.
+    """
+    (w,) = adj[u]
+    dw = len(adj[w])
+    if dw < 3:
+        return None, False
+    case = ReductionCase.DEGREE_AT_LEAST_4 if dw >= 4 else ReductionCase.DEGREE_3_NON_NEIGHBOR
+    seen: list[int] = []
+    found, partnered = None, False
+    while not found and deg2:
+        v = heappop(deg2)
+        if v not in adj:
+            continue  # a stale entry: v was suppressed
+        seen.append(v)
+        if case is ReductionCase.DEGREE_3_NON_NEIGHBOR and v in adj[w]:
+            continue
+        partnered = True
+        rp = ReductionPair(u, v, case)
+        if _allowed(adj, rp):
+            found = rp
+    for v in seen:
+        heappush(deg2, v)
+    return found, partnered
+
+
+def _least_pair(
+    adj: Adjacency, leaves: list[int], deg2: list[int], parked: dict[int, list[int]]
+) -> ReductionPair | None:
+    """The lexicographically least reduction pair not landing on the
+    depth-2 binary tree, or None.
+
+    Leaves come off their heap in id order.  A leaf on a degree-2 vertex is
+    not useful; it is parked under that vertex until it is suppressed.  A
+    leaf with no partner has a degree-3 support adjacent to every degree-2
+    vertex; that support is never reduced, the degree-2 set only shrinks,
+    and a suppressed neighbor's place goes to a vertex of another degree, so
+    the leaf never gets a partner and is dropped.  A leaf whose every pair
+    ``_allowed`` refuses goes back on the heap.
+    """
+    refused: list[int] = []
+    found = None
+    while not found and leaves:
+        u = heappop(leaves)
+        (w,) = adj[u]
+        if len(adj[w]) == 2:
+            parked.setdefault(w, []).append(u)
+            continue
+        found, partnered = _partner(adj, u, deg2)
+        if not found and partnered:
+            refused.append(u)
+    for u in refused:
+        heappush(leaves, u)
+    return found
 
 
 # ---- the main dispatch ----
@@ -424,20 +476,32 @@ def _reduce_and_lift(t: Tree) -> list[Pair]:
     """Retire two non-adjacent degree-2 vertices at a time while h2 > h1, then
     the least reduction pair not landing on the depth-2 binary tree while one
     exists; each retired pair appends one path.  What is left is a base case,
-    or an irreducible fixture if h2 >= 1 and some leaf is still useful."""
+    or an irreducible fixture if h2 >= 1 and some leaf is still useful.
+
+    The degree-2 vertices and the candidate leaves sit in two min-heaps with
+    lazy deletion, so each pair costs O(log n), not a scan of the tree.
+    """
     adj = _adjacency(t)
     h1 = sum(len(ns) == 1 for ns in adj.values())
+    deg2 = [v for v, ns in adj.items() if len(ns) == 2]
+    heapify(deg2)
     appended: list[Pair] = []
-    while len(deg2 := _deg2(adj)) > h1:
-        pair = next((q for q in combinations(deg2, 2) if q[1] not in adj[q[0]]), None)
-        if pair is None:
-            raise InternalClassificationError("no non-adjacent degree-2 pair found")
+    # suppressions change no degree: h1 stays, h2 falls by two per pair
+    h2 = len(deg2)
+    while h2 > h1:
+        pair = _degree2_pair(adj, deg2)
         for v in pair:
             _suppress(adj, v)
         appended.append(pair)
-    while rp := next((q for q in _reduction_pairs(adj) if _allowed(adj, q)), None):
+        h2 -= 2
+    leaves = [v for v, ns in adj.items() if len(ns) == 1]
+    heapify(leaves)
+    parked: dict[int, list[int]] = {}  # degree-2 vertex -> the leaves on it
+    while rp := _least_pair(adj, leaves, deg2, parked):
         _reduce(adj, rp)
         appended.append((rp.u, rp.v))
+        for x in parked.pop(rp.v, ()):
+            heappush(leaves, x)
     t = _as_tree(adj)
     p = profile(t)
     if p.h2 and p.useful_leaves:

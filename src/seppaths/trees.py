@@ -355,14 +355,15 @@ def profile(t: Tree) -> TreeProfile:
 
 
 def _profile(t: Tree) -> TreeProfile:
-    leaves = tuple(v for v in t.vertices if t.degree(v) == 1)
-    deg2 = tuple(v for v in t.vertices if t.degree(v) == 2)
+    deg = {v: len(ns) for v, ns in t._adj.items()}
+    leaves = tuple(v for v in t.vertices if deg[v] == 1)
+    deg2 = tuple(v for v in t.vertices if deg[v] == 2)
     leafset = set(leaves)
     interior = tuple(
         sorted(e for e in t.edges if e[0] not in leafset and e[1] not in leafset)
     )
 
-    bare_paths = _bare_paths(t)
+    bare_paths = _bare_paths(t, deg)
     iset = {
         i
         for i, p in enumerate(bare_paths)
@@ -377,7 +378,7 @@ def _profile(t: Tree) -> TreeProfile:
     assert h2star == by_sum, "bare-path decomposition is inconsistent"
 
     bunches = _bunches(t, leaves)
-    useful = tuple(v for v in leaves if t.degree(t.neighbors(v)[0]) != 2)
+    useful = tuple(v for v in leaves if deg[t.neighbors(v)[0]] != 2)
     return TreeProfile(
         h1=len(leaves),
         h2=len(deg2),
@@ -392,22 +393,25 @@ def _profile(t: Tree) -> TreeProfile:
     )
 
 
-def _bare_paths(t: Tree) -> tuple[PathInTree, ...]:
+def _bare_paths(t: Tree, deg: dict[int, int]) -> tuple[PathInTree, ...]:
     """Maximal paths whose interior vertices all have degree 2; they partition
-    the edge set.  Each path is oriented from its lower-id extreme."""
+    the edge set.  Each path is oriented from its lower-id extreme.  ``deg``
+    maps each vertex to its degree."""
     if t.n == 1:
         return ()
-    stops = {v for v in t.vertices if t.degree(v) != 2}
+    nbrs = t._adj
     paths: list[PathInTree] = []
     claimed: set[Edge] = set()
-    for s in sorted(stops):
-        for w in t.neighbors(s):
+    for s in t.vertices:
+        if deg[s] == 2:
+            continue
+        for w in nbrs[s]:
             if edge(s, w) in claimed:
                 continue
             seq = [s, w]
             prev = s
-            while t.degree(seq[-1]) == 2:
-                a, b = t.neighbors(seq[-1])
+            while deg[seq[-1]] == 2:
+                a, b = nbrs[seq[-1]]
                 nxt = b if a == prev else a
                 prev = seq[-1]
                 seq.append(nxt)

@@ -3,21 +3,23 @@
 import hashlib
 import random
 import sys
+import time
+from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from seppaths import (
     TargetSet,
     Tree,
     abc_construction,
-    apply_reduction,
     bunch_construction,
     covers,
     dfs_leaf_order,
     edge_formula,
     edge_system,
     edge_target_size,
-    find_reduction_pair,
     planar_construction,
     profile,
     random_tree,
@@ -25,6 +27,7 @@ from seppaths import (
     subdivide_edge,
     unique_path,
 )
+import seppaths.edge_systems as es
 from seppaths.edge_systems import (
     _FIVE_FIXTURE,
     _NINE_FIXTURE,
@@ -32,6 +35,11 @@ from seppaths.edge_systems import (
     ReductionCase,
     ReductionPair,
     DEPTH2_BINARY,
+    _adjacency,
+    _as_tree,
+    _edge_pairs,
+    _reduce,
+    is_depth2_binary,
 )
 from seppaths.errors import (
     InternalClassificationError,
@@ -40,7 +48,7 @@ from seppaths.errors import (
     TreeTooSmall,
 )
 from seppaths.oracle import enumerate_trees, min_separating
-from seppaths.trees import contract_bare_paths, relabel_compact
+from seppaths.trees import canonical_form, contract_bare_paths, relabel_compact
 
 from conftest import path_tree, spider_tree, star_tree
 
@@ -174,6 +182,94 @@ def _leafy_tree(seed, min_leaves=3, max_leaves=5):
             edges.append((leaf, nxt))
             nxt += 1
     return Tree.from_edges(edges)
+
+
+# ---- the reference: the scanning pair search that the heaps replaced ----
+#
+# Every step re-sorts the degree-2 vertices and the useful leaves and tries
+# the pairs in lexicographic order; quadratic, but plainly the definition.
+
+def _pair_case(adj, u, v):
+    if len(adj.get(u, ())) != 1 or len(adj.get(v, ())) != 2:
+        return None
+    (w,) = adj[u]
+    if len(adj[w]) == 2:
+        return None  # u is not a useful leaf
+    if len(adj[w]) >= 4:
+        return ReductionCase.DEGREE_AT_LEAST_4
+    if len(adj[w]) == 3 and v not in adj[w]:
+        return ReductionCase.DEGREE_3_NON_NEIGHBOR
+    return None
+
+
+def _deg2(adj):
+    return sorted(v for v, ns in adj.items() if len(ns) == 2)
+
+
+def _reduction_pairs(adj):
+    """Every qualifying pair, lexicographically least (u, v) first."""
+    deg2 = _deg2(adj)
+    useful = (u for u, ns in adj.items() if len(ns) == 1 and len(adj[min(ns)]) != 2)
+    for u in sorted(useful):
+        for v in deg2:
+            case = _pair_case(adj, u, v)
+            if case is not None:
+                yield ReductionPair(u, v, case)
+
+
+def find_reduction_pair(t):
+    """The lexicographically least qualifying (u, v), or None."""
+    return next(_reduction_pairs(_adjacency(t)), None)
+
+
+def apply_reduction(t, rp):
+    """The reduced tree, and the end pair of the one path a lift appends."""
+    adj = _adjacency(t)
+    if _pair_case(adj, rp.u, rp.v) is not rp.case:
+        raise InvalidPair(f"({rp.u},{rp.v}) is not a {rp.case.value} reduction pair")
+    _reduce(adj, rp)
+    return _as_tree(adj), (rp.u, rp.v)
+
+
+_DEPTH2_FORM = canonical_form(DEPTH2_BINARY)
+
+
+def _allowed(adj, rp):
+    removed = 3 if rp.case is ReductionCase.DEGREE_3_NON_NEIGHBOR else 2
+    if len(adj) - removed != DEPTH2_BINARY.n:
+        return True
+    return canonical_form(apply_reduction(_as_tree(adj), rp)[0]) != _DEPTH2_FORM
+
+
+def _scanning_reduce_and_lift(t):
+    adj = _adjacency(t)
+    h1 = sum(len(ns) == 1 for ns in adj.values())
+    appended = []
+    while len(deg2 := _deg2(adj)) > h1:
+        pair = next(q for q in combinations(deg2, 2) if q[1] not in adj[q[0]])
+        for v in pair:
+            es._suppress(adj, v)
+        appended.append(pair)
+    while rp := next((q for q in _reduction_pairs(adj) if _allowed(adj, q)), None):
+        _reduce(adj, rp)
+        appended.append((rp.u, rp.v))
+    t = _as_tree(adj)
+    p = profile(t)
+    if p.h2 and p.useful_leaves:
+        base = es._mapped(t)
+    else:
+        base = es._no_degree2(t, p) if not p.h2 else es._cyclic_leaf_pairs(t, p)
+    return base + appended[::-1]
+
+
+def reference_edge_pairs(t):
+    """``_edge_pairs`` with the scanning loop in place of the heap loop."""
+    real = es._reduce_and_lift
+    es._reduce_and_lift = _scanning_reduce_and_lift
+    try:
+        return _edge_pairs(t)
+    finally:
+        es._reduce_and_lift = real
 
 
 class TestReductionPairs:
@@ -387,3 +483,100 @@ def test_outputs_match_pinned_digest():
         count += 1
     assert count == 340
     assert h.hexdigest() == PINNED_DIGEST
+
+
+def _pruefer_tree(seq):
+    """The labeled tree on 0..len(seq)+1 with Pruefer sequence ``seq``."""
+    n = len(seq) + 2
+    degree = [1] * n
+    for x in seq:
+        degree[x] += 1
+    edges = []
+    for x in seq:
+        leaf = min(v for v in range(n) if degree[v] == 1)
+        edges.append((leaf, x))
+        degree[leaf] -= 1
+        degree[x] -= 1
+    edges.append(tuple(v for v in range(n) if degree[v] == 1))
+    return Tree.from_edges(edges)
+
+
+class TestHeapPairsMatchScanning:
+    """The heap search must retire exactly the pairs the scan retires."""
+
+    def test_all_small_trees(self):
+        for n in range(2, 11):
+            for t in enumerate_trees(n):
+                assert _edge_pairs(t) == reference_edge_pairs(t), t
+
+    def test_random_trees(self):
+        for n in range(8, 300):
+            for s in range(3):
+                t = random_tree(n, s)
+                assert _edge_pairs(t) == reference_edge_pairs(t), (n, s)
+
+    def test_pinned_spiders_and_subdivided_trees(self):
+        for t in _pinned_trees():
+            assert _edge_pairs(t) == reference_edge_pairs(t), t
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(3, 60).flatmap(
+        lambda n: st.lists(st.integers(0, n - 1), min_size=n - 2, max_size=n - 2)
+    ))
+    def test_pruefer_trees(self, seq):
+        t = _pruefer_tree(seq)
+        assert _edge_pairs(t) == reference_edge_pairs(t)
+
+    def test_degree2_partner_past_a_chain(self):
+        # the three least degree-2 ids form the chain 1-0-2: the least
+        # non-adjacent pair is (0, 3), not (1, 2)
+        t = Tree.from_edges([(10, 1), (1, 0), (0, 2), (2, 3), (3, 11)])
+        pairs, label = _edge_pairs(t)
+        assert label == "h1 < h2"
+        assert pairs[-1] == (0, 3)  # retired first, lifted last
+        assert (pairs, label) == reference_edge_pairs(t)
+
+    def test_parked_leaf_becomes_useful(self):
+        # leaf 0 hangs on the degree-2 vertex 4; retiring (1, 4) joins it to
+        # the degree-4 vertex 10, and 0 is the u of the next pair
+        t = Tree.from_edges(
+            [(10, 1), (10, 2), (10, 3), (10, 4), (4, 0), (10, 13), (13, 15), (15, 16), (15, 17)]
+        )
+        pairs, label = _edge_pairs(t)
+        assert label == "reduction lift"
+        assert pairs[-2:] == [(0, 13), (1, 4)]
+        assert (pairs, label) == reference_edge_pairs(t)
+
+    def test_refused_pair_takes_the_next_partner(self):
+        # (3, 1) would leave the depth-2 binary tree; (3, 6) is next
+        t = Tree.from_edges([(0, 1), (1, 4), (2, 6), (2, 7), (2, 8), (3, 4), (4, 5), (4, 6)])
+        adj = _adjacency(t)
+        assert next(_reduction_pairs(adj)) == ReductionPair(3, 1, ReductionCase.DEGREE_AT_LEAST_4)
+        assert not _allowed(adj, ReductionPair(3, 1, ReductionCase.DEGREE_AT_LEAST_4))
+        pairs, _ = _edge_pairs(t)
+        assert pairs[-1] == (3, 6)
+        assert _edge_pairs(t) == reference_edge_pairs(t)
+
+    def test_refused_leaf_gives_way_to_the_next(self):
+        # every pair of leaf 0 would leave the depth-2 binary tree; (1, 4) is next
+        t = Tree.from_edges([(0, 7), (1, 8), (2, 7), (3, 8), (4, 6), (4, 7), (5, 7), (6, 8)])
+        adj = _adjacency(t)
+        assert next(_reduction_pairs(adj)).u == 0
+        assert next(q for q in _reduction_pairs(adj) if _allowed(adj, q)) == ReductionPair(
+            1, 4, ReductionCase.DEGREE_3_NON_NEIGHBOR
+        )
+        pairs, _ = _edge_pairs(t)
+        assert pairs[-1] == (1, 4)
+        assert _edge_pairs(t) == reference_edge_pairs(t)
+
+    def test_depth2_check_matches_canonical_form(self):
+        for t in enumerate_trees(7):
+            assert is_depth2_binary(t) == (canonical_form(t) == _DEPTH2_FORM)
+
+    def test_pair_search_is_not_quadratic(self):
+        # a rescan per retired pair takes about 40 s on this tree; the heaps
+        # take a fraction of a second
+        t = random_tree(25600, 1)
+        start = time.perf_counter()
+        _edge_pairs(t)
+        assert time.perf_counter() - start < 3.0
