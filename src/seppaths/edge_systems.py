@@ -112,7 +112,7 @@ def edge_target_size(t: Tree) -> int:
 def _verified(t: Tree, pairs, label: str, also_vertices_interior: bool = False) -> PathSystem:
     """The tree paths between the given end pairs, checked to separate and
     cover the edges (and optionally the vertices plus interior edges)."""
-    fs = PathSystem(t, tuple(unique_path(t, a, b) for a, b in pairs))
+    fs = PathSystem._trusted(t, tuple(unique_path(t, a, b) for a, b in pairs))
     targets = [TargetSet.edges(t)]
     if also_vertices_interior:
         targets.append(TargetSet.vertices_and_interior_edges(t))
@@ -244,7 +244,7 @@ def bunch_construction(t: Tree) -> PathSystem:
     pairs = bunch_pairs(t)
     p = profile(t)
     if not (p.h2 == 0 and all(b.size >= 3 for b in p.bunches)):
-        return PathSystem(t, tuple(unique_path(t, a, b) for a, b in pairs))
+        return PathSystem._trusted(t, tuple(unique_path(t, a, b) for a, b in pairs))
     fs = _verified(t, pairs, "bunch_construction", also_vertices_interior=True)
     want = -(-2 * p.h1 // 3)
     if fs.size != want:

@@ -250,7 +250,7 @@ def min_separating(
     for k in range(search.floor(), len(search.cands) + 1):
         picked = search.at_most(k)
         if picked is not None:
-            system = PathSystem(host, tuple(search.cands[i] for i in picked))
+            system = PathSystem._trusted(host, tuple(search.cands[i] for i in picked))
             verdict = (check if require_cover else separates)(system, ts)
             if not verdict:
                 raise InternalClassificationError(f"oracle family fails: {verdict}")

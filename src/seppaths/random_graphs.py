@@ -38,6 +38,23 @@ class Graph:
         self.edges = es
         self._adj = {v: tuple(sorted(ws)) for v, ws in adj.items()}
 
+    @classmethod
+    def _from_rows(cls, n: int, edges: list[Edge]) -> "Graph":
+        """The graph of distinct pairs (i, j), 0 <= i < j < n, listed row by
+        row (i ascending, then j ascending), as ``gen_gnp`` draws them.
+        Filled in that order, every adjacency list comes out sorted, so the
+        pairs are neither normalised, range-checked nor sorted again."""
+        adj: list[list[int]] = [[] for _ in range(n)]
+        for u, v in edges:
+            adj[u].append(v)
+            adj[v].append(u)
+        g = object.__new__(cls)
+        g.n = n
+        g.vertices = tuple(range(n))
+        g.edges = frozenset(edges)
+        g._adj = dict(enumerate(map(tuple, adj)))
+        return g
+
     def has_vertex(self, v: int) -> bool:
         return 0 <= v < self.n
 
@@ -94,6 +111,7 @@ def gen_gnp(n: int, p: float, seed: int) -> Graph:
             m = n - 1 - i
             data = rng.getrandbits(64 * m).to_bytes(8 * m, "little")
             tops = data[3::8]
+            start = len(edges)
             if bulk:
                 edges.extend(zip(repeat(i), compress(cols[i + 1 :], tops.translate(sure))))
             marks = tops.translate(probe)
@@ -102,7 +120,9 @@ def gen_gnp(n: int, p: float, seed: int) -> Graph:
                 if tops[k] < hi or _draw53(data, k) < cut:
                     edges.append((i, i + 1 + k))
                 k = marks.find(1, k + 1)
-    return Graph(n, edges)
+            if bulk:  # the row's ties came after its certain edges
+                edges[start:] = sorted(edges[start:])
+    return Graph._from_rows(n, edges)
 
 
 def _draw53(data: bytes, k: int) -> int:
@@ -345,7 +365,7 @@ def random_vertex_system(g: Graph, seed: int) -> PathSystem | None:
         if found is None:
             return None
         paths.append(found)
-    fs = PathSystem(g, tuple(paths))
+    fs = PathSystem._trusted(g, tuple(paths))
     if not check(fs, TargetSet.vertices(g)):
         return None  # defensive; the set system guarantees this
     return fs

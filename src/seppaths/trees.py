@@ -89,7 +89,7 @@ class Tree:
     use, once per tree.
     """
 
-    __slots__ = ("vertices", "edges", "_adj", "_rooted", "_profile")
+    __slots__ = ("vertices", "edges", "_adj", "_rooted", "_order", "_profile")
 
     def __init__(self, vertices: Iterable[int], edges: Iterable[Edge]):
         vs = tuple(sorted(set(vertices)))
@@ -115,6 +115,7 @@ class Tree:
         self.edges = es
         self._adj = {v: tuple(sorted(ns)) for v, ns in adj.items()}
         self._rooted: tuple[dict[int, int], dict[int, int]] | None = None
+        self._order: list[int] = []
         self._profile: TreeProfile | None = None
         self._check_connected()
 
@@ -171,10 +172,19 @@ class Tree:
 
     def rooted(self) -> tuple[dict[int, int], dict[int, int]]:
         """(parent, depth) with the tree rooted at its least vertex id, whose
-        parent is itself; built by one BFS on the first call, then cached."""
+        parent is itself; built by one traversal on the first call, then
+        cached."""
         if self._rooted is None:
-            self._rooted = _root_at_least(self)
+            parent, depth, self._order = _root_at_least(self)
+            self._rooted = (parent, depth)
         return self._rooted
+
+    def rooted_order(self) -> list[int]:
+        """Every vertex once, in the depth-first preorder of the traversal
+        behind ``rooted``: each vertex comes after its parent, and reversed
+        it is a postorder."""
+        self.rooted()
+        return self._order
 
     @classmethod
     def from_edges(cls, edges: Iterable[Edge], extra_vertices: Iterable[int] = ()) -> "Tree":
@@ -277,19 +287,23 @@ def emit_dot(t: Tree) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _root_at_least(t: Tree) -> tuple[dict[int, int], dict[int, int]]:
-    """Parent and depth maps of one BFS from the least vertex id."""
+def _root_at_least(t: Tree) -> tuple[dict[int, int], dict[int, int], list[int]]:
+    """Parent and depth maps, and the visiting order, of one depth-first
+    traversal from the least vertex id."""
     root = t.vertices[0]
     parent, depth = {root: root}, {root: 0}
-    order = [root]
-    for x in order:
+    order = []
+    stack = [root]
+    while stack:
+        x = stack.pop()
+        order.append(x)
         d = depth[x] + 1
         for w in t.neighbors(x):
             if w not in depth:
                 parent[w] = x
                 depth[w] = d
-                order.append(w)
-    return parent, depth
+                stack.append(w)
+    return parent, depth, order
 
 
 def unique_path(t: Tree, u: int, v: int) -> PathInTree:

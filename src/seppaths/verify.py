@@ -5,14 +5,24 @@ trees and the random-graph module's graphs.  An element is either a vertex id
 (int) or an edge ((min, max) tuple).
 
 ``signatures`` walks each path once, looking its vertices and consecutive
-edges up among the targets, so a check costs O(total path length + targets)
-rather than O(paths x targets).  Membership tests (``path_contains``,
-``kisses``) likewise scan the path's own vertex sequence.
+edges up among the targets: the exact table, in O(total path length +
+targets).  ``check``, ``separates`` and ``covers`` on a tree host first try
+to certify from one hash sweep in O(n + paths): each path gets a fixed
+random word, and each target element the sum of the words of the paths
+through it, found from path ends, offline LCAs and subtree sums without
+walking any path.  Equal path sets give equal sums and the empty set sums
+to zero, so distinct nonzero sums prove the verdict exactly.  When the sums
+do not certify (a collision, a zero, or a family that really fails), the
+verdict and its witness come from the exact table, so a hash can never
+accept a failing family.  Graph hosts always use the exact table.
+Membership tests (``path_contains``, ``kisses``) scan the path's own vertex
+sequence.
 """
 
 from __future__ import annotations
 
 import enum
+import random
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -91,6 +101,15 @@ class PathSystem:
 
     host: object
     paths: tuple[PathInTree, ...]
+
+    @classmethod
+    def _trusted(cls, host, paths: tuple[PathInTree, ...]) -> "PathSystem":
+        """A system of paths the package built itself on this host (say by
+        ``unique_path``), without re-checking every step of every path."""
+        fs = object.__new__(cls)
+        object.__setattr__(fs, "host", host)
+        object.__setattr__(fs, "paths", paths)
+        return fs
 
     def __post_init__(self) -> None:
         for p in self.paths:
@@ -181,6 +200,96 @@ def signatures(fs: PathSystem, ts: TargetSet) -> dict[Element, frozenset[int]]:
     return {s: frozenset(ix) for s, ix in sig.items()}
 
 
+_WORD_SEED = 0x5E9A7B5
+
+
+def _path_words(count: int) -> list[int]:
+    """One fixed, nonzero 61-bit word per path index."""
+    rng = random.Random(_WORD_SEED)
+    return [rng.getrandbits(61) | 1 for _ in range(count)]
+
+
+def _tree_hashes(fs: PathSystem, ts: TargetSet) -> list[int]:
+    """For each target element, the sum of the words of the paths through
+    it, on a tree host; O(n + paths), reading only each path's two ends.
+
+    Rooted as in ``Tree.rooted``, a path with ends a, b and LCA l adds its
+    word w at a and at b and -2w at l, and w to the LCA sum of l.  The
+    subtree sum at c then counts w exactly when the path uses the edge from
+    c to its parent, and the subtree sum plus the LCA sum of c exactly when
+    the path passes through c.  The LCAs come from Tarjan's offline
+    algorithm, run in the same postorder pass that adds up the subtree sums.
+    The sums are exact integers, so with positive words a sum is 0 exactly
+    when no path passes; an element not in the host also sums to 0.
+    """
+    t = fs.host
+    parent, _ = t.rooted()
+    order = t.rooted_order()  # a preorder: reversed, it is a postorder
+    n, m = len(order), len(fs.paths)
+    pos = {v: k for k, v in enumerate(order)}
+    parent_pos = [pos[parent[v]] for v in order]
+    parent_pos.append(n)  # slot n stands for every element outside the host
+    words = _path_words(m)
+    below = [0] * (n + 1)  # subtree sums
+    meet = [0] * (n + 1)  # words of the paths whose LCA is this vertex
+    head = [-1] * n  # the path ends at each vertex, as linked lists:
+    nxt = [-1] * (2 * m)  # end 2i + j is end j of path i
+    for i, p in enumerate(fs.paths):
+        vs = p.vertices
+        a, b = pos[vs[0]], pos[vs[-1]]
+        w = words[i]
+        if a == b:
+            meet[a] += w
+            continue
+        below[a] += w
+        below[b] += w
+        e = 2 * i
+        nxt[e], head[a] = head[a], e
+        nxt[e + 1], head[b] = head[b], e + 1
+    up = list(range(n))  # union-find: a finished vertex links towards its parent
+    first = [-1] * m  # the end of each path that finished first
+    for u in range(n - 1, -1, -1):
+        e = head[u]
+        while e >= 0:
+            i = e >> 1
+            e = nxt[e]
+            x = first[i]
+            if x < 0:
+                first[i] = u
+                continue
+            while up[x] != x:  # the least unfinished ancestor of x: the LCA
+                up[x] = x = up[up[x]]
+            w = words[i]
+            below[x] -= 2 * w
+            meet[x] += w
+        s = below[u]
+        meet[u] += s
+        v = parent_pos[u]
+        below[v] += s  # at the root, its own parent, this sum is never read again
+        up[u] = v
+    hashes = []
+    for s in ts.elements:
+        if isinstance(s, int):
+            hashes.append(meet[pos.get(s, n)])
+        else:
+            i, j = pos.get(s[0], n), pos.get(s[1], n)
+            if i > j:
+                i, j = j, i
+            hashes.append(below[j] if parent_pos[j] == i else 0)  # j is the child
+    return hashes
+
+
+def _hashes_certify(fs: PathSystem, ts: TargetSet, separation: bool, covering: bool) -> bool:
+    """Whether the tree hash sweep proves the asked-for properties: pairwise
+    distinct sums prove separation, nonzero sums covering.  False on graph
+    hosts and whenever the sums do not settle it."""
+    if not isinstance(fs.host, Tree):
+        return False
+    hashes = _tree_hashes(fs, ts)
+    seen = set(hashes)
+    return (not separation or len(seen) == len(hashes)) and (not covering or 0 not in seen)
+
+
 def _separation(sig: dict[Element, frozenset[int]], ts: TargetSet) -> Verdict:
     groups: dict[frozenset[int], list[Element]] = {}
     for s in ts.elements:  # elements are stored sorted
@@ -206,11 +315,15 @@ def separates(fs: PathSystem, ts: TargetSet) -> Verdict:
     i.e. the least element with a non-unique signature and the next element
     sharing its signature.
     """
+    if _hashes_certify(fs, ts, separation=True, covering=False):
+        return Verdict(True, "Separates")
     return _separation(signatures(fs, ts), ts)
 
 
 def covers(fs: PathSystem, ts: TargetSet) -> Verdict:
     """Covers, or NotCovered(s) with the first element of empty signature."""
+    if _hashes_certify(fs, ts, separation=False, covering=True):
+        return Verdict(True, "Covers")
     return _covering(signatures(fs, ts), ts)
 
 
@@ -226,11 +339,14 @@ def check_signatures(sig: dict[Element, frozenset[int]], ts: TargetSet) -> Verdi
 
 
 def check(fs: PathSystem, ts: TargetSet) -> Verdict:
-    """Separates and covers, from one signature sweep.
+    """Separates and covers, from one sweep: the tree hash sweep when it
+    certifies, the exact signature table otherwise.
 
     A failure is reported as ``separates`` or ``covers`` would report it,
     separation first.
     """
+    if _hashes_certify(fs, ts, separation=True, covering=True):
+        return Verdict(True, "SeparatesAndCovers")
     return check_signatures(signatures(fs, ts), ts)
 
 

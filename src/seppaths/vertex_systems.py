@@ -99,7 +99,7 @@ def vertex_system(t: Tree) -> PathSystem:
     lifted = [unique_path(t, a, b) for a, b in bunch_pairs(contracted)]
     added = _separate_degree2(t, prof)
 
-    fs = PathSystem(t, tuple(lifted + added))
+    fs = PathSystem._trusted(t, tuple(lifted + added))
     verdict = check(fs, TargetSet.vertices(t))
     if not verdict:
         raise InternalClassificationError(f"vertex_system: {verdict}")
@@ -223,7 +223,7 @@ def _refine_overlaps(
 def vertex_interior_system(t: Tree) -> PathSystem:
     """The consecutive-leaf system checked against vertices plus interior
     edges; exactly h1 paths, optimal when every degree is 1 or 3."""
-    fs = PathSystem(t, tuple(unique_path(t, a, b) for a, b in planar_pairs(t)))
+    fs = PathSystem._trusted(t, tuple(unique_path(t, a, b) for a, b in planar_pairs(t)))
     verdict = check(fs, TargetSet.vertices_and_interior_edges(t))
     if not verdict:
         raise InternalClassificationError(f"vertex_interior_system: {verdict}")

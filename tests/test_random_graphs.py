@@ -104,7 +104,10 @@ class TestGenGnp:
     @given(st.integers(0, 40), boundary_p, st.integers(0, 2**64 - 1))
     def test_matches_the_per_pair_reference(self, n, p, seed):
         ref = reference_gnp_edges(n, p, random.Random(seed))
-        assert gen_gnp(n, p, seed).edges == ref
+        g = gen_gnp(n, p, seed)
+        assert g.edges == ref
+        checked = Graph(n, ref)  # the public build, sorting every adjacency list
+        assert [g.neighbors(v) for v in g.vertices] == [checked.neighbors(v) for v in checked.vertices]
 
     @pytest.mark.parametrize("n", [1024, 2048])
     @pytest.mark.parametrize("p_of", [subcritical_p, supercritical_p])

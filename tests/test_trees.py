@@ -385,6 +385,21 @@ class TestRootedIndex:
         assert depth == {1: 0, 2: 1, 3: 1, 4: 2, 5: 2, 6: 2, 7: 2}
         assert depth2.rooted() is depth2.rooted()
 
+    def test_order_is_a_preorder(self):
+        # in a depth-first preorder, each vertex's parent is the nearest
+        # earlier vertex of smaller depth
+        for seed in range(5):
+            t = random_tree(60, seed)
+            parent, depth = t.rooted()
+            order = t.rooted_order()
+            assert sorted(order) == list(t.vertices)
+            open_path = []
+            for v in order:
+                while open_path and depth[open_path[-1]] >= depth[v]:
+                    open_path.pop()
+                assert parent[v] == (open_path[-1] if open_path else v)
+                open_path.append(v)
+
     def test_constructions_build_it_at_most_once_per_tree(self, monkeypatch):
         built = []  # holds the trees, so their ids stay distinct
         real = trees_module._root_at_least

@@ -1,6 +1,7 @@
 """Signatures, separation/covering verdicts, kissing, and the text format."""
 
 import itertools
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -10,6 +11,7 @@ import seppaths.verify
 from seppaths import (
     PathSystem,
     TargetSet,
+    Tree,
     check,
     covers,
     edge_system,
@@ -28,6 +30,7 @@ from seppaths import (
 )
 from seppaths.errors import InvalidPath, UnknownElement
 from seppaths.oracle import enumerate_simple_paths, enumerate_trees, min_separating
+from seppaths.verify import _covering, _separation, _tree_hashes, check_signatures
 
 
 class TestIncidence:
@@ -243,19 +246,120 @@ class TestSignatureEquivalence:
             assert sig2[a] != sig2[b]
 
 
+def exact_verdicts(fs, ts):
+    """check, separates and covers as the exact signature table gives them."""
+    sig = signatures(fs, ts)
+    return check_signatures(sig, ts), _separation(sig, ts), _covering(sig, ts)
+
+
+def _tree_family(data, t):
+    """A family on t: random paths, trivial ones included, maybe plus the
+    edge system less a few paths, and maybe some paths repeated."""
+    vs = st.sampled_from(t.vertices)
+    paths = [unique_path(t, data.draw(vs), data.draw(vs)) for _ in range(data.draw(st.integers(0, 6)))]
+    if data.draw(st.booleans()):
+        working = edge_system(t).paths
+        drop = data.draw(st.sets(st.sampled_from(range(len(working))), max_size=3))
+        paths += [p for i, p in enumerate(working) if i not in drop]
+    if paths:
+        paths += data.draw(st.lists(st.sampled_from(paths), max_size=2))
+    return tuple(paths)
+
+
+class TestHashSweep:
+    """On tree hosts the hash sweep gives exactly the verdicts and witnesses
+    of the exact signature table."""
+
+    @staticmethod
+    def _targets(data, t):
+        return (
+            TargetSet.edges(t),
+            TargetSet.vertices(t),
+            TargetSet.vertices_and_interior_edges(t),
+            _custom_target(data, t),
+        )
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(2, 30), st.integers(0, 2**32), st.data())
+    def test_agrees_with_the_exact_table(self, n, seed, data):
+        t = random_tree(n, seed)
+        fs = PathSystem(t, _tree_family(data, t))
+        words = seppaths.verify._path_words(len(fs.paths))
+        for ts in self._targets(data, t):
+            sig = signatures(fs, ts)
+            assert _tree_hashes(fs, ts) == [sum(words[i] for i in sig[s]) for s in ts.elements]
+            assert (check(fs, ts), separates(fs, ts), covers(fs, ts)) == exact_verdicts(fs, ts)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(2, 30), st.integers(0, 2**32), st.sampled_from([(1,), (1, 2), (0, 1)]), st.data())
+    def test_colliding_words_fall_back(self, n, seed, tiny, data):
+        # words this small make passing families collide, and words of 0
+        # leave covered elements at 0: only the exact table may decide then
+        t = random_tree(n, seed)
+        fs = PathSystem(t, _tree_family(data, t))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(seppaths.verify, "_path_words", lambda m: [tiny[i % len(tiny)] for i in range(m)])
+            for ts in self._targets(data, t):
+                assert (check(fs, ts), separates(fs, ts), covers(fs, ts)) == exact_verdicts(fs, ts)
+
+    def test_collisions_still_accept_a_working_family(self, monkeypatch):
+        monkeypatch.setattr(seppaths.verify, "_path_words", lambda m: [1] * m)
+        exact = []
+        original = seppaths.verify.signatures
+
+        def counting(fs, ts):
+            exact.append(ts.kind)
+            return original(fs, ts)
+
+        monkeypatch.setattr(seppaths.verify, "signatures", counting)
+        t = random_tree(40, 3)
+        fs = edge_system(t)  # its own check has already fallen back once
+        assert exact
+        exact.clear()
+        verdict = check(fs, TargetSet.edges(t))
+        assert verdict and verdict.label == "SeparatesAndCovers"
+        assert len(exact) == 1
+
+    def test_one_vertex_and_targets_outside_the_host(self, p4, double_star):
+        lone = Tree([7], [])
+        cases = [
+            (make_system(lone, [(7,)]), TargetSet.vertices(lone)),
+            (make_system(lone, []), TargetSet.vertices(lone)),
+            (make_system(p4, [(0, 1), (1, 2, 3)]), TargetSet.custom(double_star, [0, 5, (1, 5), (0, 1)])),
+            (make_system(p4, [(0, 1), (1, 2, 3)]), TargetSet.custom(double_star, [5, (0, 1)])),
+            (make_system(p4, [(1, 2, 3)]), TargetSet.custom(double_star, [(0, 3)])),  # not a p4 edge
+        ]
+        for fs, ts in cases:
+            assert (check(fs, ts), separates(fs, ts), covers(fs, ts)) == exact_verdicts(fs, ts)
+        assert check(*cases[0])
+
+    def test_check_is_not_a_path_walk(self):
+        # the exact table walks all 1.6M path vertices (1.3-1.7 s on a
+        # 2-vCPU VM); the hash sweep reads only the ends of the 9419 paths
+        t = random_tree(25600, 1)
+        fs = edge_system(t)
+        ts = TargetSet.edges(t)
+        start = time.perf_counter()
+        verdict = check(fs, ts)
+        assert time.perf_counter() - start < 1.0
+        assert verdict.label == "SeparatesAndCovers"
+
+
 class TestCheckOnce:
-    """Each public construction and the signature table sweep once per call."""
+    """Each public construction and the signature table sweep once per call:
+    one exact signature sweep or one tree hash sweep, never both."""
 
     @pytest.fixture
     def sweeps(self, monkeypatch):
         calls = []
-        original = seppaths.verify.signatures
+        for name in ("signatures", "_tree_hashes"):
+            original = getattr(seppaths.verify, name)
 
-        def counting(fs, ts):
-            calls.append(ts.kind)
-            return original(fs, ts)
+            def counting(fs, ts, original=original):
+                calls.append(ts.kind)
+                return original(fs, ts)
 
-        monkeypatch.setattr(seppaths.verify, "signatures", counting)
+            monkeypatch.setattr(seppaths.verify, name, counting)
         return calls
 
     def test_edge_system(self, sweeps):
