@@ -69,10 +69,12 @@ def _load_tree(path: str) -> Tree:
 
 
 def _emit(args, text_lines, payload) -> None:
+    """Print the payload as JSON, or the lines that ``text_lines()`` renders:
+    a JSON run never renders them."""
     if args.format == "json":
         print(json.dumps(payload, sort_keys=True))
     else:
-        for line in text_lines:
+        for line in text_lines():
             print(line)
 
 
@@ -108,7 +110,7 @@ def cmd_profile(args) -> int:
         ],
         "usefulLeaves": list(p.useful_leaves),
     }
-    text = [
+    _emit(args, lambda: [
         f"n {t.n}",
         f"h1 {p.h1}",
         f"h2 {p.h2}",
@@ -122,8 +124,7 @@ def cmd_profile(args) -> int:
             "{" + ",".join(map(str, b.vertices)) + "}:" + str(b.size) for b in p.bunches
         ),
         "useful-leaves " + " ".join(map(str, p.useful_leaves)),
-    ]
-    _emit(args, text, payload)
+    ], payload)
     return 0
 
 
@@ -131,7 +132,7 @@ def cmd_construct_edge(args) -> int:
     t = _load_tree(args.tree)
     fs = edge_system(t)
     payload = {"size": fs.size, "paths": _paths_as_lists(fs)}
-    _emit(args, _system_text(fs, [f"size {fs.size}"]), payload)
+    _emit(args, lambda: _system_text(fs, [f"size {fs.size}"]), payload)
     return 0
 
 
@@ -154,7 +155,7 @@ def cmd_construct_vertex(args) -> int:
         "sharp": sharp,
     }
     header = [f"size {fs.size}", f"lower {lower} upper {upper} sharp {sharp}"]
-    _emit(args, _system_text(fs, header), payload)
+    _emit(args, lambda: _system_text(fs, header), payload)
     return 0
 
 
@@ -169,7 +170,7 @@ def cmd_verify(args) -> int:
         print(str(verdict), file=sys.stderr)
         return 1
     payload = {"separates": True, "covers": True, "elements": len(ts)}
-    _emit(args, ["separates true", "covers true", f"elements {len(ts)}"], payload)
+    _emit(args, lambda: ["separates true", "covers true", f"elements {len(ts)}"], payload)
     return 0
 
 
@@ -191,7 +192,7 @@ def cmd_oracle(args) -> int:
         f"size {res.size}",
         f"nodes {res.nodes_expanded} elapsed {res.elapsed:.3f}s",
     ]
-    _emit(args, _system_text(res.system, header), payload)
+    _emit(args, lambda: _system_text(res.system, header), payload)
     return 0
 
 
@@ -228,14 +229,13 @@ def cmd_random_exp(args) -> int:
         "successRate": stats.success_rate,
         "meanIsolated": stats.mean_isolated,
     }
-    text = [
+    _emit(args, lambda: [
         f"n {args.n}",
         f"p {p}",
         f"trials {args.trials}",
         f"successRate {stats.success_rate}",
         f"meanIsolated {stats.mean_isolated}",
-    ]
-    _emit(args, text, payload)
+    ], payload)
     return 0
 
 
@@ -258,12 +258,11 @@ def cmd_localize(args) -> int:
         "element": None if diag.element is None else _element_payload(diag.element),
         "failedSet": sorted(diag.failed),
     }
-    text = [
+    _emit(args, lambda: [
         f"diagnosis {diag.kind}",
         f"element {diag.element if diag.element is not None else '-'}",
         "failed " + " ".join(map(str, sorted(diag.failed))),
-    ]
-    _emit(args, text, payload)
+    ], payload)
     return 0
 
 

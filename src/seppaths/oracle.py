@@ -36,11 +36,11 @@ def enumerate_paths(t: Tree, include_trivial: bool, max_n: int = DEFAULT_MAX_N) 
     return tuple(out)
 
 
-def enumerate_simple_paths(g, include_trivial: bool, cap: int = GRAPH_PATH_CAP) -> tuple[PathInTree, ...]:
+def enumerate_simple_paths(g, include_trivial: bool) -> tuple[PathInTree, ...]:
     """All simple paths of a general graph, one orientation each.
 
     Supports exact minima on tiny (possibly disconnected) graphs; refuses
-    instances with more than ``cap`` paths.
+    instances with more than ``GRAPH_PATH_CAP`` paths.
     """
     out: list[PathInTree] = []
     if include_trivial:
@@ -55,8 +55,8 @@ def enumerate_simple_paths(g, include_trivial: bool, cap: int = GRAPH_PATH_CAP) 
                 ext = seq + [w]
                 if ext[0] < ext[-1]:  # emit each path in one orientation only
                     out.append(PathInTree(tuple(ext)))
-                    if len(out) > cap:
-                        raise TooLarge(f"more than {cap} simple paths")
+                    if len(out) > GRAPH_PATH_CAP:
+                        raise TooLarge(f"more than {GRAPH_PATH_CAP} simple paths")
                 stack.append((w, ext))
     return tuple(out)
 

@@ -24,36 +24,35 @@ class Graph:
     def __init__(self, n: int, edges: Iterable[Edge]):
         if n < 0:
             raise UnknownVertex("vertex count must be non-negative")
-        es = frozenset(edge(u, v) for u, v in edges)
-        adj: dict[int, list[int]] = {v: [] for v in range(n)}
-        for u, v in es:
+        rows = sorted({(u, v) if u <= v else (v, u) for u, v in edges})
+        for u, v in rows:
             if u == v:
                 raise HasCycle(f"self-loop at vertex {u}")
             if not (0 <= u < n and 0 <= v < n):
                 raise UnknownVertex(f"edge ({u},{v}) out of range")
+        self._fill(n, rows)
+
+    @classmethod
+    def _from_rows(cls, n: int, edges: list[Edge]) -> "Graph":
+        """The graph of distinct pairs (i, j), 0 <= i < j < n, already in
+        row order, as ``gen_gnp`` draws them: they go straight to the fill,
+        neither normalised, range-checked nor sorted again."""
+        g = object.__new__(cls)
+        g._fill(n, edges)
+        return g
+
+    def _fill(self, n: int, rows: list[Edge]) -> None:
+        """Set the graph from distinct pairs (i, j), 0 <= i < j < n, listed
+        row by row (i ascending, then j ascending).  Filled in that order,
+        every adjacency list comes out sorted."""
+        adj: list[list[int]] = [[] for _ in range(n)]
+        for u, v in rows:
             adj[u].append(v)
             adj[v].append(u)
         self.n = n
         self.vertices = tuple(range(n))
-        self.edges = es
-        self._adj = {v: tuple(sorted(ws)) for v, ws in adj.items()}
-
-    @classmethod
-    def _from_rows(cls, n: int, edges: list[Edge]) -> "Graph":
-        """The graph of distinct pairs (i, j), 0 <= i < j < n, listed row by
-        row (i ascending, then j ascending), as ``gen_gnp`` draws them.
-        Filled in that order, every adjacency list comes out sorted, so the
-        pairs are neither normalised, range-checked nor sorted again."""
-        adj: list[list[int]] = [[] for _ in range(n)]
-        for u, v in edges:
-            adj[u].append(v)
-            adj[v].append(u)
-        g = object.__new__(cls)
-        g.n = n
-        g.vertices = tuple(range(n))
-        g.edges = frozenset(edges)
-        g._adj = dict(enumerate(map(tuple, adj)))
-        return g
+        self.edges = frozenset(rows)
+        self._adj = dict(enumerate(map(tuple, adj)))
 
     def has_vertex(self, v: int) -> bool:
         return 0 <= v < self.n
@@ -230,11 +229,14 @@ class SpanningPathSearch:
     nodes_expanded: int
 
 
-def find_spanning_path(g: Graph, block: Sequence[int], *, seed: int = 0,
-                       restarts: int = 20, node_budget: int = 10_000_000) -> SpanningPathSearch:
-    """Rotation-extension with seeded restarts, then budgeted exact
-    backtracking.  certified_absent is True only when the exact phase
-    exhausted the search space."""
+POSA_RESTARTS = 20
+EXACT_NODE_BUDGET = 10_000_000
+
+
+def find_spanning_path(g: Graph, block: Sequence[int], *, seed: int = 0) -> SpanningPathSearch:
+    """Rotation-extension with ``POSA_RESTARTS`` seeded restarts, then exact
+    backtracking over at most ``EXACT_NODE_BUDGET`` nodes.  certified_absent
+    is True only when the exact phase exhausted the search space."""
     block = sorted(set(block))
     for v in block:
         if not g.has_vertex(v):
@@ -261,13 +263,13 @@ def find_spanning_path(g: Graph, block: Sequence[int], *, seed: int = 0,
 
     rng = random.Random(seed)
     ends = [v for v, d in degs.items() if d == 1]
-    for _ in range(max(restarts, 1)):
+    for _ in range(POSA_RESTARTS):
         start = ends[0] if ends else rng.choice(block)
         found = _posa(adj, degs, block, start, rng, step_budget=60 * len(block))
         if found is not None:
             return SpanningPathSearch(PathInTree(tuple(found)), False, 0)
 
-    found, exhausted, nodes = _exact_path(adj, block, ends, node_budget)
+    found, exhausted, nodes = _exact_path(adj, block, ends, EXACT_NODE_BUDGET)
     if found is not None:
         return SpanningPathSearch(PathInTree(tuple(found)), False, nodes)
     return SpanningPathSearch(None, exhausted, nodes)

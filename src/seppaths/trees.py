@@ -84,26 +84,29 @@ class Tree:
     """An immutable free tree with sorted-adjacency access.
 
     The adjacency order (ascending vertex id) doubles as the canonical
-    planar embedding used by the leaf-order constructions.  The rooted
-    index behind ``unique_path`` and the ``profile`` are built on first
-    use, once per tree.
+    planar embedding used by the leaf-order constructions.  Construction is
+    one validating pass: the distinct edges, sorted once, fill the
+    adjacency in row order, and one depth-first traversal from the least
+    vertex id proves the tree connected and is kept as its rooted index.
+    The ``profile`` is built on first use, once per tree.
     """
 
     __slots__ = ("vertices", "edges", "_adj", "_rooted", "_order", "_profile")
 
     def __init__(self, vertices: Iterable[int], edges: Iterable[Edge]):
         vs = tuple(sorted(set(vertices)))
-        es = frozenset(edge(u, v) for u, v in edges)
+        es = frozenset([(u, v) if u <= v else (v, u) for u, v in edges])
         if not vs:
             raise NotConnected("a tree needs at least one vertex")
-        if any(v < 0 for v in vs):
+        if vs[0] < 0:
             raise BadToken("vertex ids must be non-negative")
-        vset = set(vs)
         adj: dict[int, list[int]] = {v: [] for v in vs}
-        for u, v in es:
+        # Row order (u, then v) appends each vertex's lower neighbours, then
+        # its higher ones, both ascending: every list comes out sorted.
+        for u, v in sorted(es):
             if u == v:
                 raise HasCycle(f"self-loop at vertex {u}")
-            if u not in vset or v not in vset:
+            if u not in adj or v not in adj:
                 raise UnknownVertex(f"edge ({u},{v}) mentions an unknown vertex")
             adj[u].append(v)
             adj[v].append(u)
@@ -113,23 +116,13 @@ class Tree:
             raise NotConnected(f"{len(vs)} vertices need {len(vs) - 1} edges, got {len(es)}")
         self.vertices = vs
         self.edges = es
-        self._adj = {v: tuple(sorted(ns)) for v, ns in adj.items()}
-        self._rooted: tuple[dict[int, int], dict[int, int]] | None = None
-        self._order: list[int] = []
+        self._adj = {v: tuple(ns) for v, ns in adj.items()}
         self._profile: TreeProfile | None = None
-        self._check_connected()
-
-    def _check_connected(self) -> None:
-        seen = {self.vertices[0]}
-        stack = [self.vertices[0]]
-        while stack:
-            for w in self._adj[stack.pop()]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        if len(seen) != len(self.vertices):
-            missing = min(set(self.vertices) - seen)
+        parent, depth, self._order = _root_at_least(self)
+        if len(self._order) != len(vs):
+            missing = next(v for v in vs if v not in depth)
             raise NotConnected(f"vertex {missing} is not reachable")
+        self._rooted = (parent, depth)
 
     # Equality is label-sensitive; use canonical_form for isomorphism.
     def __eq__(self, other: object) -> bool:
@@ -172,26 +165,20 @@ class Tree:
 
     def rooted(self) -> tuple[dict[int, int], dict[int, int]]:
         """(parent, depth) with the tree rooted at its least vertex id, whose
-        parent is itself; built by one traversal on the first call, then
-        cached."""
-        if self._rooted is None:
-            parent, depth, self._order = _root_at_least(self)
-            self._rooted = (parent, depth)
+        parent is itself: the traversal that proved the tree connected."""
         return self._rooted
 
     def rooted_order(self) -> list[int]:
         """Every vertex once, in the depth-first preorder of the traversal
         behind ``rooted``: each vertex comes after its parent, and reversed
         it is a postorder."""
-        self.rooted()
         return self._order
 
     @classmethod
-    def from_edges(cls, edges: Iterable[Edge], extra_vertices: Iterable[int] = ()) -> "Tree":
+    def from_edges(cls, edges: Iterable[Edge]) -> "Tree":
+        """The tree whose vertices are exactly the ends of its edges."""
         es = list(edges)
-        vs = {v for e in es for v in e}
-        vs.update(extra_vertices)
-        return cls(vs, es)
+        return cls({v for e in es for v in e}, es)
 
 
 @dataclass(frozen=True)
@@ -289,7 +276,9 @@ def emit_dot(t: Tree) -> str:
 
 def _root_at_least(t: Tree) -> tuple[dict[int, int], dict[int, int], list[int]]:
     """Parent and depth maps, and the visiting order, of one depth-first
-    traversal from the least vertex id."""
+    traversal from the least vertex id; the order misses exactly the
+    vertices the least one does not reach."""
+    adj = t._adj
     root = t.vertices[0]
     parent, depth = {root: root}, {root: 0}
     order = []
@@ -298,7 +287,7 @@ def _root_at_least(t: Tree) -> tuple[dict[int, int], dict[int, int], list[int]]:
         x = stack.pop()
         order.append(x)
         d = depth[x] + 1
-        for w in t.neighbors(x):
+        for w in adj[x]:
             if w not in depth:
                 parent[w] = x
                 depth[w] = d
@@ -309,8 +298,8 @@ def _root_at_least(t: Tree) -> tuple[dict[int, int], dict[int, int], list[int]]:
 def unique_path(t: Tree, u: int, v: int) -> PathInTree:
     """The unique u-v path of the tree; u == v gives the length-0 path.
 
-    Walks parent links up from both ends to their meeting vertex, so the
-    cost is the path length once the tree's rooted index exists.
+    Walks parent links of the tree's rooted index up from both ends to
+    their meeting vertex, so the cost is the path length.
     """
     if not t.has_vertex(u):
         raise UnknownVertex(f"vertex {u} not in tree")
@@ -409,32 +398,31 @@ def _profile(t: Tree) -> TreeProfile:
 
 def _bare_paths(t: Tree, deg: dict[int, int]) -> tuple[PathInTree, ...]:
     """Maximal paths whose interior vertices all have degree 2; they partition
-    the edge set.  Each path is oriented from its lower-id extreme.  ``deg``
-    maps each vertex to its degree."""
-    if t.n == 1:
-        return ()
+    the edge set.  ``deg`` maps each vertex to its degree.
+
+    Each path is walked once, from its lower-id extreme: the extremes are
+    visited in ascending order, and the higher one skips its neighbour on
+    the path, which is either a lower extreme or the path's last interior
+    vertex.  So every path starts at its lower extreme, and they come out
+    ordered by their first two vertices."""
     nbrs = t._adj
     paths: list[PathInTree] = []
-    claimed: set[Edge] = set()
+    last_interior: set[int] = set()
     for s in t.vertices:
         if deg[s] == 2:
             continue
         for w in nbrs[s]:
-            if edge(s, w) in claimed:
+            if w in last_interior or (w < s and deg[w] != 2):
                 continue
             seq = [s, w]
-            prev = s
-            while deg[seq[-1]] == 2:
-                a, b = nbrs[seq[-1]]
-                nxt = b if a == prev else a
-                prev = seq[-1]
-                seq.append(nxt)
-            claimed.add(edge(seq[0], seq[1]))
-            claimed.add(edge(seq[-2], seq[-1]))
-            if seq[0] > seq[-1]:
-                seq.reverse()
+            prev, x = s, w
+            while deg[x] == 2:
+                a, b = nbrs[x]
+                prev, x = x, (b if a == prev else a)
+                seq.append(x)
+            if len(seq) > 2:
+                last_interior.add(seq[-2])
             paths.append(PathInTree(tuple(seq)))
-    paths.sort(key=lambda p: p.vertices)
     return tuple(paths)
 
 

@@ -59,7 +59,7 @@ class TargetSet:
 
     @staticmethod
     def edges(host) -> "TargetSet":
-        els = tuple(sorted(host.edges, key=element_key))
+        els = tuple(sorted(host.edges))
         return TargetSet(TargetKind.EDGES, els)
 
     @staticmethod

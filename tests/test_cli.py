@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import seppaths
+from seppaths import cli
 from seppaths.cli import build_parser, main
 from seppaths.oracle import enumerate_trees
 
@@ -331,3 +332,21 @@ class TestConstructVertexWarning:
         assert errs[0] == errs[1]
         assert errs[0].startswith("warning: BunchMismatchWarning: ")
         assert errs[0].count("\n") == 1 and "cli.py" not in errs[0]
+
+
+class TestRendersOnlyItsFormat:
+    def test_json_construct_edge_renders_no_text(self, capsys, depth2_file, monkeypatch):
+        calls = []
+        real = cli._system_text
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(cli, "_system_text", counting)
+        code, out, _ = run(capsys, "--format", "json", "construct-edge", depth2_file)
+        assert code == 0 and json.loads(out)["size"] == 4
+        assert len(calls) == 0
+        code, out, _ = run(capsys, "construct-edge", depth2_file)
+        assert code == 0 and out.startswith("# size 4\n")
+        assert len(calls) == 1

@@ -41,6 +41,7 @@ from seppaths.errors import (
     UnknownVertex,
 )
 from seppaths.oracle import enumerate_trees
+from seppaths.random_graphs import Graph
 
 from conftest import leafy_tree, path_tree
 
@@ -174,6 +175,56 @@ def forked_spider(chains) -> Tree:
         edges += [(prev, nxt), (prev, nxt + 1)]
         nxt += 2
     return Tree.from_edges(edges)
+
+
+def claimed_edge_bare_paths(t: Tree):
+    """The bare paths by the claimed-edge walk: every extreme walks each
+    edge no earlier path claimed, a path claims its two end edges, and the
+    paths are oriented from their lower-id extreme and then sorted.  A
+    reference for the single walk in ``profile``."""
+    if t.n == 1:
+        return ()
+    deg = {v: t.degree(v) for v in t.vertices}
+    paths, claimed = [], set()
+    for s in t.vertices:
+        if deg[s] == 2:
+            continue
+        for w in t.neighbors(s):
+            if (min(s, w), max(s, w)) in claimed:
+                continue
+            seq, prev = [s, w], s
+            while deg[seq[-1]] == 2:
+                a, b = t.neighbors(seq[-1])
+                nxt = b if a == prev else a
+                prev = seq[-1]
+                seq.append(nxt)
+            claimed.add((min(seq[0], seq[1]), max(seq[0], seq[1])))
+            claimed.add((min(seq[-2], seq[-1]), max(seq[-2], seq[-1])))
+            if seq[0] > seq[-1]:
+                seq.reverse()
+            paths.append(path_of(*seq))
+    paths.sort(key=lambda p: p.vertices)
+    return tuple(paths)
+
+
+def reference_rooting(vertices, edges):
+    """(parent, depth, order) of a depth-first traversal from the least id
+    that pushes each vertex's unseen neighbours in ascending order, over an
+    adjacency built from a plain edge list."""
+    adj = {v: set() for v in vertices}
+    for u, v in edges:
+        adj[u].add(v)
+        adj[v].add(u)
+    root = min(vertices)
+    parent, depth, order, stack = {root: root}, {root: 0}, [], [root]
+    while stack:
+        x = stack.pop()
+        order.append(x)
+        for w in sorted(adj[x]):
+            if w not in depth:
+                parent[w], depth[w] = x, depth[x] + 1
+                stack.append(w)
+    return parent, depth, order
 
 
 def is_isomorphism(t1: Tree, t2: Tree, iso) -> bool:
@@ -415,6 +466,97 @@ class TestRootedIndex:
         vertex_system(t)
         assert built and t in built
         assert max(Counter(map(id, built)).values()) == 1
+
+
+class TestOnePassConstruction:
+    # (vertices, edges) -> (error, message), as the two-traversal
+    # construction raised them
+    TREE_ERRORS = [
+        (([], []), NotConnected, "a tree needs at least one vertex"),
+        (([-1, 0], [(-1, 0)]), BadToken, "vertex ids must be non-negative"),
+        (([0, 1, 2], [(0, 1), (1, 1)]), HasCycle, "self-loop at vertex 1"),
+        (([0, 1, 2], [(0, 1), (1, 5)]), UnknownVertex, "edge (1,5) mentions an unknown vertex"),
+        (([0, 1, 2], [(0, 1), (1, 2), (0, 2)]), HasCycle, "3 vertices admit 2 edges, got 3"),
+        (([0, 1, 2, 3], [(0, 1), (2, 3)]), NotConnected, "4 vertices need 3 edges, got 2"),
+        (([0, 1, 2, 3], [(0, 1), (1, 2), (0, 2)]), NotConnected, "vertex 3 is not reachable"),
+        (([0, 1, 2, 3], [(1, 2), (2, 3), (1, 3)]), NotConnected, "vertex 1 is not reachable"),
+    ]
+    GRAPH_ERRORS = [
+        ((-1, []), UnknownVertex, "vertex count must be non-negative"),
+        ((3, [(0, 1), (2, 2)]), HasCycle, "self-loop at vertex 2"),
+        ((3, [(0, 1), (1, 3)]), UnknownVertex, "edge (1,3) out of range"),
+        ((3, [(-1, 1)]), UnknownVertex, "edge (-1,1) out of range"),
+    ]
+
+    @pytest.mark.parametrize("args,error,message", TREE_ERRORS)
+    def test_tree_errors(self, args, error, message):
+        with pytest.raises(error) as info:
+            Tree(*args)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("args,error,message", GRAPH_ERRORS)
+    def test_graph_errors(self, args, error, message):
+        with pytest.raises(error) as info:
+            Graph(*args)
+        assert str(info.value) == message
+
+    def test_duplicate_edge_both_ways_is_one_edge(self):
+        t = Tree([0, 1, 2], [(0, 1), (1, 0), (2, 1)])
+        assert t.edges == {(0, 1), (1, 2)}
+        assert [t.neighbors(v) for v in t.vertices] == [(1,), (0, 2), (1,)]
+        g = Graph(3, [(0, 1), (1, 0)])
+        assert g.edges == {(0, 1)}
+        assert [g.neighbors(v) for v in g.vertices] == [(1,), (0,), ()]
+
+    def test_adjacency_and_rooting_whatever_the_edge_order(self):
+        rng = random.Random(5)
+        for seed in range(12):
+            base = relabeled(random_tree(40, seed), rng) if seed % 2 else random_tree(40, seed)
+            edges = sorted(base.edges)
+            shuffled = rng.sample(edges, len(edges))
+            for edge_list in (shuffled, edges[::-1], [(v, u) for u, v in shuffled],
+                          edges + shuffled[:10] + [(v, u) for u, v in edges[:10]]):
+                t = Tree(base.vertices, edge_list)
+                assert t == base
+                for v in t.vertices:
+                    assert t.neighbors(v) == tuple(sorted(base.neighbors(v)))
+                parent, depth, order = reference_rooting(t.vertices, edge_list)
+                assert t.rooted() == (parent, depth)
+                assert t.rooted_order() == order
+                assert t.rooted() is t.rooted() and t.rooted_order() is t.rooted_order()
+
+    def test_graph_adjacency_is_sorted(self):
+        rng = random.Random(3)
+        pairs = [(rng.randrange(30), rng.randrange(30)) for _ in range(120)]
+        pairs = [(u, v) for u, v in pairs if u != v]
+        g = Graph(30, pairs)
+        for v in g.vertices:
+            expected = {b if a == v else a for a, b in pairs if v in (a, b)}
+            assert g.neighbors(v) == tuple(sorted(expected))
+
+
+class TestBarePathWalk:
+    def bare_paths(self, t):
+        assert profile(t).bare_paths == claimed_edge_bare_paths(t), t
+        return profile(t).bare_paths
+
+    def test_every_small_tree(self):
+        rng = random.Random(0)
+        for n in range(2, 11):
+            for t in enumerate_trees(n):
+                self.bare_paths(t)
+                self.bare_paths(relabeled(t, rng))
+
+    def test_random_and_leafy_trees(self):
+        rng = random.Random(1)
+        for seed in range(6):
+            for t in (random_tree(2 + 37 * seed, seed), leafy_tree(5 + 20 * seed, seed),
+                      forked_spider([seed, 1, 2 * seed])):
+                self.bare_paths(t)
+                self.bare_paths(relabeled(t, rng))
+
+    def test_one_vertex_tree(self):
+        assert self.bare_paths(Tree([7], [])) == ()
 
 
 class TestLeafOrder:
