@@ -81,7 +81,15 @@ class TooLarge(SepPathError):
 
 
 class Timeout(SepPathError):
-    """The exact solver exceeded its wall-clock budget."""
+    """The exact solver exceeded its wall-clock budget.
+
+    ``lower_bound``, when set, is a certified lower bound on the optimum:
+    the size under search when time ran out, every smaller one refuted.
+    """
+
+    def __init__(self, message: str, lower_bound: int | None = None):
+        super().__init__(message)
+        self.lower_bound = lower_bound
 
 
 class Infeasible(SepPathError):

@@ -9,6 +9,7 @@ isomorphism class (level-sequence successor algorithm).
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 from functools import lru_cache
@@ -121,8 +122,12 @@ class _Search:
         # else its pendant edge.  A path holding some but not all of the
         # target elements among a degree-2 vertex and its two edges ends at
         # that vertex; deg2_masks keeps those masks with at least 2 bits.
+        # A degree-2 vertex target with neither of its edges a target is
+        # "lone"; a path holding one of two adjacent lone vertices but not
+        # the other ends at it, so pair_masks keeps each such edge's two bits.
         leaf_mask = 0
         deg2_masks = []
+        lone = set()
         for v in host.vertices:
             nbrs = host.neighbors(v)
             bits = [1 << eidx[s] for s in (v, *(edge(v, w) for w in nbrs)) if s in eidx]
@@ -130,8 +135,13 @@ class _Search:
                 leaf_mask |= bits[0]
             elif len(nbrs) == 2 and len(bits) >= 2:
                 deg2_masks.append(sum(bits))
+            elif len(nbrs) == 2 and v in eidx:  # its one target element
+                lone.add(v)
         self.leaf_mask = leaf_mask
         self.deg2_masks = tuple(deg2_masks)
+        self.pair_masks = tuple(
+            1 << eidx[u] | 1 << eidx[w] for u, w in sorted(host.edges) if u in lone and w in lone
+        )
         self.require_cover = require_cover
         self.nodes = 0
         self.deadline = None if budget_ms is None else time.monotonic() + budget_ms / 1000.0
@@ -142,29 +152,44 @@ class _Search:
             return 0
         return max(_ceil_log2(self.m + (1 if self.require_cover else 0)), 0)
 
-    def required_ends(self, groups: tuple[int, ...], uncovered: int) -> int:
+    def required_ends(
+        self, groups: tuple[int, ...], uncovered: int, left: int | None = None
+    ) -> float:
         """A lower bound on the number of path ends that any completion of
-        a search state must add, counted as (path, end vertex) pairs.
+        a search state by ``left`` more paths must add (any number of them
+        when ``left`` is None), counted in end slots, two per path.
 
-        Every uncovered leaf element needs a path ending at its leaf; of the
-        c leaf elements in a group other than the uncovered one, c - 1 need
-        one; and a degree-2 vertex with c of its elements in one group needs
-        c - 1 paths ending there, since a path through it holds all of
-        them.  A path has at most two ends, so a state with more than 2k
-        required ends has no completion of k paths.
+        A path holding a leaf element ends at its leaf, so the c leaf
+        elements of one group, which the paths to come must give pairwise
+        distinct signatures (nonempty ones in the uncovered group), need
+        ``_least_weight(c, left, ...)`` ends at their leaves.  A degree-2
+        vertex with c of its elements in one group needs c - 1 paths ending
+        there, since a path through it holds all of them.  Two adjacent lone
+        degree-2 vertices in one group need a path ending at one of them on
+        the side away from the other; such an end cuts one pair, and a
+        length-0 path spends both its slots.  The three counts fall on
+        disjoint vertices, so a state with more than 2k required ends has no
+        completion of k paths.
         """
+        if left is None:
+            left = self.m  # at least the leaf count: the unbounded weights
         leaf = self.leaf_mask
-        ends = (uncovered & leaf).bit_count()
+        ends = _least_weight((uncovered & leaf).bit_count(), left, True)
         for g in groups:
             if g != uncovered:
                 c = (g & leaf).bit_count()
                 if c > 1:
-                    ends += c - 1
+                    ends += _least_weight(c, left, False)
         for d in self.deg2_masks:
             for g in groups:
                 x = g & d
                 if x & (x - 1):
                     ends += x.bit_count() - 1
+                    break
+        for p in self.pair_masks:
+            for g in groups:
+                if g & p == p:
+                    ends += 1
                     break
         return ends
 
@@ -189,7 +214,7 @@ class _Search:
                 return False
             if uncovered & ~suffix[start]:
                 return False
-            if required_ends(groups, uncovered) > 2 * left:
+            if required_ends(groups, uncovered, left) > 2 * left:
                 return False
             for i in range(start, len(masks)):
                 mask = masks[i]
@@ -237,7 +262,8 @@ def min_separating(
     certified minimum.  Length-0 candidate paths are included whenever the
     target contains a vertex and skipped for pure edge targets; pass
     ``include_trivial`` to override.  Exceeding the size cap or the
-    wall-clock budget raises; there is no approximation.  A NaN or
+    wall-clock budget raises; there is no approximation, but a ``Timeout``
+    carries the size it was searching as ``lower_bound``.  A NaN or
     negative ``budget_ms`` raises ValueError; 0 times out at the first clock
     check.
     """
@@ -248,7 +274,10 @@ def min_separating(
     started = time.monotonic()
     search = _Search(host, ts, require_cover, budget_ms, include_trivial)
     for k in range(search.floor(), len(search.cands) + 1):
-        picked = search.at_most(k)
+        try:
+            picked = search.at_most(k)
+        except Timeout as exc:
+            raise Timeout(f"{exc}; no family of size < {k} exists", lower_bound=k) from None
         if picked is not None:
             system = PathSystem._trusted(host, tuple(search.cands[i] for i in picked))
             verdict = (check if require_cover else separates)(system, ts)
@@ -276,6 +305,26 @@ def exists_family(
 
 def _ceil_log2(x: int) -> int:
     return 0 if x <= 1 else (x - 1).bit_length()
+
+
+@lru_cache(maxsize=1024)
+def _least_weight(c: int, left: int, nonempty: bool) -> float:
+    """The least total size of c distinct subsets of a ``left``-element set,
+    or of c distinct nonempty ones; infinite when there are not c of them.
+
+    The smallest subsets come first: the empty one, then ``left`` singletons,
+    then ``comb(left, 2)`` pairs, and so on.
+    """
+    total = 0
+    size = 1 if nonempty else 0
+    while c > 0:
+        if size > left:
+            return math.inf
+        take = min(c, math.comb(left, size))
+        total += take * size
+        c -= take
+        size += 1
+    return total
 
 
 # ---- unlabeled tree enumeration (level-sequence successor algorithm) ----

@@ -49,6 +49,14 @@ class PathInTree:
         if len(set(self.vertices)) != len(self.vertices):
             raise InvalidPath(f"repeated vertex in path {self.vertices}")
 
+    @classmethod
+    def _walked(cls, vertices: tuple[int, ...]) -> "PathInTree":
+        """A path whose vertex sequence cannot repeat a vertex by how it was
+        built (a walk along parent links), so the checks are skipped."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "vertices", vertices)
+        return p
+
     @property
     def length(self) -> int:
         return len(self.vertices) - 1
@@ -322,7 +330,7 @@ def unique_path(t: Tree, u: int, v: int) -> PathInTree:
         down.append(b)
     down.pop()  # the meeting vertex, already last in `up`
     up.extend(reversed(down))
-    return PathInTree(tuple(up))
+    return PathInTree._walked(tuple(up))
 
 
 def dfs_leaf_order(t: Tree, start: int) -> tuple[int, ...]:

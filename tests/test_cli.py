@@ -112,6 +112,15 @@ class TestOracle:
         assert code == 2 and out == ""
         assert err.startswith("usage error: --budget-ms")
 
+    def test_timeout_names_the_certified_lower_bound(self, capsys, tmp_path):
+        f = tmp_path / "p10.tree"
+        f.write_text("".join(f"{i} {i + 1}\n" for i in range(9)))
+        code, out, err = run(
+            capsys, "oracle", str(f), "--target", "vertices", "--budget-ms", "0"
+        )
+        assert code == 1 and out == ""
+        assert err.startswith("Timeout: budget 0.0 ms exhausted; no family of size < ")
+
 
 class TestProfileAndFormats:
     def test_text_and_json_agree(self, capsys, depth2_file):

@@ -1,6 +1,7 @@
 """The exact solver and the unlabeled tree enumerator."""
 
 import hashlib
+import math
 import random
 
 import pytest
@@ -9,6 +10,7 @@ from seppaths import TargetSet, Tree, canonical_form, covers, random_tree, separ
 from seppaths.edge_systems import DEPTH2_BINARY
 from seppaths.errors import Infeasible, Timeout, TooLarge
 from seppaths.oracle import (
+    _least_weight,
     _Search,
     enumerate_paths,
     enumerate_simple_paths,
@@ -18,7 +20,7 @@ from seppaths.oracle import (
 )
 from seppaths.random_graphs import Graph, gen_gnp, isolated_count
 
-from conftest import path_tree
+from conftest import path_tree, star_tree
 
 
 class TestEnumeratePaths:
@@ -105,6 +107,18 @@ class TestMinSeparating:
         with pytest.raises(Timeout):
             min_separating(t, TargetSet.vertices(t), budget_ms=0.0)
 
+    def test_timeout_carries_the_refuted_sizes(self):
+        # the first clock check comes after 1024 nodes, whatever the budget,
+        # so it falls while some size between the floor and the optimum is
+        # under search, every smaller size already refuted
+        t = path_tree(10)
+        ts = TargetSet.vertices(t)
+        with pytest.raises(Timeout) as caught:
+            min_separating(t, ts, budget_ms=0)
+        bound = caught.value.lower_bound
+        assert _Search(t, ts, True, None).floor() <= bound <= 6
+        assert str(caught.value).endswith(f"; no family of size < {bound} exists")
+
     def test_too_large(self):
         with pytest.raises(TooLarge):
             min_separating(path_tree(13), TargetSet.edges(path_tree(13)))
@@ -134,6 +148,13 @@ def _state(ts, paths, cover):
 # None/True, recorded at commit 0352b0c, before the path-end bound; pruning
 # must leave the first family found, and so every result, unchanged
 ORACLE_DIGEST = "75692cc847e6d65373823e0b0dda2b3b661fae8db8aec2675dc41b5c5e8b102f"
+
+# sha256 of (size, path vertex sequences) of min_separating with cover over
+# enumerate_trees(8) and enumerate_trees(9), edge and vertex targets, each
+# tree renumbered by one draw of random.Random(14): the sizes the benchmark's
+# oracle workload solves, recorded at commit 0313e1d, before the left-aware
+# leaf count and the lone-pair count
+BENCH_DIGEST = "657e9cca610d780fc79128962caa714a977394fc6be919fcc419e5ef9668d4db"
 
 
 class TestPruning:
@@ -184,6 +205,75 @@ class TestPruning:
                             assert ends <= 2 * (len(paths) - cut), (t, ts.kind, cut)
                             checked += 1
         assert checked > 1000
+
+    def test_left_aware_bound_holds_at_every_prefix_of_a_working_family(self):
+        # as above, but the state at cut knows that K - cut paths are left
+        rng = random.Random(14)
+        hosts = [
+            (t, _targets(t)[: 3 if n <= 7 else 2]) for n in range(2, 9) for t in enumerate_trees(n)
+        ]
+        hosts += [
+            (t, (TargetSet.custom(t, [*t.vertices, *t.edges]),))
+            for n in range(2, 6) for t in enumerate_trees(n)
+        ]
+        for seed in range(12):
+            g = gen_gnp(6, 0.4, seed)
+            hosts.append((g, (TargetSet.vertices(g), TargetSet.edges(g))))
+        checked = 0
+        for host, targets in hosts:
+            for ts in targets:
+                for cover in (True, False):
+                    search = _Search(host, ts, cover, None)
+                    paths = list(min_separating(host, ts, require_cover=cover).system.paths)
+                    extra = [p for p in search.cands if p not in paths]
+                    paths += rng.sample(extra, min(rng.randint(0, 2), len(extra)))
+                    rng.shuffle(paths)
+                    for cut in range(len(paths) + 1):
+                        left = len(paths) - cut
+                        groups, uncovered = _state(ts, paths[:cut], cover)
+                        ends = search.required_ends(groups, uncovered, left=left)
+                        assert ends <= 2 * left, (host.edges, ts.kind, cover, cut)
+                        checked += 1
+        assert checked > 1500
+
+    @pytest.mark.parametrize("nonempty", [False, True])
+    def test_least_weight_matches_subset_enumeration(self, nonempty):
+        for k in range(6):
+            subsets = [x for x in range(1 << k) if x or not nonempty]
+            sizes = sorted(x.bit_count() for x in subsets)
+            for c in range((1 << k) + 1):
+                expected = sum(sizes[:c]) if c <= len(sizes) else math.inf
+                assert _least_weight(c, k, nonempty) == expected, (c, k)
+            if k <= 3:  # every family of distinct subsets, not just the smallest
+                best = {}
+                for family in range(1 << len(subsets)):
+                    c = family.bit_count()
+                    w = sum(subsets[i].bit_count() for i in range(len(subsets)) if family >> i & 1)
+                    best[c] = min(best.get(c, w), w)
+                for c in range((1 << k) + 1):
+                    assert _least_weight(c, k, nonempty) == best.get(c, math.inf), (c, k)
+
+    def test_bench_sized_outputs_match_pinned_digest(self):
+        h = hashlib.sha256()
+        rng = random.Random(14)
+        for n in (8, 9):
+            for t in enumerate_trees(n):
+                perm = list(range(t.n))
+                rng.shuffle(perm)
+                relabelled = Tree.from_edges([(perm[u], perm[v]) for u, v in t.edges])
+                for ts in (TargetSet.edges(relabelled), TargetSet.vertices(relabelled)):
+                    res = min_separating(relabelled, ts, require_cover=True)
+                    paths = [p.vertices for p in res.system.paths]
+                    h.update(repr((res.size, paths)).encode())
+        assert h.hexdigest() == BENCH_DIGEST
+
+    def test_leaf_signatures_and_lone_pairs_cut_vertex_target_refutations(self):
+        # before the left-aware leaf count and the lone-pair count these
+        # took 80189 and 603649 nodes
+        star = star_tree(8)
+        assert min_separating(star, TargetSet.vertices(star)).nodes_expanded <= 100
+        t = path_tree(10)
+        assert min_separating(t, TargetSet.vertices(t)).nodes_expanded <= 250000
 
     def test_edge_targets_expand_few_nodes(self):
         # without the path-end bound the search expanded 139381 nodes here

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 import seppaths.trees as trees_module
 from seppaths import (
     Bunch,
+    PathInTree,
     Tree,
     canonical_form,
     contract_bare_paths,
@@ -36,6 +37,7 @@ from seppaths.errors import (
     BadToken,
     DuplicateEdge,
     HasCycle,
+    InvalidPath,
     NotALeaf,
     NotConnected,
     UnknownVertex,
@@ -427,6 +429,23 @@ class TestUniquePath:
             sys.setrecursionlimit(old)
         assert p.vertices == tuple(range(2999, -1, -1))
         assert q.vertices == tuple(range(1000, 2001))
+
+    def test_walked_paths_skip_the_repeat_check(self, depth2, monkeypatch):
+        # a walk up parent links cannot repeat a vertex, so unique_path
+        # builds its path without PathInTree's validation; direct
+        # construction still validates
+        def refuse(self):
+            raise AssertionError("validated a walked path")
+
+        expected = PathInTree((4, 2, 1, 3, 6))
+        with monkeypatch.context() as m:
+            m.setattr(PathInTree, "__post_init__", refuse)
+            walked = unique_path(depth2, 4, 6)
+        assert walked == expected and hash(walked) == hash(expected)
+        with pytest.raises(InvalidPath):
+            PathInTree((4, 2, 4))
+        with pytest.raises(InvalidPath):
+            PathInTree(())
 
 
 class TestRootedIndex:
