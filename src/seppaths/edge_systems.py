@@ -22,8 +22,6 @@ InternalClassificationError instead of handing back an unverified family.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
-from enum import Enum
 from heapq import heapify, heappop, heappush
 from itertools import combinations
 
@@ -109,15 +107,12 @@ def edge_target_size(t: Tree) -> int:
     return edge_formula(p.h1, p.h2)
 
 
-def _verified(t: Tree, pairs, label: str, also_vertices_interior: bool = False) -> PathSystem:
+def _verified(t: Tree, pairs, label: str, ts: TargetSet, *more: TargetSet) -> PathSystem:
     """The tree paths between the given end pairs, checked to separate and
-    cover the edges (and optionally the vertices plus interior edges)."""
+    cover each of the given target sets."""
     fs = PathSystem._trusted(t, tuple(unique_path(t, a, b) for a, b in pairs))
-    targets = [TargetSet.edges(t)]
-    if also_vertices_interior:
-        targets.append(TargetSet.vertices_and_interior_edges(t))
-    for ts in targets:
-        verdict = check(fs, ts)
+    for target in (ts, *more):
+        verdict = check(fs, target)
         if not verdict:
             raise InternalClassificationError(f"{label}: {verdict}")
     return fs
@@ -144,7 +139,7 @@ def abc_pairs(t: Tree) -> list[Pair]:
 
 def abc_construction(t: Tree) -> PathSystem:
     """The paths of ``abc_pairs``, checked."""
-    return _verified(t, abc_pairs(t), "abc_construction")
+    return _verified(t, abc_pairs(t), "abc_construction", TargetSet.edges(t))
 
 
 def planar_pairs(t: Tree) -> list[Pair]:
@@ -160,7 +155,10 @@ def planar_construction(t: Tree) -> PathSystem:
     """h1 paths joining cyclically consecutive leaves; separates and covers
     both the edges and the vertices-plus-interior-edges targets, and puts
     every edge on exactly two paths."""
-    fs = _verified(t, planar_pairs(t), "planar_construction", also_vertices_interior=True)
+    fs = _verified(
+        t, planar_pairs(t), "planar_construction",
+        TargetSet.edges(t), TargetSet.vertices_and_interior_edges(t),
+    )
     hits_of = Counter(e for q in fs.paths for e in q.edges())
     for e in t.edges:
         hits = hits_of[e]
@@ -237,15 +235,21 @@ def bunch_pairs(t: Tree) -> list[Pair]:
 
 
 def bunch_construction(t: Tree) -> PathSystem:
-    """The paths of ``bunch_pairs``.  When the tree has no degree-2 vertices
-    and all bunches have size >= 3 the result is verified
-    separating-covering for edges and for vertices-plus-interior-edges, with
-    exactly ceil(2*h1/3) paths."""
+    """The paths of ``bunch_pairs``, for trees with no degree-2 vertices whose
+    bunches all have size >= 3: verified separating-covering for edges and
+    for vertices-plus-interior-edges, with exactly ceil(2*h1/3) paths.
+    Raises PreconditionViolated on any other tree."""
     pairs = bunch_pairs(t)
     p = profile(t)
-    if not (p.h2 == 0 and all(b.size >= 3 for b in p.bunches)):
-        return PathSystem._trusted(t, tuple(unique_path(t, a, b) for a, b in pairs))
-    fs = _verified(t, pairs, "bunch_construction", also_vertices_interior=True)
+    if p.h2 != 0 or any(b.size < 3 for b in p.bunches):
+        least = min(b.size for b in p.bunches)
+        raise PreconditionViolated(
+            f"need h2=0 and every bunch of size >= 3; got h2={p.h2}, least bunch {least}"
+        )
+    fs = _verified(
+        t, pairs, "bunch_construction",
+        TargetSet.edges(t), TargetSet.vertices_and_interior_edges(t),
+    )
     want = -(-2 * p.h1 // 3)
     if fs.size != want:
         raise InternalClassificationError(
@@ -267,13 +271,6 @@ def _as_tree(adj: Adjacency) -> Tree:
     return Tree(adj, [(u, v) for u, ns in adj.items() for v in ns if u < v])
 
 
-def _drop_leaf(adj: Adjacency, u: int) -> int:
-    """Delete the leaf u; returns its former neighbor."""
-    (w,) = adj.pop(u)
-    adj[w].remove(u)
-    return w
-
-
 def _suppress(adj: Adjacency, v: int) -> None:
     """Delete the degree-2 vertex v and join its two neighbors."""
     a, b = adj.pop(v)
@@ -283,38 +280,41 @@ def _suppress(adj: Adjacency, v: int) -> None:
     adj[b].add(a)
 
 
-class ReductionCase(Enum):
-    DEGREE_AT_LEAST_4 = "DegreeAtLeast4"
-    DEGREE_3_NON_NEIGHBOR = "Degree3NonNeighbor"
+def _retire_leaf(adj: Adjacency, u: int) -> int:
+    """Delete the leaf u, and its support w too if that leaves w with degree
+    2.  Returns the vertex a path ending at u is cut back to: w, or, when w
+    went as well, its least neighbor."""
+    (w,) = adj.pop(u)
+    adj[w].remove(u)
+    if len(adj[w]) != 2:
+        return w
+    end = min(adj[w])
+    _suppress(adj, w)
+    return end
 
 
-@dataclass(frozen=True)
-class ReductionPair:
-    """A useful leaf u and a degree-2 vertex v enabling the one-step shrink
-    of (h1, h2) by (1, 1)."""
+# A reduction pair is an end pair (u, v): a useful leaf u and a degree-2
+# vertex v whose retirement shrinks (h1, h2) by (1, 1).  Its case is read off
+# the map: u's support w has degree >= 4 and v is any degree-2 vertex, or w
+# has degree 3, v is not next to w, and w goes too.
 
-    u: int
-    v: int
-    case: ReductionCase
-
-
-def _reduce(adj: Adjacency, rp: ReductionPair) -> None:
-    """Shrink (h1, h2) by (1, 1): remove the pair (and, in the degree-3
-    case, the leaf's neighbor), bridging the holes."""
-    w = _drop_leaf(adj, rp.u)
-    _suppress(adj, rp.v)
-    if rp.case is ReductionCase.DEGREE_3_NON_NEIGHBOR:
-        _suppress(adj, w)  # w is left with degree 2
+def _reduce(adj: Adjacency, u: int, v: int) -> None:
+    """Retire the reduction pair (u, v), bridging the holes.  Suppressing v
+    never changes w's degree, since v's two neighbors are not adjacent, so
+    w goes exactly in the degree-3 case."""
+    _retire_leaf(adj, u)
+    _suppress(adj, v)
 
 
-def _allowed(adj: Adjacency, rp: ReductionPair) -> bool:
+def _allowed(adj: Adjacency, u: int, v: int) -> bool:
     """Whether the reduced tree is not the depth-2 binary tree.  Only a tree
     of 9 or 10 vertices can reduce to it, so only such a map is copied."""
-    removed = 3 if rp.case is ReductionCase.DEGREE_3_NON_NEIGHBOR else 2
+    (w,) = adj[u]
+    removed = 3 if len(adj[w]) == 3 else 2
     if len(adj) - removed != DEPTH2_BINARY.n:
         return True
-    reduced = {v: set(ns) for v, ns in adj.items()}
-    _reduce(reduced, rp)
+    reduced = {x: set(ns) for x, ns in adj.items()}
+    _reduce(reduced, u, v)
     return not _depth2_shape(reduced)
 
 
@@ -336,7 +336,7 @@ def _degree2_pair(adj: Adjacency, deg2: list[int]) -> Pair:
     return pair
 
 
-def _partner(adj: Adjacency, u: int, deg2: list[int]) -> tuple[ReductionPair | None, bool]:
+def _partner(adj: Adjacency, u: int, deg2: list[int]) -> tuple[Pair | None, bool]:
     """The least allowed reduction pair with the leaf u, and whether u has
     any partner at all (allowed or not).
 
@@ -349,7 +349,6 @@ def _partner(adj: Adjacency, u: int, deg2: list[int]) -> tuple[ReductionPair | N
     dw = len(adj[w])
     if dw < 3:
         return None, False
-    case = ReductionCase.DEGREE_AT_LEAST_4 if dw >= 4 else ReductionCase.DEGREE_3_NON_NEIGHBOR
     seen: list[int] = []
     found, partnered = None, False
     while not found and deg2:
@@ -357,12 +356,11 @@ def _partner(adj: Adjacency, u: int, deg2: list[int]) -> tuple[ReductionPair | N
         if v not in adj:
             continue  # a stale entry: v was suppressed
         seen.append(v)
-        if case is ReductionCase.DEGREE_3_NON_NEIGHBOR and v in adj[w]:
+        if dw == 3 and v in adj[w]:
             continue
         partnered = True
-        rp = ReductionPair(u, v, case)
-        if _allowed(adj, rp):
-            found = rp
+        if _allowed(adj, u, v):
+            found = (u, v)
     for v in seen:
         heappush(deg2, v)
     return found, partnered
@@ -370,7 +368,7 @@ def _partner(adj: Adjacency, u: int, deg2: list[int]) -> tuple[ReductionPair | N
 
 def _least_pair(
     adj: Adjacency, leaves: list[int], deg2: list[int], parked: dict[int, list[int]]
-) -> ReductionPair | None:
+) -> Pair | None:
     """The lexicographically least reduction pair not landing on the
     depth-2 binary tree, or None.
 
@@ -405,7 +403,7 @@ def edge_system(t: Tree) -> PathSystem:
     if t.n < 2:
         raise TreeTooSmall("need at least one edge")
     pairs, label = _edge_pairs(t)
-    fs = _verified(t, pairs, label)
+    fs = _verified(t, pairs, label, TargetSet.edges(t))
     if fs.size != edge_target_size(t):
         raise InternalClassificationError(
             f"{label}: built {fs.size} paths, optimum is {edge_target_size(t)}"
@@ -452,10 +450,7 @@ def _no_degree2(t: Tree, p: TreeProfile) -> list[Pair]:
     # s == 1: retire one leaf, or one leaf plus its degree-3 neighbor
     adj = _adjacency(t)
     u = min(p.leaves)
-    end = w = _drop_leaf(adj, u)
-    if len(adj[w]) == 2:
-        end = min(adj[w])
-        _suppress(adj, w)
+    end = _retire_leaf(adj, u)
     return abc_pairs(_as_tree(adj)) + [(u, end)]
 
 
@@ -497,10 +492,11 @@ def _reduce_and_lift(t: Tree) -> list[Pair]:
     leaves = [v for v, ns in adj.items() if len(ns) == 1]
     heapify(leaves)
     parked: dict[int, list[int]] = {}  # degree-2 vertex -> the leaves on it
-    while rp := _least_pair(adj, leaves, deg2, parked):
-        _reduce(adj, rp)
-        appended.append((rp.u, rp.v))
-        for x in parked.pop(rp.v, ()):
+    while pair := _least_pair(adj, leaves, deg2, parked):
+        u, v = pair
+        _reduce(adj, u, v)
+        appended.append(pair)
+        for x in parked.pop(v, ()):
             heappush(leaves, x)
     t = _as_tree(adj)
     p = profile(t)

@@ -18,15 +18,15 @@ from .errors import Infeasible, InternalClassificationError, Timeout, TooLarge
 from .trees import PathInTree, Tree, edge, unique_path
 from .verify import PathSystem, TargetSet, check, separates
 
-DEFAULT_MAX_N = 12
+MAX_N = 12
 GRAPH_PATH_CAP = 20000
 
 
-def enumerate_paths(t: Tree, include_trivial: bool, max_n: int = DEFAULT_MAX_N) -> tuple[PathInTree, ...]:
+def enumerate_paths(t: Tree, include_trivial: bool) -> tuple[PathInTree, ...]:
     """Every candidate path of a tree: optional length-0 paths (by vertex id),
     then the unique u-v path for each pair u < v (by (u, v))."""
-    if t.n > max_n:
-        raise TooLarge(f"n={t.n} exceeds cap {max_n}")
+    if t.n > MAX_N:
+        raise TooLarge(f"n={t.n} exceeds cap {MAX_N}")
     out: list[PathInTree] = []
     if include_trivial:
         out.extend(PathInTree((v,)) for v in t.vertices)
@@ -91,7 +91,7 @@ class _Search:
         if include_trivial is None:
             include_trivial = any(isinstance(s, int) for s in ts.elements) or not ts.elements
         if isinstance(host, Tree):
-            cands = enumerate_paths(host, include_trivial, max_n=host.n)
+            cands = enumerate_paths(host, include_trivial)
         else:
             cands = enumerate_simple_paths(host, include_trivial)
         elements = ts.elements
@@ -252,7 +252,6 @@ def min_separating(
     ts: TargetSet,
     require_cover: bool = True,
     *,
-    max_n: int = DEFAULT_MAX_N,
     budget_ms: float | None = None,
     include_trivial: bool | None = None,
 ) -> OracleResult:
@@ -269,8 +268,8 @@ def min_separating(
     """
     if budget_ms is not None and not budget_ms >= 0:  # NaN fails too
         raise ValueError(f"budget_ms={budget_ms} is not a non-negative number")
-    if host.n > max_n:
-        raise TooLarge(f"n={host.n} exceeds cap {max_n}")
+    if host.n > MAX_N:
+        raise TooLarge(f"n={host.n} exceeds cap {MAX_N}")
     started = time.monotonic()
     search = _Search(host, ts, require_cover, budget_ms, include_trivial)
     for k in range(search.floor(), len(search.cands) + 1):
@@ -287,17 +286,10 @@ def min_separating(
     raise Infeasible("no family over the candidate paths separates the target")
 
 
-def exists_family(
-    host,
-    ts: TargetSet,
-    k: int,
-    require_cover: bool = True,
-    *,
-    max_n: int = DEFAULT_MAX_N,
-) -> bool:
+def exists_family(host, ts: TargetSet, k: int, require_cover: bool = True) -> bool:
     """Exhaustively decide whether some family of size <= k works."""
-    if host.n > max_n:
-        raise TooLarge(f"n={host.n} exceeds cap {max_n}")
+    if host.n > MAX_N:
+        raise TooLarge(f"n={host.n} exceeds cap {MAX_N}")
     if k < 0:
         return False
     return _Search(host, ts, require_cover, None).at_most(k) is not None

@@ -11,7 +11,7 @@ from itertools import compress, filterfalse, repeat
 from struct import unpack_from
 from typing import Iterable, Sequence
 
-from .errors import HasCycle, UnknownVertex
+from .errors import HasCycle, InternalClassificationError, UnknownVertex
 from .trees import Edge, PathInTree, edge
 from .verify import PathSystem, TargetSet, check
 
@@ -368,8 +368,9 @@ def random_vertex_system(g: Graph, seed: int) -> PathSystem | None:
             return None
         paths.append(found)
     fs = PathSystem._trusted(g, tuple(paths))
-    if not check(fs, TargetSet.vertices(g)):
-        return None  # defensive; the set system guarantees this
+    verdict = check(fs, TargetSet.vertices(g))
+    if not verdict:
+        raise InternalClassificationError(f"random_vertex_system: {verdict}")
     return fs
 
 

@@ -296,6 +296,53 @@ class TestUnreadableInput:
             assert proc.stderr.startswith("BadToken:") and "line 2" in proc.stderr
 
 
+class TestMalformedInput:
+    """Bad files and bad values: a named error and an exit code, never a
+    traceback."""
+
+    @pytest.mark.parametrize("name, text, command, extra, prefix", [
+        ("neg.tree", "0 1\n1 -2\n", "profile", [], "BadToken: line 2: negative vertex id"),
+        ("unknown.paths", "0 1 9\n", "verify", ["--target", "edges"], "InvalidPath: "),
+        ("token.paths", "0 x\n", "verify", ["--target", "edges"], "BadToken: line 1: "),
+        ("repeat.paths", "0 1 0\n", "verify", ["--target", "edges"], "InvalidPath: line 1: "),
+    ])
+    def test_bad_file_exit_1(self, capsys, tmp_path, p4_file, name, text, command, extra, prefix):
+        bad = tmp_path / name
+        bad.write_text(text)
+        files = [str(bad)] if command == "profile" else [p4_file, str(bad)]
+        code, out, err = run(capsys, command, *files, *extra)
+        assert code == 1 and out == ""
+        assert err.startswith(prefix)
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("p", ["1.5", "nan", "inf"])
+    def test_p_outside_unit_interval_exit_2(self, capsys, p):
+        code, _, err = run(capsys, "random-exp", "--n", "8", "--p", p, "--trials", "1")
+        assert code == 2
+        assert err.startswith("usage error:")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("report", ["P", "PPP"])
+    def test_report_length_mismatch_exit_2(self, capsys, tmp_path, p4_file, report):
+        paths = tmp_path / "sys.paths"
+        paths.write_text("0 1 2\n3 2 1\n")
+        code, _, err = run(
+            capsys, "localize", p4_file, str(paths), "--target", "edges", "--report", report
+        )
+        assert code == 2
+        assert err.startswith("usage error:")
+        assert "Traceback" not in err
+
+    def test_random_exp_text_is_five_lines(self, capsys):
+        code, out, _ = run(
+            capsys, "random-exp", "--n", "8", "--p", "1.0", "--trials", "2", "--seed", "7"
+        )
+        assert code == 0
+        assert out.splitlines() == [
+            "n 8", "p 1.0", "trials 2", "successRate 1.0", "meanIsolated 0.0",
+        ]
+
+
 class TestEntryPoints:
     @pytest.mark.parametrize("module", ["seppaths", "seppaths.cli"])
     def test_python_dash_m(self, p4_file, module):

@@ -4,6 +4,8 @@ import hashlib
 import random
 import sys
 import time
+from dataclasses import dataclass
+from enum import Enum
 from itertools import combinations
 
 import pytest
@@ -11,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from seppaths import (
+    PathSystem,
     TargetSet,
     Tree,
     abc_construction,
@@ -32,8 +35,6 @@ from seppaths.edge_systems import (
     _FIVE_FIXTURE,
     _NINE_FIXTURE,
     _SIX_FIXTURE,
-    ReductionCase,
-    ReductionPair,
     DEPTH2_BINARY,
     _adjacency,
     _as_tree,
@@ -160,6 +161,15 @@ class TestBunch:
         with pytest.raises(PreconditionViolated):
             bunch_construction(spider)
 
+    def test_outside_the_hypothesis_rejected(self):
+        # two bunches of size 2 and a degree-2 vertex: bunch_pairs is defined,
+        # but its family does not even separate the edges (0,1) and (0,4)
+        t = Tree.from_edges([(0, 1), (0, 4), (1, 2), (1, 3), (4, 5), (4, 6)])
+        family = PathSystem(t, tuple(unique_path(t, a, b) for a, b in es.bunch_pairs(t)))
+        assert not separates(family, TargetSet.edges(t))
+        with pytest.raises(PreconditionViolated):
+            bunch_construction(t)
+
     def test_size_formula_when_all_bunches_big(self):
         for seed in range(60):
             t = _leafy_tree(seed)
@@ -188,6 +198,19 @@ def _leafy_tree(seed, min_leaves=3, max_leaves=5):
 #
 # Every step re-sorts the degree-2 vertices and the useful leaves and tries
 # the pairs in lexicographic order; quadratic, but plainly the definition.
+# It names each pair's case, which the package reads off the map.
+
+class ReductionCase(Enum):
+    DEGREE_AT_LEAST_4 = "DegreeAtLeast4"
+    DEGREE_3_NON_NEIGHBOR = "Degree3NonNeighbor"
+
+
+@dataclass(frozen=True)
+class ReductionPair:
+    u: int
+    v: int
+    case: ReductionCase
+
 
 def _pair_case(adj, u, v):
     if len(adj.get(u, ())) != 1 or len(adj.get(v, ())) != 2:
@@ -227,7 +250,7 @@ def apply_reduction(t, rp):
     adj = _adjacency(t)
     if _pair_case(adj, rp.u, rp.v) is not rp.case:
         raise InvalidPair(f"({rp.u},{rp.v}) is not a {rp.case.value} reduction pair")
-    _reduce(adj, rp)
+    _reduce(adj, rp.u, rp.v)
     return _as_tree(adj), (rp.u, rp.v)
 
 
@@ -251,7 +274,7 @@ def _scanning_reduce_and_lift(t):
             es._suppress(adj, v)
         appended.append(pair)
     while rp := next((q for q in _reduction_pairs(adj) if _allowed(adj, q)), None):
-        _reduce(adj, rp)
+        _reduce(adj, rp.u, rp.v)
         appended.append((rp.u, rp.v))
     t = _as_tree(adj)
     p = profile(t)

@@ -123,6 +123,11 @@ class TestMinSeparating:
         with pytest.raises(TooLarge):
             min_separating(path_tree(13), TargetSet.edges(path_tree(13)))
 
+    def test_exists_family_cap_and_negative_size(self, p4):
+        with pytest.raises(TooLarge):
+            exists_family(path_tree(13), TargetSet.edges(path_tree(13)), 7)
+        assert exists_family(p4, TargetSet.edges(p4), -1) is False
+
 
 def _targets(t):
     return (TargetSet.edges(t), TargetSet.vertices(t), TargetSet.vertices_and_interior_edges(t))

@@ -29,7 +29,7 @@ from seppaths import (
 )
 from seppaths.cli import main
 from seppaths.oracle import min_separating
-from seppaths.errors import TooLarge
+from seppaths.errors import InternalClassificationError, TooLarge, UnknownVertex
 from seppaths.random_graphs import (
     _exact_path,
     find_spanning_path,
@@ -259,6 +259,12 @@ def _induced(g: Graph, block):
     return {v: tuple(w for w in g.neighbors(v) if w in inblock) for v in block}
 
 
+class TestGraph:
+    def test_unknown_vertex(self):
+        with pytest.raises(UnknownVertex):
+            Graph(3, [(0, 1)]).neighbors(3)
+
+
 class TestSpanningPath:
     def test_complete_graph(self):
         g = gen_gnp(4, 1.0, 0)
@@ -330,6 +336,19 @@ class TestRandomVertexSystem:
         assert fs is not None
         ts = TargetSet.vertices(g)
         assert separates(fs, ts) and covers(fs, ts)
+
+    def test_failed_check_raises_instead_of_failing_the_trial(self, monkeypatch):
+        # a set system missing a block no longer separates; that is a bug to
+        # report, not a trial without a spanning path
+        real = seppaths.random_graphs.separating_set_system
+
+        def one_block_short(n):
+            system = real(n)
+            return type(system)(system.n, system.blocks[:-1])
+
+        monkeypatch.setattr(seppaths.random_graphs, "separating_set_system", one_block_short)
+        with pytest.raises(InternalClassificationError, match="^random_vertex_system: "):
+            random_vertex_system(gen_gnp(32, 0.5, 11), 11)
 
     def test_supercritical_mostly_succeeds(self):
         n = 64

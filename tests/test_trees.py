@@ -691,6 +691,9 @@ class TestIsomorphism:
         assert find_isomorphism(p4, k13) is None
         assert canonical_form(p4) != canonical_form(k13)
 
+    def test_different_sizes(self, p3, p4):
+        assert find_isomorphism(p3, p4) is None
+
     def test_enumerate_counts_are_distinct_forms(self):
         for n in range(2, 9):
             forms = {canonical_form(t) for t in enumerate_trees(n)}

@@ -75,6 +75,10 @@ class TestSlidingWindows:
         with pytest.raises(NotConsecutive):
             sliding_window_cover(t, (1, 3))
 
+    def test_empty_run(self):
+        with pytest.raises(NotConsecutive):
+            sliding_window_cover(path_tree(5), ())
+
     @pytest.mark.parametrize("k", range(1, 65))
     def test_signatures_are_distinct_nonempty_intervals(self, k):
         t = path_tree(k + 2)
