@@ -83,9 +83,7 @@ def _paths_as_lists(fs: PathSystem) -> list[list[int]]:
 
 
 def _system_text(fs: PathSystem, header: list[str]) -> list[str]:
-    lines = [f"# {h}" for h in header]
-    lines.extend(" ".join(str(v) for v in p.vertices) for p in fs.paths)
-    return lines
+    return [f"# {h}" for h in header] + serialize_paths(fs).splitlines()
 
 
 def _element_payload(s):

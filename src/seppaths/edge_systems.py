@@ -167,54 +167,33 @@ def planar_construction(t: Tree) -> PathSystem:
     return fs
 
 
-def _grouped_leaf_order(t: Tree, leaves) -> list[int]:
-    """Boundary leaf order of the embedding that draws each support vertex's
-    leaf children consecutively: a DFS visiting leaf children first."""
-    start = min(leaves)
-    order: list[int] = []
-    seen = {start}
-    stack = [start]
+def _bunch_groups(t: Tree, start: int) -> list[list[int]]:
+    """The bunches' leaves, each ascending, in the boundary order of the
+    embedding that draws each support's leaves consecutively: a DFS from the
+    leaf ``start`` in which a popped vertex's unseen leaves form one group
+    (``start`` heads its support's) and its unseen non-leaves pop ascending."""
+    (s,) = t.neighbors(start)
+    if t.is_leaf(s):
+        return [[start, s]]  # the single edge is one bunch
+    groups: list[list[int]] = []
+    seen = {start, s}
+    stack = [s]
     while stack:
         x = stack.pop()
-        if t.is_leaf(x):
-            order.append(x)
-        fresh = [w for w in t.neighbors(x) if w not in seen]
-        seen.update(fresh)
-        # push subtrees first so leaf children pop (and are visited) first
-        stack.extend(sorted((w for w in fresh if not t.is_leaf(w)), reverse=True))
-        stack.extend(sorted((w for w in fresh if t.is_leaf(w)), reverse=True))
-    return order
+        group = [start] if x == s else []
+        inner: list[int] = []
+        for w in t.neighbors(x):
+            if w not in seen:
+                seen.add(w)
+                (group if t.is_leaf(w) else inner).append(w)
+        if group:
+            groups.append(group)
+        stack.extend(reversed(inner))
+    return groups
 
 
-def bunch_pairs(t: Tree) -> list[Pair]:
-    """Two pairs per bunch plus pooled seagulls over the leftover leaves.
-
-    Bunches are enumerated in the cyclic leaf order of an embedding that
-    keeps each bunch's leaves consecutive, which is what aligns the first
-    step with the consecutive-leaf construction.  Defined whenever every
-    bunch has at least two leaves and the tree is not the 3-leaf star.
-    """
-    p = profile(t)
-    if t.n == 4 and sorted(map(t.degree, t.vertices)) == [1, 1, 1, 3]:
-        raise PreconditionViolated("the 3-leaf star is excluded")
-    if not p.bunches:
-        raise PreconditionViolated("tree has no bunches")
-    if any(b.size < 2 for b in p.bunches):
-        raise PreconditionViolated("every bunch must contain at least two leaves")
-
-    order = _grouped_leaf_order(t, p.leaves)
-    bunch_of = {leaf: i for i, b in enumerate(p.bunches) for leaf in b.leaves}
-    groups: list[list[int]] = []
-    last_bunch = None
-    for leaf in order:
-        b = bunch_of[leaf]
-        if b != last_bunch:
-            groups.append([])
-            last_bunch = b
-        groups[-1].append(leaf)
-    if len(groups) != len(p.bunches):
-        raise InternalClassificationError("bunch leaves not consecutive in leaf order")
-
+def _pair_bunches(t: Tree, groups: list[list[int]]) -> list[Pair]:
+    """The pairs of ``bunch_pairs`` for the bunches' leaf groups in cyclic order."""
     pairs: list[Pair] = []
     remaining: list[int] = []
     r = len(groups)
@@ -232,6 +211,27 @@ def bunch_pairs(t: Tree) -> list[Pair]:
         i += 3
     pairs += [(leaf, t.neighbors(leaf)[0]) for leaf in remaining[i:]]
     return pairs
+
+
+def bunch_pairs(t: Tree) -> list[Pair]:
+    """Two pairs per bunch plus pooled seagulls over the leftover leaves.
+
+    Bunches are enumerated in the cyclic leaf order of an embedding that
+    keeps each bunch's leaves consecutive, which is what aligns the first
+    step with the consecutive-leaf construction.  Defined whenever every
+    bunch has at least two leaves and the tree is not the 3-leaf star.
+    """
+    p = profile(t)
+    if t.n == 4 and sorted(map(t.degree, t.vertices)) == [1, 1, 1, 3]:
+        raise PreconditionViolated("the 3-leaf star is excluded")
+    if not p.bunches:
+        raise PreconditionViolated("tree has no bunches")
+    if any(b.size < 2 for b in p.bunches):
+        raise PreconditionViolated("every bunch must contain at least two leaves")
+    groups = _bunch_groups(t, min(p.leaves))
+    if len(groups) != len(p.bunches):
+        raise InternalClassificationError("traversal and profile disagree on the bunches")
+    return _pair_bunches(t, groups)
 
 
 def bunch_construction(t: Tree) -> PathSystem:

@@ -403,10 +403,6 @@ class ExperimentStats:
         return sum(1 for r in self.per_trial if r.success)
 
     @property
-    def failures(self) -> int:
-        return len(self.per_trial) - self.successes
-
-    @property
     def success_rate(self) -> float:
         return self.successes / len(self.per_trial)
 

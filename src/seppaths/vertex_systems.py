@@ -29,7 +29,7 @@ from .trees import (
     subdivide_edge,
     unique_path,
 )
-from .edge_systems import bunch_pairs, planar_pairs
+from .edge_systems import _bunch_groups, _pair_bunches, planar_pairs
 from .verify import PathSystem, TargetKind, TargetSet, check
 
 
@@ -81,13 +81,14 @@ def vertex_system(t: Tree) -> PathSystem:
         raise UnsupportedTree("need at least two vertices")
     prof = profile(t)
 
+    # the contraction keeps t's leaves, so prof.h1 and prof.leaves hold for it
     contracted, _ = contract_bare_paths(t)
-    cprof = profile(contracted)
-    if contracted.n == 4 and sorted(map(contracted.degree, contracted.vertices)) == [1, 1, 1, 3]:
+    if contracted.n == 4 and prof.h1 == 3:
         raise UnsupportedTree("contraction is the 3-leaf star")
-    if not cprof.bunches or any(b.size < 3 for b in cprof.bunches):
+    groups = _bunch_groups(contracted, prof.leaves[0])
+    if any(len(g) < 3 for g in groups):
         raise UnsupportedTree("contraction has a bunch of size < 3")
-    if {b.leaves for b in cprof.bunches} != {b.leaves for b in prof.bunches}:
+    if set(map(tuple, groups)) != {b.leaves for b in prof.bunches}:
         warnings.warn(
             "bunch hypothesis holds for the bare-path contraction but the "
             "input tree's own bunches differ",
@@ -96,7 +97,7 @@ def vertex_system(t: Tree) -> PathSystem:
         )
 
     # A path between surviving vertices lifts to the unique path in t.
-    lifted = [unique_path(t, a, b) for a, b in bunch_pairs(contracted)]
+    lifted = [unique_path(t, a, b) for a, b in _pair_bunches(contracted, groups)]
     added = _separate_degree2(t, prof)
 
     fs = PathSystem._trusted(t, tuple(lifted + added))

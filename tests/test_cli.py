@@ -13,7 +13,7 @@ from seppaths import cli
 from seppaths.cli import build_parser, main
 from seppaths.oracle import enumerate_trees
 
-from conftest import DOUBLE_STAR_TEXT, K13_TEXT, P4_TEXT, DEPTH2_TEXT
+from conftest import BROOM_TEXT, DOUBLE_STAR_TEXT, K13_TEXT, P4_TEXT, DEPTH2_TEXT
 
 
 @pytest.fixture
@@ -252,6 +252,16 @@ class TestErrors:
         code, _, err = run(capsys, "construct-vertex", p4_file)
         assert code == 1
         assert err.startswith("UnsupportedTree:")
+
+    @pytest.mark.parametrize("text, line", [
+        ("0 1\n1 2\n0 3\n3 4\n0 5\n5 6\n",
+         "UnsupportedTree: contraction is the 3-leaf star"),
+        (BROOM_TEXT, "UnsupportedTree: contraction has a bunch of size < 3"),
+    ], ids=["two-edge-spider", "broom"])
+    def test_construct_vertex_refusals(self, capsys, tmp_path, text, line):
+        f = tmp_path / "refused.tree"
+        f.write_text(text)
+        assert run(capsys, "construct-vertex", str(f)) == (1, "", line + "\n")
 
     def test_usage_error_exit_2(self, capsys):
         code, _, _ = run(capsys, "frobnicate")

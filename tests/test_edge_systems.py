@@ -194,6 +194,82 @@ def _leafy_tree(seed, min_leaves=3, max_leaves=5):
     return Tree.from_edges(edges)
 
 
+# ---- the reference: the grouped leaf order that the bunch traversal replaced ----
+#
+# A DFS visiting leaf children first lists every leaf; a leaf -> bunch map
+# then cuts that order into runs, one per bunch, which are paired as before.
+
+def _grouped_leaf_order(t, leaves):
+    start = min(leaves)
+    order = []
+    seen = {start}
+    stack = [start]
+    while stack:
+        x = stack.pop()
+        if t.is_leaf(x):
+            order.append(x)
+        fresh = [w for w in t.neighbors(x) if w not in seen]
+        seen.update(fresh)
+        stack.extend(sorted((w for w in fresh if not t.is_leaf(w)), reverse=True))
+        stack.extend(sorted((w for w in fresh if t.is_leaf(w)), reverse=True))
+    return order
+
+
+def reference_bunch_pairs(t):
+    p = profile(t)
+    if t.n == 4 and sorted(map(t.degree, t.vertices)) == [1, 1, 1, 3]:
+        raise PreconditionViolated("the 3-leaf star is excluded")
+    if not p.bunches:
+        raise PreconditionViolated("tree has no bunches")
+    if any(b.size < 2 for b in p.bunches):
+        raise PreconditionViolated("every bunch must contain at least two leaves")
+    bunch_of = {leaf: i for i, b in enumerate(p.bunches) for leaf in b.leaves}
+    groups, last = [], None
+    for leaf in _grouped_leaf_order(t, p.leaves):
+        if bunch_of[leaf] != last:
+            groups.append([])
+            last = bunch_of[leaf]
+        groups[-1].append(leaf)
+    assert len(groups) == len(p.bunches), "bunch leaves not consecutive in leaf order"
+    return es._pair_bunches(t, groups)
+
+
+def _outcome(f, t):
+    try:
+        return f(t)
+    except PreconditionViolated as exc:
+        return type(exc), str(exc)
+
+
+def _relabelled(t, rng):
+    ids = dict(zip(t.vertices, rng.sample(range(3 * t.n), t.n)))
+    return Tree.from_edges([(ids[u], ids[v]) for u, v in t.edges])
+
+
+def _bunch_sweep_trees():
+    """The one-vertex tree, every tree with n = 2..10, random trees and leafy
+    trees with 1-4 or 2-4 leaves per skeleton leaf, each with a relabelled
+    copy and a relabelled copy with one interior edge subdivided."""
+    yield Tree([0], [])
+    for n in range(2, 11):
+        yield from enumerate_trees(n)
+    rng = random.Random(3)
+    for seed in range(100):
+        for t in (random_tree(rng.randint(3, 40), seed),
+                  _leafy_tree(seed, 1, 4), _leafy_tree(seed, 2, 4)):
+            sub, _ = subdivide_edge(t, rng.choice(profile(t).interior_edges or sorted(t.edges)))
+            yield from (t, _relabelled(t, rng), _relabelled(sub, rng))
+
+
+def test_bunch_pairs_match_the_grouped_leaf_order():
+    built = 0
+    for t in _bunch_sweep_trees():
+        want = _outcome(reference_bunch_pairs, t)
+        assert _outcome(es.bunch_pairs, t) == want, t
+        built += isinstance(want, list)
+    assert built > 400  # most sweep trees meet the hypothesis, not just refuse
+
+
 # ---- the reference: the scanning pair search that the heaps replaced ----
 #
 # Every step re-sorts the degree-2 vertices and the useful leaves and tries

@@ -368,8 +368,8 @@ class TestProfile:
         f = tmp_path / "leafy.tree"
         f.write_text(serialize_tree(leafy_tree(132, 0)))
         assert main(["construct-vertex", str(f)]) == 0
-        # the input tree and its bare-path contraction
-        assert len(built) == 2
+        # the input tree only: the contraction's bunches come off one traversal
+        assert len(built) == 1
         assert max(Counter(map(id, built)).values()) == 1
 
 
