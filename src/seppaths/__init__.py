@@ -78,7 +78,14 @@ from .random_graphs import (
     run_experiment,
     separating_set_system,
 )
-from .faults import Diagnosis, ProbeReport, decode, signature_table, simulate_probes
+from .faults import (
+    Diagnosis,
+    ProbeReport,
+    decode,
+    decoder,
+    signature_table,
+    simulate_probes,
+)
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

@@ -15,7 +15,7 @@ import warnings
 from pathlib import Path
 
 from .errors import BadToken, SepPathError
-from .faults import ProbeReport, decode, signature_table
+from .faults import ProbeReport, decoder
 from .oracle import min_separating
 from .random_graphs import (
     ExperimentConfig,
@@ -241,7 +241,7 @@ def cmd_localize(args) -> int:
     t = _load_tree(args.tree)
     fs = parse_paths(t, _read_text(args.paths))
     ts = _TARGETS[args.target](t)
-    table = signature_table(fs, ts)
+    decode = decoder(fs, ts)
     report_bits = args.report.strip().upper()
     if set(report_bits) - {"P", "F"}:
         raise UsageError("--report must contain only 'P' and 'F'")
@@ -250,7 +250,7 @@ def cmd_localize(args) -> int:
             f"--report has {len(report_bits)} outcomes for {fs.size} paths"
         )
     report = ProbeReport(tuple(c == "P" for c in report_bits))
-    diag = decode(table, report)
+    diag = decode(report)
     payload = {
         "diagnosis": diag.kind,
         "element": None if diag.element is None else _element_payload(diag.element),

@@ -4,15 +4,25 @@ A deployed separating-covering system gives every element a distinct,
 nonempty signature (the set of paths through it), so the set of failed
 probes identifies the faulty element exactly; the all-pass report is
 reserved for the healthy state because no signature is empty.
+
+``signature_table`` and ``decode`` work on the exact table.  ``decoder``
+serves many reports of one system: on a tree host whose hash sums certify
+the system (see ``verify``), it sums the words of the failed paths, looks
+the sum up among the element sums and confirms the one candidate with an
+exact ``incidence`` scan, so it never names an element whose signature is
+not exactly the failed set.  When the sums do not certify, it is ``decode``
+over ``signature_table``, with the same errors.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
+from typing import Callable
 
 from . import verify
 from .errors import NotCovering, NotSeparating
-from .verify import Element, PathSystem, TargetSet, host_element, path_contains
+from .verify import Element, PathSystem, TargetSet, host_element, incidence, path_contains
 
 
 def signature_table(fs: PathSystem, ts: TargetSet) -> dict[Element, frozenset[int]]:
@@ -74,3 +84,34 @@ def decode(table: dict[Element, frozenset[int]], report: ProbeReport) -> Diagnos
     if failed in by_signature:
         return Diagnosis(Diagnosis.IDENTIFIED, by_signature[failed], failed)
     return Diagnosis(Diagnosis.INCONSISTENT, None, failed)
+
+
+def decoder(fs: PathSystem, ts: TargetSet) -> Callable[[ProbeReport], Diagnosis]:
+    """A report -> diagnosis function for a deployed system, giving what
+    ``decode(signature_table(fs, ts), report)`` gives.
+
+    On a tree host whose hash sums certify the system (see
+    ``verify.check``), a report is decoded by summing the words of its
+    failed paths, looking the sum up among the element sums and confirming
+    the one candidate with an exact ``incidence`` scan.  Equal path sets
+    give equal sums, so a missed lookup or a failed confirmation means no
+    element has that signature.  Otherwise this is ``decode`` over the
+    exact table, which raises as ``signature_table`` does.
+    """
+    sums = verify._certified_sums(fs, ts)
+    if sums is None:
+        return partial(decode, signature_table(fs, ts))
+    words = verify._path_words(len(fs.paths))
+    owner = dict(zip(sums, ts.elements))
+
+    def by_sums(report: ProbeReport) -> Diagnosis:
+        failed = report.failed
+        if not failed:
+            return Diagnosis(Diagnosis.NO_FAULT, None, failed)
+        # an index past the last path adds nothing; the confirmation rejects it
+        s = owner.get(sum(words[i] for i in failed if i < len(words)))
+        if s is not None and incidence(fs, s) == failed:
+            return Diagnosis(Diagnosis.IDENTIFIED, s, failed)
+        return Diagnosis(Diagnosis.INCONSISTENT, None, failed)
+
+    return by_sums

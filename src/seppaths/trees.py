@@ -225,47 +225,60 @@ def parse_tree(text: str) -> Tree:
     """Parse an edge-list document: one "u v" pair per line, '#' comments.
 
     The vertex set is exactly the set of ids mentioned.  Errors name the
-    first offending line.
+    first offending line.  Each line is checked on its own as it is read;
+    whether the edges form a tree is left to ``Tree``, and only when the
+    document is rejected are the edges read so far searched for the first
+    line that closes a cycle, which is then the error reported.
     """
-    edges: list[Edge] = []
+    pairs: list[tuple[int, int]] = []  # as written, for the cycle message
+    lines: list[int] = []
     seen: set[Edge] = set()
-    parent: dict[int, int] = {}  # union-find for cycle detection
+    try:
+        for lineno, raw in enumerate(text.splitlines(), start=1):
+            parts = raw.split("#", 1)[0].split()
+            if not parts:
+                continue
+            if len(parts) != 2:
+                raise BadToken(f"line {lineno}: expected two vertex ids, got {raw!r}")
+            try:
+                u, v = int(parts[0]), int(parts[1])
+            except ValueError:
+                raise BadToken(f"line {lineno}: non-integer token in {raw!r}") from None
+            if u < 0 or v < 0:
+                raise BadToken(f"line {lineno}: negative vertex id in {raw!r}")
+            if u == v:
+                raise HasCycle(f"line {lineno}: self-loop {u} {v}")
+            e = edge(u, v)
+            if e in seen:
+                raise DuplicateEdge(f"line {lineno}: edge {u} {v} repeated")
+            seen.add(e)
+            pairs.append((u, v))
+            lines.append(lineno)
+        if not pairs:
+            raise BadToken("document contains no edges")
+        return Tree.from_edges(pairs)
+    except (BadToken, DuplicateEdge, HasCycle, NotConnected):
+        _raise_first_cycle(pairs, lines)
+        raise
+
+
+def _raise_first_cycle(pairs: list[tuple[int, int]], lines: list[int]) -> None:
+    """HasCycle naming the first of the vertex pairs, read in order, whose
+    ends a union-find has already joined; nothing when they form a forest."""
+    parent: dict[int, int] = {}
 
     def find(x: int) -> int:
+        parent.setdefault(x, x)
         while parent[x] != x:
             parent[x] = parent[parent[x]]
             x = parent[x]
         return x
 
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
-        if len(parts) != 2:
-            raise BadToken(f"line {lineno}: expected two vertex ids, got {raw!r}")
-        try:
-            u, v = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise BadToken(f"line {lineno}: non-integer token in {raw!r}") from None
-        if u < 0 or v < 0:
-            raise BadToken(f"line {lineno}: negative vertex id in {raw!r}")
-        if u == v:
-            raise HasCycle(f"line {lineno}: self-loop {u} {v}")
-        e = edge(u, v)
-        if e in seen:
-            raise DuplicateEdge(f"line {lineno}: edge {u} {v} repeated")
-        seen.add(e)
-        for x in e:
-            parent.setdefault(x, x)
+    for (u, v), lineno in zip(pairs, lines):
         ru, rv = find(u), find(v)
         if ru == rv:
-            raise HasCycle(f"line {lineno}: edge {u} {v} closes a cycle")
+            raise HasCycle(f"line {lineno}: edge {u} {v} closes a cycle") from None
         parent[ru] = rv
-        edges.append(e)
-    if not edges:
-        raise BadToken("document contains no edges")
-    return Tree.from_edges(edges)
 
 
 def serialize_tree(t: Tree) -> str:
@@ -375,19 +388,11 @@ def _profile(t: Tree) -> TreeProfile:
     )
 
     bare_paths = _bare_paths(t, deg)
-    iset = {
+    set_i = tuple(
         i
         for i, p in enumerate(bare_paths)
-        if p.length >= 2 and not (leafset & {p.vertices[0], p.vertices[-1]})
-    }
-    h2star = len(deg2) - len(iset)
-    # Cross-check against the per-path summation form of the same quantity.
-    by_sum = sum(
-        (p.length - 2) if i in iset else (p.length - 1)
-        for i, p in enumerate(bare_paths)
+        if len(p.vertices) > 2 and p.vertices[0] not in leafset and p.vertices[-1] not in leafset
     )
-    assert h2star == by_sum, "bare-path decomposition is inconsistent"
-
     bunches = _bunches(t, leaves)
     useful = tuple(v for v in leaves if deg[t.neighbors(v)[0]] != 2)
     return TreeProfile(
@@ -397,8 +402,8 @@ def _profile(t: Tree) -> TreeProfile:
         deg2=deg2,
         interior_edges=interior,
         bare_paths=bare_paths,
-        set_i=tuple(sorted(iset)),
-        h2star=h2star,
+        set_i=set_i,
+        h2star=len(deg2) - len(set_i),
         bunches=bunches,
         useful_leaves=useful,
     )

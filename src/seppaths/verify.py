@@ -14,9 +14,15 @@ walking any path.  Equal path sets give equal sums and the empty set sums
 to zero, so distinct nonzero sums prove the verdict exactly.  When the sums
 do not certify (a collision, a zero, or a family that really fails), the
 verdict and its witness come from the exact table, so a hash can never
-accept a failing family.  Graph hosts always use the exact table.
-Membership tests (``path_contains``, ``kisses``) scan the path's own vertex
-sequence.
+accept a failing family.  Graph hosts always use the exact table.  The
+same certified sums let ``faults.decoder`` decode probe reports without the
+table.  Membership tests (``path_contains``, ``kisses``) scan the path's own
+vertex sequence.
+
+A ``PathSystem`` on a tree host validates each path with one subset test of
+its steps against the host's edges in both orientations (a length-0 path
+only needs its vertex in the host); a path that fails is walked vertex by
+vertex, then step by step, to name its first fault.
 """
 
 from __future__ import annotations
@@ -112,7 +118,18 @@ class PathSystem:
         return fs
 
     def __post_init__(self) -> None:
+        host = self.host
+        arcs = None
+        if isinstance(host, Tree):  # every host edge, in both orientations
+            arcs = set(host.edges)
+            arcs.update([(v, u) for u, v in host.edges])
         for p in self.paths:
+            vs = p.vertices
+            if arcs is not None and (
+                arcs.issuperset(zip(vs, vs[1:])) if len(vs) > 1 else host.has_vertex(vs[0])
+            ):
+                continue
+            # a failing path: find its first bad vertex, then its first bad step
             for v in p.vertices:
                 if not self.host.has_vertex(v):
                     raise InvalidPath(f"path {p} uses unknown vertex {v}")
@@ -279,15 +296,20 @@ def _tree_hashes(fs: PathSystem, ts: TargetSet) -> list[int]:
     return hashes
 
 
-def _hashes_certify(fs: PathSystem, ts: TargetSet, separation: bool, covering: bool) -> bool:
-    """Whether the tree hash sweep proves the asked-for properties: pairwise
-    distinct sums prove separation, nonzero sums covering.  False on graph
-    hosts and whenever the sums do not settle it."""
+def _certified_sums(
+    fs: PathSystem, ts: TargetSet, separation: bool = True, covering: bool = True
+) -> list[int] | None:
+    """The tree hash sums of the target elements, in ``ts.elements`` order,
+    when they prove the asked-for properties: pairwise distinct sums prove
+    separation, nonzero sums covering.  None on graph hosts and whenever the
+    sums do not settle it."""
     if not isinstance(fs.host, Tree):
-        return False
+        return None
     hashes = _tree_hashes(fs, ts)
     seen = set(hashes)
-    return (not separation or len(seen) == len(hashes)) and (not covering or 0 not in seen)
+    if (separation and len(seen) != len(hashes)) or (covering and 0 in seen):
+        return None
+    return hashes
 
 
 def _separation(sig: dict[Element, frozenset[int]], ts: TargetSet) -> Verdict:
@@ -315,14 +337,14 @@ def separates(fs: PathSystem, ts: TargetSet) -> Verdict:
     i.e. the least element with a non-unique signature and the next element
     sharing its signature.
     """
-    if _hashes_certify(fs, ts, separation=True, covering=False):
+    if _certified_sums(fs, ts, covering=False) is not None:
         return Verdict(True, "Separates")
     return _separation(signatures(fs, ts), ts)
 
 
 def covers(fs: PathSystem, ts: TargetSet) -> Verdict:
     """Covers, or NotCovered(s) with the first element of empty signature."""
-    if _hashes_certify(fs, ts, separation=False, covering=True):
+    if _certified_sums(fs, ts, separation=False) is not None:
         return Verdict(True, "Covers")
     return _covering(signatures(fs, ts), ts)
 
@@ -345,7 +367,7 @@ def check(fs: PathSystem, ts: TargetSet) -> Verdict:
     A failure is reported as ``separates`` or ``covers`` would report it,
     separation first.
     """
-    if _hashes_certify(fs, ts, separation=True, covering=True):
+    if _certified_sums(fs, ts) is not None:
         return Verdict(True, "SeparatesAndCovers")
     return check_signatures(signatures(fs, ts), ts)
 
@@ -366,7 +388,7 @@ def parse_paths(host, text: str) -> PathSystem:
         if not line:
             continue
         try:
-            seq = tuple(int(tok) for tok in line.split())
+            seq = tuple(map(int, line.split()))
         except ValueError:
             raise BadToken(f"line {lineno}: non-integer token in {raw!r}") from None
         try:

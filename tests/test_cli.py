@@ -194,6 +194,19 @@ class TestLocalize:
         assert code == 2
 
 
+    @pytest.mark.parametrize("report", ["PX", "P"])
+    def test_non_separating_system_fails_before_the_report_is_read(
+        self, capsys, tmp_path, p4_file, report
+    ):
+        paths = tmp_path / "one.paths"
+        paths.write_text("0 1 2 3\n")
+        code, out, err = run(
+            capsys, "localize", p4_file, str(paths), "--target", "vertices", "--report", report
+        )
+        assert code == 1 and out == ""
+        assert err == "NotSeparating: NotSeparated(0,1)\n"
+
+
 class TestRandomExp:
     def test_json_schema(self, capsys):
         code, out, _ = run(

@@ -1,5 +1,10 @@
 """Signature tables, probe simulation, and decoding."""
 
+import itertools
+import warnings
+from collections import Counter
+from functools import partial
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,6 +14,7 @@ from seppaths import (
     ProbeReport,
     TargetSet,
     decode,
+    decoder,
     edge_system,
     incidence,
     make_system,
@@ -16,7 +22,9 @@ from seppaths import (
     simulate_probes,
     vertex_system,
 )
-from seppaths.errors import NotCovering, NotSeparating, UnknownElement
+from seppaths import verify
+from seppaths.errors import NotCovering, NotSeparating, UnknownElement, UnsupportedTree
+from seppaths.oracle import enumerate_trees, min_separating
 
 
 @pytest.fixture
@@ -103,6 +111,108 @@ class TestDecode:
         fs = edge_system(depth2)
         table = signature_table(fs, TargetSet.edges(depth2))
         diag = decode(table, ProbeReport(outcomes))
+        if diag.kind == Diagnosis.IDENTIFIED:
+            assert table[diag.element] == diag.failed
+        elif diag.kind == Diagnosis.NO_FAULT:
+            assert not diag.failed
+        else:
+            assert diag.failed not in set(table.values())
+
+
+def _deployments(t):
+    """An edge system and a vertex system of t: the vertex construction
+    where it applies, the exact oracle's family elsewhere."""
+    vts = TargetSet.vertices(t)
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            vfs = vertex_system(t)
+    except UnsupportedTree:
+        vfs = min_separating(t, vts).system
+    return [(edge_system(t), TargetSet.edges(t)), (vfs, vts)]
+
+
+def _fault_reports(fs, table):
+    """The all-pass report, every single fault and every pair of faults."""
+    signatures = list(table.values())
+    failed_sets = [frozenset(), *signatures]
+    failed_sets += [a | b for a, b in itertools.combinations(signatures, 2)]
+    return [ProbeReport(tuple(i not in f for i in range(fs.size))) for f in failed_sets]
+
+
+class TestDecoder:
+    def test_matches_the_table_on_every_small_tree(self):
+        kinds = Counter()
+        for n in range(2, 10):
+            for t in enumerate_trees(n):
+                for fs, ts in _deployments(t):
+                    table = signature_table(fs, ts)
+                    owner = {sig: s for s, sig in table.items()}
+                    decode_report = decoder(fs, ts)
+                    kinds["by sums"] += not isinstance(decode_report, partial)
+                    for report in _fault_reports(fs, table):
+                        diag = decode_report(report)
+                        assert diag == decode(table, report), (t, ts.kind, report)
+                        kinds[diag.kind] += 1
+                    for a, b in itertools.combinations(ts.elements, 2):
+                        third = owner.get(table[a] | table[b])
+                        if third is not None and third not in (a, b):
+                            kinds["pair equals a third"] += 1
+        assert kinds[Diagnosis.INCONSISTENT] and kinds[Diagnosis.NO_FAULT]
+        assert kinds["pair equals a third"] > 0 and kinds["by sums"] > 100
+
+    def test_pair_equal_to_a_third_signature_is_that_element(self, p3):
+        # the two edges of P3 fail together exactly when vertex 1 does
+        fs = make_system(p3, [(0, 1), (1, 2), (0, 1, 2)])
+        ts = TargetSet.custom(p3, [1, (0, 1), (1, 2)])
+        report = ProbeReport((False, False, False))
+        diag = decoder(fs, ts)(report)
+        assert diag == decode(signature_table(fs, ts), report)
+        assert diag.kind == Diagnosis.IDENTIFIED and diag.element == 1
+
+    def test_reports_past_the_last_path_match_the_table(self, p3_table):
+        fs, table = p3_table
+        decode_report = decoder(fs, TargetSet.edges(fs.host))
+        for outcomes in itertools.product((True, False), repeat=3):
+            report = ProbeReport(outcomes)
+            assert decode_report(report) == decode(table, report)
+
+    def test_colliding_sums_take_the_table_route(self, monkeypatch, depth2):
+        monkeypatch.setattr(verify, "_path_words", lambda m: [1] * m)
+        for fs, ts in _deployments(depth2):
+            table = signature_table(fs, ts)
+            decode_report = decoder(fs, ts)
+            assert isinstance(decode_report, partial) and decode_report.func is decode
+            for report in _fault_reports(fs, table):
+                assert decode_report(report) == decode(table, report)
+
+    @pytest.mark.parametrize("collide", [False, True])
+    def test_failing_systems_raise_like_the_table(self, monkeypatch, p4, collide):
+        if collide:
+            monkeypatch.setattr(verify, "_path_words", lambda m: [1] * m)
+        cases = [
+            (make_system(p4, [(0, 1, 2, 3)]), NotSeparating, "NotSeparated(0,1)"),
+            (make_system(p4, [(0, 1), (1, 2)]), NotCovering, "NotCovered(3)"),
+        ]
+        for fs, error, message in cases:
+            ts = TargetSet.vertices(p4)
+            with pytest.raises(error) as from_table:
+                signature_table(fs, ts)
+            with pytest.raises(error) as from_decoder:
+                decoder(fs, ts)
+            assert str(from_decoder.value) == str(from_table.value) == message
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.tuples(*[st.booleans()] * 4))
+    def test_never_identifies_without_exact_signature(self, outcomes):
+        from seppaths import parse_tree
+        from conftest import DEPTH2_TEXT
+
+        depth2 = parse_tree(DEPTH2_TEXT)
+        fs = edge_system(depth2)
+        ts = TargetSet.edges(depth2)
+        table = signature_table(fs, ts)
+        diag = decoder(fs, ts)(ProbeReport(outcomes))
         if diag.kind == Diagnosis.IDENTIFIED:
             assert table[diag.element] == diag.failed
         elif diag.kind == Diagnosis.NO_FAULT:

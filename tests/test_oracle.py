@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from seppaths import TargetSet, Tree, canonical_form, covers, random_tree, separates
+from seppaths import PathInTree, TargetSet, Tree, canonical_form, covers, random_tree, separates
 from seppaths.edge_systems import DEPTH2_BINARY
 from seppaths.errors import Infeasible, Timeout, TooLarge
 from seppaths.oracle import (
@@ -279,6 +279,26 @@ class TestPruning:
         assert min_separating(star, TargetSet.vertices(star)).nodes_expanded <= 100
         t = path_tree(10)
         assert min_separating(t, TargetSet.vertices(t)).nodes_expanded <= 250000
+
+    @pytest.mark.parametrize("n, edge_targets, prefix, left, ends", [
+        # vertex targets on 0-...-5 after the path 0-1-2: leaf 5 needs an
+        # end, and so does each of the lone pairs {1, 2} and {3, 4}, which
+        # share a signature; {2, 3} is already split
+        (6, [], (0, 1, 2), 3, 3),
+        # vertex targets and the edge (3, 4) on 0-...-7 after 2-3-4-5: the
+        # uncovered leaves 0 and 7 need an end each, and 3 and 4 each share
+        # a signature with (3, 4) and so need a path ending there; the lone
+        # pairs {1, 2} and {5, 6} are split
+        (8, [(3, 4)], (2, 3, 4, 5), 4, 4),
+    ])
+    def test_lone_pairs_count_one_end_each_on_a_hand_built_prefix(
+        self, n, edge_targets, prefix, left, ends
+    ):
+        t = path_tree(n)
+        ts = TargetSet.custom(t, [*t.vertices, *edge_targets])
+        search = _Search(t, ts, True, None)
+        groups, uncovered = _state(ts, [PathInTree(prefix)], True)
+        assert search.required_ends(groups, uncovered, left=left) == ends
 
     def test_edge_targets_expand_few_nodes(self):
         # without the path-end bound the search expanded 139381 nodes here

@@ -787,3 +787,123 @@ def test_path_of_rejects_repeats():
 def test_random_tree_is_deterministic():
     assert random_tree(12, 7).edges == random_tree(12, 7).edges
     assert random_tree(12, 7).edges != random_tree(12, 8).edges
+
+
+def union_find_parse_error(text: str):
+    """(error type, message) of a document as the line-by-line union-find
+    parser reported it, or None when that parser accepted the document."""
+    seen, edges, parent = set(), [], {}
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    try:
+        for lineno, raw in enumerate(text.splitlines(), start=1):
+            line = raw.split("#", 1)[0].strip()
+            if not line:
+                continue
+            parts = line.split()
+            if len(parts) != 2:
+                raise BadToken(f"line {lineno}: expected two vertex ids, got {raw!r}")
+            try:
+                u, v = int(parts[0]), int(parts[1])
+            except ValueError:
+                raise BadToken(f"line {lineno}: non-integer token in {raw!r}") from None
+            if u < 0 or v < 0:
+                raise BadToken(f"line {lineno}: negative vertex id in {raw!r}")
+            if u == v:
+                raise HasCycle(f"line {lineno}: self-loop {u} {v}")
+            e = (min(u, v), max(u, v))
+            if e in seen:
+                raise DuplicateEdge(f"line {lineno}: edge {u} {v} repeated")
+            seen.add(e)
+            parent.setdefault(u, u)
+            parent.setdefault(v, v)
+            ru, rv = find(u), find(v)
+            if ru == rv:
+                raise HasCycle(f"line {lineno}: edge {u} {v} closes a cycle")
+            parent[ru] = rv
+            edges.append(e)
+        if not edges:
+            raise BadToken("document contains no edges")
+        Tree.from_edges(edges)
+    except (BadToken, DuplicateEdge, HasCycle, NotConnected) as exc:
+        return type(exc), str(exc)
+    return None
+
+
+class TestParseErrorOrder:
+    """A cycle is reported at the line that closes it, whatever error a
+    later line or the whole document would raise."""
+
+    @pytest.mark.parametrize("later, error", [
+        ("1 0", DuplicateEdge),
+        ("1 x", BadToken),
+        ("3 -4", BadToken),
+        ("4 4", HasCycle),
+        ("1 2 3", BadToken),
+        ("7 8", NotConnected),
+    ])
+    def test_cycle_line_beats_a_later_error(self, later, error):
+        rest = "0 1\n1 2\n"
+        assert union_find_parse_error(rest + later + "\n")[0] is error
+        with pytest.raises(HasCycle) as info:
+            parse_tree(rest + "2 0  # back to the start\n" + later + "\n")
+        assert str(info.value) == "line 3: edge 2 0 closes a cycle"
+
+    def test_first_of_two_cycles_is_named(self):
+        with pytest.raises(HasCycle) as info:
+            parse_tree("0 1\n2 3\n1 2\n3 0\n1 3\n")
+        assert str(info.value) == "line 4: edge 3 0 closes a cycle"
+
+    def test_forest_keeps_its_not_connected_message(self):
+        with pytest.raises(NotConnected) as info:
+            parse_tree("0 1\n2 3\n3 4\n")
+        assert str(info.value) == "5 vertices need 4 edges, got 3"
+
+    def test_errors_before_the_cycle_stand(self):
+        with pytest.raises(DuplicateEdge, match="line 2"):
+            parse_tree("0 1\n1 0\n1 2\n2 0\n")
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.lists(
+        st.one_of(
+            st.tuples(st.integers(0, 6), st.integers(0, 6)).map(lambda e: f"{e[0]} {e[1]}"),
+            st.sampled_from(["", "# note", "0 -1", "x 1", "1", "0 1 2", "2 3  # tail"]),
+        ),
+        max_size=10,
+    ))
+    def test_same_outcome_as_the_union_find_parser(self, lines):
+        text = "\n".join(lines)
+        expected = union_find_parse_error(text)
+        if expected is None:
+            assert serialize_tree(parse_tree(text)) == serialize_tree(
+                Tree.from_edges(tuple(map(int, ln.split("#")[0].split())) for ln in lines
+                                if ln.split("#")[0].strip())
+            )
+        else:
+            with pytest.raises(expected[0]) as info:
+                parse_tree(text)
+            assert str(info.value) == expected[1]
+
+
+def test_h2star_equals_the_per_bare_path_sum():
+    # a bare path with no leaf and at least two edges contributes its
+    # interior less one, every other bare path its whole interior
+    def by_sum(t):
+        p = profile(t)
+        iset = set(p.set_i)
+        return sum(bp.length - (2 if i in iset else 1) for i, bp in enumerate(p.bare_paths))
+
+    trees = [t for n in range(2, 11) for t in enumerate_trees(n)]
+    trees += [random_tree(2 + 53 * seed, seed) for seed in range(8)]
+    trees += [leafy_tree(5 + 40 * seed, seed) for seed in range(8)]
+    for t in trees:
+        p = profile(t)
+        assert p.h2star == by_sum(t) == p.h2 - len(p.set_i), t
+        assert list(p.set_i) == sorted(
+            i for i, bp in enumerate(p.bare_paths)
+            if bp.length >= 2 and not set(bp.endpoints) & set(p.leaves)
+        ), t

@@ -431,3 +431,56 @@ class TestTextFormat:
         fs = parse_paths(p4, "0 1\n1 0\n")
         assert fs.lint() == ["path 1 duplicates path 0"]
         assert not parse_paths(p4, "0 1\n1 2\n").lint()
+
+
+def _step_by_step_error(host, paths):
+    """The message of the first InvalidPath the per-vertex, then per-step
+    validation raises, or None."""
+    for p in paths:
+        for v in p.vertices:
+            if not host.has_vertex(v):
+                return f"path {p} uses unknown vertex {v}"
+        for u, v in zip(p.vertices, p.vertices[1:]):
+            if not host.has_edge(u, v):
+                return f"path {p}: {u} and {v} are not adjacent"
+    return None
+
+
+class TestPathValidation:
+    def test_unknown_vertex_is_named_before_a_bad_step(self, p4):
+        # the second path steps 0 -> 2 (not adjacent) before reaching 9
+        with pytest.raises(InvalidPath) as info:
+            parse_paths(p4, "0 1 2\n0 2 9\n")
+        assert str(info.value) == "path 0-2-9 uses unknown vertex 9"
+
+    def test_first_failing_path_is_named(self, p4):
+        with pytest.raises(InvalidPath) as info:
+            parse_paths(p4, "3 2\n1 3\n7\n")
+        assert str(info.value) == "path 1-3: 1 and 3 are not adjacent"
+
+    def test_length_zero_path_on_an_unknown_vertex(self, p4):
+        assert [p.vertices for p in parse_paths(p4, "2\n").paths] == [(2,)]
+        with pytest.raises(InvalidPath) as info:
+            parse_paths(p4, "0 1\n7\n")
+        assert str(info.value) == "path 7 uses unknown vertex 7"
+
+    def test_one_vertex_tree(self):
+        t = Tree([5], [])
+        assert PathSystem(t, (path_of(5),)).paths == (path_of(5),)
+        with pytest.raises(InvalidPath, match="unknown vertex 4"):
+            PathSystem(t, (path_of(4),))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(2, 12), st.integers(0, 2**32), st.data())
+    def test_same_first_error_as_step_by_step(self, n, seed, data):
+        t = random_tree(n, seed)
+        vertex = st.integers(0, n + 1)  # n and n + 1 are not in the tree
+        walks = st.lists(vertex, min_size=1, max_size=5, unique=True)
+        paths = [path_of(*vs) for vs in data.draw(st.lists(walks, max_size=4))]
+        expected = _step_by_step_error(t, paths)
+        if expected is None:
+            assert PathSystem(t, tuple(paths)).paths == tuple(paths)
+        else:
+            with pytest.raises(InvalidPath) as info:
+                PathSystem(t, tuple(paths))
+            assert str(info.value) == expected
