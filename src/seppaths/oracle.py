@@ -20,6 +20,8 @@ from .verify import PathSystem, TargetSet, check, separates
 
 MAX_N = 12
 GRAPH_PATH_CAP = 20000
+# The refuted-state table is emptied when it grows past this many entries.
+REFUTED_CAP = 1 << 17
 
 
 def enumerate_paths(t: Tree, include_trivial: bool) -> tuple[PathInTree, ...]:
@@ -77,7 +79,10 @@ class _Search:
     (bitmasks); a family works when every group is a singleton and, in cover
     mode, no element is left unhit.  A node is pruned when the paths left
     cannot split its largest group (log2 of its size) or cannot supply the
-    path ends its state forces (``required_ends``).
+    path ends its state forces (``required_ends``), or when ``refuted``
+    already holds its state with at least as many paths left.  A child that
+    fails the log2 test, and every child of a node with one path left, is
+    counted and decided in its parent's loop.
     """
 
     def __init__(
@@ -143,6 +148,9 @@ class _Search:
             1 << eidx[u] | 1 << eidx[w] for u, w in sorted(host.edges) if u in lone and w in lone
         )
         self.require_cover = require_cover
+        # (start, sorted groups, uncovered) -> the most paths left with which
+        # the search found no completion of that state; kept across k
+        self.refuted: dict[tuple[int, tuple[int, ...], int], int] = {}
         self.nodes = 0
         self.deadline = None if budget_ms is None else time.monotonic() + budget_ms / 1000.0
         self.budget_ms = budget_ms
@@ -193,20 +201,27 @@ class _Search:
                     break
         return ends
 
+    def _count_node(self) -> None:
+        """Count one search node; every 1024th checks the budget."""
+        self.nodes += 1
+        if self.deadline is not None and self.nodes % 1024 == 0:
+            if time.monotonic() > self.deadline:
+                raise Timeout(f"budget {self.budget_ms} ms exhausted")
+
     def at_most(self, k: int) -> list[int] | None:
         """Indices of a family of size <= k, or None if none exists."""
         full = (1 << self.m) - 1
         chosen: list[int] = []
         masks = self.masks
+        ncands = len(masks)
         suffix = self.suffix_union
         cover = self.require_cover
         required_ends = self.required_ends
+        count_node = self._count_node
+        refuted = self.refuted
 
         def rec(start: int, groups: tuple[int, ...], uncovered: int, left: int) -> bool:
-            self.nodes += 1
-            if self.deadline is not None and self.nodes % 1024 == 0:
-                if time.monotonic() > self.deadline:
-                    raise Timeout(f"budget {self.budget_ms} ms exhausted")
+            count_node()
             if not groups and not uncovered:
                 return True
             need = _ceil_log2(max(map(int.bit_count, groups), default=0))
@@ -216,7 +231,30 @@ class _Search:
                 return False
             if required_ends(groups, uncovered, left) > 2 * left:
                 return False
-            for i in range(start, len(masks)):
+            if left == 1:
+                # every group is a pair: a child works iff its path splits
+                # every pair and hits every uncovered element
+                for i in range(start, ncands):
+                    mask = masks[i]
+                    hit = uncovered & mask
+                    split = 0
+                    for g in groups:
+                        a = g & mask
+                        if a and a != g:
+                            split += 1
+                    if not split and not hit:
+                        continue
+                    count_node()
+                    if split == len(groups) and hit == uncovered:
+                        chosen.append(i)
+                        return True
+                return False
+            key = (start, tuple(sorted(groups)), uncovered)
+            if refuted.get(key, 0) >= left:
+                return False
+            # a child with a group larger than this fails its log2 test
+            widest = 1 << (left - 1)
+            for i in range(start, ncands):
                 mask = masks[i]
                 new_groups = []
                 changed = False
@@ -234,10 +272,16 @@ class _Search:
                 new_uncovered = uncovered & ~mask
                 if not changed and new_uncovered == uncovered:
                     continue  # resolves nothing new; a smaller family exists without it
+                if max(map(int.bit_count, new_groups), default=0) > widest:
+                    count_node()
+                    continue
                 chosen.append(i)
                 if rec(i + 1, tuple(new_groups), new_uncovered, left - 1):
                     return True
                 chosen.pop()
+            if len(refuted) >= REFUTED_CAP:
+                refuted.clear()
+            refuted[key] = left
             return False
 
         init_groups = (full,) if self.m > 1 else ()

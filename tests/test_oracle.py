@@ -1,12 +1,14 @@
 """The exact solver and the unlabeled tree enumerator."""
 
 import hashlib
+import itertools
 import math
 import random
 
 import pytest
 
 from seppaths import PathInTree, TargetSet, Tree, canonical_form, covers, random_tree, separates
+from seppaths import oracle
 from seppaths.edge_systems import DEPTH2_BINARY
 from seppaths.errors import Infeasible, Timeout, TooLarge
 from seppaths.oracle import (
@@ -148,6 +150,16 @@ def _state(ts, paths, cover):
     return groups, classes.get(frozenset(), 0) if cover else 0
 
 
+def _completes(groups, uncovered, family):
+    """Whether adding the path masks in family to a search state splits every
+    group into singletons and hits every uncovered element."""
+    parts = list(groups)
+    for mask in family:
+        uncovered &= ~mask
+        parts = [q for p in parts for q in (p & mask, p & ~mask) if q]
+    return not uncovered and all(not p & (p - 1) for p in parts)
+
+
 # sha256 of (size, path vertex sequences) of min_separating over
 # enumerate_trees(2..7) x three targets x cover on/off x include_trivial
 # None/True, recorded at commit 0352b0c, before the path-end bound; pruning
@@ -178,11 +190,11 @@ class TestPruning:
         assert h.hexdigest() == ORACLE_DIGEST
 
     def test_root_bound_never_exceeds_the_optimum(self):
-        # v-and-interior targets stop at n = 7: at n = 9 their solves take
-        # about a minute
+        # v-and-interior targets stop at n = 8: at n = 9 their solves take
+        # about 35 s
         for n in range(2, 10):
             for t in enumerate_trees(n):
-                for ts in _targets(t)[: 3 if n <= 7 else 2]:
+                for ts in _targets(t)[: 3 if n <= 8 else 2]:
                     search = _Search(t, ts, True, None)
                     ends = search.required_ends(*_state(ts, (), True))
                     assert (ends + 1) // 2 <= min_separating(t, ts).size, (t, ts.kind)
@@ -280,6 +292,11 @@ class TestPruning:
         t = path_tree(10)
         assert min_separating(t, TargetSet.vertices(t)).nodes_expanded <= 250000
 
+    def test_refuted_state_table_cuts_v_and_interior_refutations(self):
+        # before the table this took 113610 nodes
+        t = enumerate_trees(8)[9]
+        assert min_separating(t, TargetSet.vertices_and_interior_edges(t)).nodes_expanded <= 70000
+
     @pytest.mark.parametrize("n, edge_targets, prefix, left, ends", [
         # vertex targets on 0-...-5 after the path 0-1-2: leaf 5 needs an
         # end, and so does each of the lone pairs {1, 2} and {3, 4}, which
@@ -304,6 +321,51 @@ class TestPruning:
         # without the path-end bound the search expanded 139381 nodes here
         t = random_tree(12, 1)
         assert min_separating(t, TargetSet.edges(t)).nodes_expanded <= 1000
+
+
+class TestRefutedStates:
+    def test_every_entry_has_no_completion(self):
+        # a refuted entry claims that no left candidates from masks[start:]
+        # complete its state; check each claim against every such set
+        checked = 0
+        for n in range(2, 7):
+            for t in enumerate_trees(n):
+                for ts in _targets(t):
+                    search = _Search(t, ts, True, None)
+                    k = search.floor()
+                    while search.at_most(k) is None:
+                        k += 1
+                    assert k == min_separating(t, ts).size
+                    for (start, groups, uncovered), left in search.refuted.items():
+                        rest = search.masks[start:]
+                        for size in range(left + 1):
+                            for family in itertools.combinations(rest, size):
+                                assert not _completes(groups, uncovered, family), (
+                                    t.edges, ts.kind, start, size
+                                )
+                        checked += 1
+        assert checked > 500
+
+    def test_clearing_the_table_leaves_every_result(self, monkeypatch):
+        cases = [(t, ts) for n in range(2, 8) for t in enumerate_trees(n) for ts in _targets(t)]
+
+        def solve():
+            out, largest = [], 0
+            for t, ts in cases:
+                search = _Search(t, ts, True, None)
+                k = search.floor()
+                while (picked := search.at_most(k)) is None:
+                    k += 1
+                largest = max(largest, len(search.refuted))
+                out.append((k, [search.cands[i].vertices for i in picked]))
+            return out, largest
+
+        unpatched, largest = solve()
+        assert largest > 4
+        monkeypatch.setattr(oracle, "REFUTED_CAP", 4)
+        patched, largest = solve()
+        assert largest <= 4
+        assert patched == unpatched
 
 
 class TestGraphOracle:

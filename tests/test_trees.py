@@ -336,7 +336,7 @@ class TestProfile:
     @settings(max_examples=60, deadline=None)
     @given(random_trees)
     def test_h2star_between_0_and_h2(self, t):
-        p = profile(t)  # profile itself asserts the two h2* formulas agree
+        p = profile(t)  # test_h2star_equals_the_per_bare_path_sum checks the formula
         assert 0 <= p.h2star <= p.h2
 
     def test_bunches_match_the_union_find_reference(self):
