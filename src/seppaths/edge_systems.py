@@ -15,8 +15,9 @@ vertices and of the candidate leaves, with lazy deletion: reductions only
 lower degrees and only shrink the degree-2 set, so the lexicographically
 least pair is always within a few heap entries, and the whole search is
 O(n log n).  Each public function checks its result once, through the
-verifier, before returning; a failed check raises
-InternalClassificationError instead of handing back an unverified family.
+verifier's door ``verify.built_system``, before returning; a failed check
+raises InternalClassificationError instead of handing back an unverified
+family.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from .trees import (
     subdivide_edge,
     unique_path,
 )
-from .verify import PathSystem, TargetSet, check
+from .verify import PathSystem, TargetSet, built_system
 
 Pair = tuple[int, int]
 
@@ -107,15 +108,10 @@ def edge_target_size(t: Tree) -> int:
     return edge_formula(p.h1, p.h2)
 
 
-def _verified(t: Tree, pairs, label: str, ts: TargetSet, *more: TargetSet) -> PathSystem:
+def _verified(t: Tree, pairs, label: str, *targets: TargetSet) -> PathSystem:
     """The tree paths between the given end pairs, checked to separate and
     cover each of the given target sets."""
-    fs = PathSystem._trusted(t, tuple(unique_path(t, a, b) for a, b in pairs))
-    for target in (ts, *more):
-        verdict = check(fs, target)
-        if not verdict:
-            raise InternalClassificationError(f"{label}: {verdict}")
-    return fs
+    return built_system(t, (unique_path(t, a, b) for a, b in pairs), label, *targets)
 
 
 # ---- the three leaf-order constructions ----

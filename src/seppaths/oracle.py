@@ -14,9 +14,9 @@ import time
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import Infeasible, InternalClassificationError, Timeout, TooLarge
+from .errors import Infeasible, Timeout, TooLarge
 from .trees import PathInTree, Tree, edge, unique_path
-from .verify import PathSystem, TargetSet, check, separates
+from .verify import PathSystem, TargetSet, built_system
 
 MAX_N = 12
 GRAPH_PATH_CAP = 20000
@@ -80,9 +80,9 @@ class _Search:
     mode, no element is left unhit.  A node is pruned when the paths left
     cannot split its largest group (log2 of its size) or cannot supply the
     path ends its state forces (``required_ends``), or when ``refuted``
-    already holds its state with at least as many paths left.  A child that
-    fails the log2 test, and every child of a node with one path left, is
-    counted and decided in its parent's loop.
+    already holds its state with at least as many paths left.  The log2 test
+    is decided at the root before the search and, for a child, in its
+    parent's loop, as is every child of a node with one path left.
     """
 
     def __init__(
@@ -224,9 +224,6 @@ class _Search:
             count_node()
             if not groups and not uncovered:
                 return True
-            need = _ceil_log2(max(map(int.bit_count, groups), default=0))
-            if need > left or left == 0:
-                return False
             if uncovered & ~suffix[start]:
                 return False
             if required_ends(groups, uncovered, left) > 2 * left:
@@ -288,6 +285,8 @@ class _Search:
         init_uncovered = full if cover else 0
         if not init_groups and not init_uncovered:
             return []
+        if k < max(_ceil_log2(self.m), 1):
+            return None  # the root fails the log2 test, or has no path left
         return chosen if rec(0, init_groups, init_uncovered, k) else None
 
 
@@ -322,10 +321,10 @@ def min_separating(
         except Timeout as exc:
             raise Timeout(f"{exc}; no family of size < {k} exists", lower_bound=k) from None
         if picked is not None:
-            system = PathSystem._trusted(host, tuple(search.cands[i] for i in picked))
-            verdict = (check if require_cover else separates)(system, ts)
-            if not verdict:
-                raise InternalClassificationError(f"oracle family fails: {verdict}")
+            system = built_system(
+                host, (search.cands[i] for i in picked), "oracle family fails", ts,
+                cover=require_cover,
+            )
             return OracleResult(len(picked), system, search.nodes, time.monotonic() - started)
     raise Infeasible("no family over the candidate paths separates the target")
 

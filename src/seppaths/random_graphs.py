@@ -11,9 +11,9 @@ from itertools import compress, filterfalse, repeat
 from struct import unpack_from
 from typing import Iterable, Sequence
 
-from .errors import HasCycle, InternalClassificationError, UnknownVertex
+from .errors import HasCycle, UnknownVertex
 from .trees import Edge, PathInTree, edge
-from .verify import PathSystem, TargetSet, check
+from .verify import PathSystem, TargetSet, built_system
 
 
 class Graph:
@@ -367,11 +367,7 @@ def random_vertex_system(g: Graph, seed: int) -> PathSystem | None:
         if found is None:
             return None
         paths.append(found)
-    fs = PathSystem._trusted(g, tuple(paths))
-    verdict = check(fs, TargetSet.vertices(g))
-    if not verdict:
-        raise InternalClassificationError(f"random_vertex_system: {verdict}")
-    return fs
+    return built_system(g, paths, "random_vertex_system", TargetSet.vertices(g))
 
 
 # ---- seeded experiment harness ----

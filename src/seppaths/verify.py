@@ -22,7 +22,8 @@ vertex sequence.
 A ``PathSystem`` on a tree host validates each path with one subset test of
 its steps against the host's edges in both orientations (a length-0 path
 only needs its vertex in the host); a path that fails is walked vertex by
-vertex, then step by step, to name its first fault.
+vertex, then step by step, to name its first fault.  The package's own
+families skip that walk only through ``built_system``, which checks them.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-from .errors import BadToken, InvalidPath, UnknownElement
+from .errors import BadToken, InternalClassificationError, InvalidPath, UnknownElement
 from .trees import Edge, PathInTree, Tree, edge
 
 Element = int | Edge
@@ -107,15 +108,6 @@ class PathSystem:
 
     host: object
     paths: tuple[PathInTree, ...]
-
-    @classmethod
-    def _trusted(cls, host, paths: tuple[PathInTree, ...]) -> "PathSystem":
-        """A system of paths the package built itself on this host (say by
-        ``unique_path``), without re-checking every step of every path."""
-        fs = object.__new__(cls)
-        object.__setattr__(fs, "host", host)
-        object.__setattr__(fs, "paths", paths)
-        return fs
 
     def __post_init__(self) -> None:
         host = self.host
@@ -370,6 +362,25 @@ def check(fs: PathSystem, ts: TargetSet) -> Verdict:
     if _certified_sums(fs, ts) is not None:
         return Verdict(True, "SeparatesAndCovers")
     return check_signatures(signatures(fs, ts), ts)
+
+
+def built_system(
+    host, paths: Iterable[PathInTree], label: str, *targets: TargetSet, cover: bool = True
+) -> PathSystem:
+    """A family the package built itself on this host (say by
+    ``unique_path``), made without re-checking every step of every path and
+    returned only once ``check`` (``separates`` when ``cover`` is False)
+    passes it against each target.  The first failure raises
+    InternalClassificationError("<label>: <verdict>")."""
+    fs = object.__new__(PathSystem)
+    object.__setattr__(fs, "host", host)
+    object.__setattr__(fs, "paths", tuple(paths))
+    test = check if cover else separates
+    for target in targets:
+        verdict = test(fs, target)
+        if not verdict:
+            raise InternalClassificationError(f"{label}: {verdict}")
+    return fs
 
 
 def kisses(p: PathInTree, e: Edge) -> bool:

@@ -29,8 +29,8 @@ from .trees import (
     subdivide_edge,
     unique_path,
 )
-from .edge_systems import _bunch_groups, _pair_bunches, planar_pairs
-from .verify import PathSystem, TargetKind, TargetSet, check
+from .edge_systems import _bunch_groups, _pair_bunches, _verified, planar_pairs
+from .verify import PathSystem, TargetKind, TargetSet, built_system
 
 
 class BunchMismatchWarning(UserWarning):
@@ -100,10 +100,7 @@ def vertex_system(t: Tree) -> PathSystem:
     lifted = [unique_path(t, a, b) for a, b in _pair_bunches(contracted, groups)]
     added = _separate_degree2(t, prof)
 
-    fs = PathSystem._trusted(t, tuple(lifted + added))
-    verdict = check(fs, TargetSet.vertices(t))
-    if not verdict:
-        raise InternalClassificationError(f"vertex_system: {verdict}")
+    fs = built_system(t, lifted + added, "vertex_system", TargetSet.vertices(t))
     if fs.size > vertex_upper_formula(prof):
         raise InternalClassificationError(
             f"vertex_system built {fs.size} paths, bound {vertex_upper_formula(prof)}"
@@ -224,11 +221,9 @@ def _refine_overlaps(
 def vertex_interior_system(t: Tree) -> PathSystem:
     """The consecutive-leaf system checked against vertices plus interior
     edges; exactly h1 paths, optimal when every degree is 1 or 3."""
-    fs = PathSystem._trusted(t, tuple(unique_path(t, a, b) for a, b in planar_pairs(t)))
-    verdict = check(fs, TargetSet.vertices_and_interior_edges(t))
-    if not verdict:
-        raise InternalClassificationError(f"vertex_interior_system: {verdict}")
-    return fs
+    return _verified(
+        t, planar_pairs(t), "vertex_interior_system", TargetSet.vertices_and_interior_edges(t)
+    )
 
 
 # ---- sharp families ----

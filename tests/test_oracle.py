@@ -323,6 +323,23 @@ class TestPruning:
         assert min_separating(t, TargetSet.edges(t)).nodes_expanded <= 1000
 
 
+class TestRootDecision:
+    def test_sizes_below_the_floor_fail_and_the_root_expands_nothing(self):
+        # the log2 test can fail only at the root, so at_most decides it
+        # there before the search and no node is counted
+        for n in range(2, 8):
+            for t in enumerate_trees(n):
+                for ts in _targets(t):
+                    for cover in (True, False):
+                        floor = _Search(t, ts, cover, None).floor()
+                        for k in range(floor):
+                            assert exists_family(t, ts, k, cover) is False, (t, ts.kind, cover, k)
+                        for k in range(oracle._ceil_log2(len(ts))):
+                            search = _Search(t, ts, cover, None)
+                            assert search.at_most(k) is None, (t, ts.kind, cover, k)
+                            assert search.nodes == 0, (t, ts.kind, cover, k)
+
+
 class TestRefutedStates:
     def test_every_entry_has_no_completion(self):
         # a refuted entry claims that no left candidates from masks[start:]

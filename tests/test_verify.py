@@ -1,7 +1,9 @@
 """Signatures, separation/covering verdicts, kissing, and the text format."""
 
 import itertools
+import re
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -9,9 +11,14 @@ from hypothesis import strategies as st
 
 import seppaths.verify
 from seppaths import (
+    Graph,
     PathSystem,
+    TargetKind,
     TargetSet,
     Tree,
+    Verdict,
+    abc_construction,
+    bunch_construction,
     check,
     covers,
     edge_system,
@@ -21,16 +28,22 @@ from seppaths import (
     make_system,
     parse_paths,
     path_of,
+    planar_construction,
     random_tree,
     random_vertex_system,
     separates,
     serialize_paths,
     signatures,
     unique_path,
+    vertex_interior_system,
+    vertex_system,
 )
-from seppaths.errors import InvalidPath, UnknownElement
+from seppaths.edge_systems import _edge_pairs
+from seppaths.errors import InternalClassificationError, InvalidPath, UnknownElement
 from seppaths.oracle import enumerate_simple_paths, enumerate_trees, min_separating
 from seppaths.verify import _covering, _separation, _tree_hashes, check_signatures
+
+from conftest import path_tree
 
 
 class TestIncidence:
@@ -370,8 +383,6 @@ class TestCheckOnce:
             assert len(sweeps) == seed + 1
 
     def test_vertex_systems(self, sweeps, double_star):
-        from seppaths import vertex_interior_system, vertex_system
-
         vertex_system(double_star)
         assert len(sweeps) == 1
         vertex_interior_system(double_star)
@@ -388,6 +399,67 @@ class TestCheckOnce:
     def test_min_separating(self, sweeps, p4):
         min_separating(p4, TargetSet.edges(p4))
         assert len(sweeps) == 1
+
+    def test_min_separating_without_cover(self, sweeps, p4):
+        min_separating(p4, TargetSet.edges(p4), require_cover=False)
+        assert len(sweeps) == 1
+
+    def test_random_vertex_system(self, sweeps):
+        complete = Graph(6, itertools.combinations(range(6), 2))
+        assert random_vertex_system(complete, 3) is not None
+        assert sweeps == [TargetKind.VERTICES]
+
+
+class TestOneDoor:
+    """Every family the package builds is checked by ``verify.built_system``,
+    and nothing else makes a ``PathSystem`` without validating its paths."""
+
+    @pytest.fixture
+    def failing(self, monkeypatch):
+        def fail(fs, ts):
+            return Verdict(False, "NotSeparated", ts.elements[:2])
+
+        monkeypatch.setattr(seppaths.verify, "check", fail)
+        monkeypatch.setattr(seppaths.verify, "separates", fail)
+
+    def _raises(self, label, build, *args):
+        with pytest.raises(InternalClassificationError) as info:
+            build(*args)
+        assert str(info.value).startswith(f"{label}: NotSeparated("), str(info.value)
+
+    def test_edge_system_names_its_case(self, failing, e1, depth2, double_star):
+        for t in (e1, depth2, double_star, random_tree(30, 1), path_tree(6)):
+            self._raises(_edge_pairs(t)[1], edge_system, t)
+
+    def test_leaf_order_constructions(self, failing, double_star):
+        for build in (abc_construction, planar_construction, bunch_construction):
+            self._raises(build.__name__, build, double_star)
+
+    def test_vertex_systems(self, failing, double_star):
+        for build in (vertex_system, vertex_interior_system):
+            self._raises(build.__name__, build, double_star)
+
+    @pytest.mark.parametrize("cover", [True, False])
+    def test_min_separating(self, failing, p4, cover):
+        self._raises("oracle family fails", min_separating, p4, TargetSet.vertices(p4), cover)
+
+    def test_random_vertex_system(self, failing):
+        complete = Graph(6, itertools.combinations(range(6), 2))
+        self._raises("random_vertex_system", random_vertex_system, complete, 3)
+
+    def test_no_other_module_skips_path_validation(self):
+        # the door is the only PathSystem made without validating its paths
+        trusted = re.compile(r"\b_trusted\b|object\.__new__\(\s*PathSystem\b")
+        src = Path(seppaths.verify.__file__).parent
+        found = [
+            f"{path.name}:{no}"
+            for path in sorted(src.glob("*.py"))
+            if path.name != "verify.py"
+            for no, line in enumerate(path.read_text().splitlines(), start=1)
+            if trusted.search(line)
+        ]
+        assert found == []
+        assert trusted.search((src / "verify.py").read_text())  # the pattern finds the door
 
 
 class TestNecessaryConditions:
