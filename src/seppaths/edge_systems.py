@@ -6,18 +6,20 @@ optimum: 4 for the depth-2 binary tree, 1 for the single edge, and
 max(ceil((2*h1 + h2)/3), ceil((h1 + h2)/2)) otherwise.
 
 The case analysis works on end pairs: in a tree a path is the unique path
-between its two ends, and retiring a leaf or a degree-2 vertex never moves
-the ends of the surviving paths, so each reduction step just records one
-more pair.  One loop, ``_reduce_and_lift``, retires the pairs from a single
-adjacency map that it shrinks in place, and builds a Tree only for the base
-case it stops at.  It finds each next pair on two min-heaps, of the degree-2
-vertices and of the candidate leaves, with lazy deletion: reductions only
-lower degrees and only shrink the degree-2 set, so the lexicographically
-least pair is always within a few heap entries, and the whole search is
-O(n log n).  Each public function checks its result once, through the
-verifier's door ``verify.built_system``, before returning; a failed check
-raises InternalClassificationError instead of handing back an unverified
-family.
+between its two ends, so each move of the reduction is an edit of one
+adjacency map and lifting back through it rewrites ends.  Retiring a leaf
+or a degree-2 vertex moves no surviving end, so each reduction pair just
+records one more pair; only an end at the vertex that subdivides an edge
+to fix the end parity, or at the leaf borrowed to make 3 divide the leaf
+count, is rewritten.  One loop, ``_reduce_and_lift``, retires the pairs and
+builds one Tree, for the base case it stops at.  It finds each next pair
+on two min-heaps, of the degree-2 vertices and of the candidate leaves, with
+lazy deletion: reductions only lower degrees and only shrink the degree-2
+set, so the lexicographically least pair is always within a few heap
+entries, and the whole search is O(n log n).  Each public function checks
+its result once, through the verifier's door ``verify.built_system``, before
+returning; a failed check raises InternalClassificationError instead of
+handing back an unverified family.
 """
 
 from __future__ import annotations
@@ -36,10 +38,8 @@ from .trees import (
     TreeProfile,
     canonical_form,
     dfs_leaf_order,
-    edge,
     find_isomorphism,
     profile,
-    subdivide_edge,
     unique_path,
 )
 from .verify import PathSystem, TargetSet, built_system
@@ -256,7 +256,9 @@ def bunch_construction(t: Tree) -> PathSystem:
 
 # ---- reduction pairs ----
 
-Adjacency = dict[int, set[int]]  # {v: neighbors}, shrunk in place by the reductions
+# {v: neighbors}, the one map every edge case edits in place: grown by a
+# subdivision vertex or a borrowed leaf, shrunk by the reductions
+Adjacency = dict[int, set[int]]
 
 
 def _adjacency(t: Tree) -> Adjacency:
@@ -411,16 +413,34 @@ def _edge_pairs(t: Tree) -> tuple[list[Pair], str]:
     """The end pairs of a minimum system, and the name of the case taken."""
     if t.n == 2:
         return [tuple(t.vertices)], "single edge"
-    if is_depth2_binary(t):
-        return _mapped(t), "depth-2 binary tree"
     p = profile(t)
-    if p.h1 < p.h2:
-        return _more_degree2(t, p), "h1 < h2"
-    if p.h2 == 0:
-        return _no_degree2(t, p), f"h2=0, residue {p.h1 % 3}"
-    if not p.useful_leaves:
-        return _cyclic_leaf_pairs(t, p), "cyclic leaf-to-support system"
-    return _reduce_and_lift(t), "reduction lift"
+    if is_depth2_binary(t):
+        label = "depth-2 binary tree"
+    elif p.h1 < p.h2:
+        label = "h1 < h2"
+    elif p.h2 == 0:
+        label = f"h2=0, residue {p.h1 % 3}"
+    elif not p.useful_leaves:
+        label = "cyclic leaf-to-support system"
+    else:
+        label = "reduction lift"
+    adj = _adjacency(t)
+    if p.h1 >= p.h2 or (p.h1 + p.h2) % 2 == 0:
+        return _reduce_and_lift(adj), label
+    # odd end parity with h1 < h2: subdivide the least edge (a, b) by x; a
+    # path ending at x ends instead at the end of (a, b) away from its other end
+    a, b = min(t.edges)
+    x = max(adj) + 1
+    adj[a] ^= {b, x}  # b out, x in
+    adj[b] ^= {a, x}
+    adj[x] = {a, b}
+
+    def unsubdivided(end: int, other: int) -> int:
+        if end != x:
+            return end
+        return a if other != a and unique_path(t, a, other).vertices[1] == b else b
+
+    return [(unsubdivided(u, v), unsubdivided(v, u)) for u, v in _reduce_and_lift(adj)], label
 
 
 def _mapped(t: Tree) -> list[Pair]:
@@ -430,24 +450,6 @@ def _mapped(t: Tree) -> list[Pair]:
         raise InternalClassificationError(f"tree {t!r} matches no fixture")
     iso = find_isomorphism(fixture, t)
     return [(iso[a], iso[b]) for a, b in family]
-
-
-def _no_degree2(t: Tree, p: TreeProfile) -> list[Pair]:
-    """h2 = 0: the leaf-count residue mod 3 decides the adjustment."""
-    s = p.h1 % 3
-    if s == 0:
-        return abc_pairs(t)
-    if s == 2:
-        # borrow a leaf on an arbitrary non-leaf, build, then drop it
-        host = min(v for v in t.vertices if not t.is_leaf(v))
-        u = max(t.vertices) + 1
-        t2 = Tree(set(t.vertices) | {u}, t.edges | {edge(host, u)})
-        return [tuple(host if x == u else x for x in pair) for pair in abc_pairs(t2)]
-    # s == 1: retire one leaf, or one leaf plus its degree-3 neighbor
-    adj = _adjacency(t)
-    u = min(p.leaves)
-    end = _retire_leaf(adj, u)
-    return abc_pairs(_as_tree(adj)) + [(u, end)]
 
 
 def _cyclic_leaf_pairs(t: Tree, p: TreeProfile) -> list[Pair]:
@@ -463,16 +465,15 @@ def _cyclic_leaf_pairs(t: Tree, p: TreeProfile) -> list[Pair]:
     return [(order[i], supports[(i + 1) % len(order)]) for i in range(len(order))]
 
 
-def _reduce_and_lift(t: Tree) -> list[Pair]:
+def _reduce_and_lift(adj: Adjacency) -> list[Pair]:
     """Retire two non-adjacent degree-2 vertices at a time while h2 > h1, then
     the least reduction pair not landing on the depth-2 binary tree while one
-    exists; each retired pair appends one path.  What is left is a base case,
-    or an irreducible fixture if h2 >= 1 and some leaf is still useful.
+    exists; each retired pair appends one path.  The map is edited in place,
+    and what is left of it is the base case of ``_base_pairs``.
 
     The degree-2 vertices and the candidate leaves sit in two min-heaps with
     lazy deletion, so each pair costs O(log n), not a scan of the tree.
     """
-    adj = _adjacency(t)
     h1 = sum(len(ns) == 1 for ns in adj.values())
     deg2 = [v for v, ns in adj.items() if len(ns) == 2]
     heapify(deg2)
@@ -494,31 +495,27 @@ def _reduce_and_lift(t: Tree) -> list[Pair]:
         appended.append(pair)
         for x in parked.pop(v, ()):
             heappush(leaves, x)
-    t = _as_tree(adj)
-    p = profile(t)
-    if p.h2 and p.useful_leaves:
-        base = _mapped(t)
-    else:
-        base = _no_degree2(t, p) if not p.h2 else _cyclic_leaf_pairs(t, p)
-    return base + appended[::-1]
+    return _base_pairs(adj) + appended[::-1]
 
 
-def _more_degree2(t: Tree, p: TreeProfile) -> list[Pair]:
-    """h1 < h2: subdivide once if the endpoint parity is odd, then reduce
-    and lift.
-
-    A path ending at the subdivision vertex x ends instead at the end of the
-    original edge that lies away from the path's other end.
-    """
-    if (p.h1 + p.h2) % 2 == 0:
-        return _reduce_and_lift(t)
-    e = min(t.edges)
-    t2, x = subdivide_edge(t, e)
-    a, b = e
-
-    def unsubdivided(end: int, other: int) -> int:
-        if end != x:
-            return end
-        return a if unique_path(t2, x, other).vertices[1] == b else b
-
-    return [(unsubdivided(u, v), unsubdivided(v, u)) for u, v in _reduce_and_lift(t2)]
+def _base_pairs(adj: Adjacency) -> list[Pair]:
+    """The family of the map the reductions stop at, built as the one Tree:
+    with h2 >= 1 a fixture if some leaf is still useful, else the cyclic
+    system; with h2 = 0 the leaf-order one, after the least leaf is retired
+    (residue 1 mod 3) or a leaf borrowed on the least non-leaf (residue 2)."""
+    if any(len(ns) == 2 for ns in adj.values()):
+        t = _as_tree(adj)
+        p = profile(t)
+        return _mapped(t) if p.useful_leaves else _cyclic_leaf_pairs(t, p)
+    leaves = [v for v, ns in adj.items() if len(ns) == 1]
+    if len(leaves) % 3 == 1:
+        u = min(leaves)
+        end = _retire_leaf(adj, u)
+        return abc_pairs(_as_tree(adj)) + [(u, end)]
+    if len(leaves) % 3 == 0:
+        return abc_pairs(_as_tree(adj))
+    host = min(v for v, ns in adj.items() if len(ns) > 1)
+    u = max(adj) + 1
+    adj[u] = {host}
+    adj[host].add(u)
+    return [tuple(host if x == u else x for x in pair) for pair in abc_pairs(_as_tree(adj))]

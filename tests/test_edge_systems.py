@@ -1,5 +1,6 @@
 """The leaf-order constructions, reductions, and the full edge dispatch."""
 
+import ast
 import hashlib
 import random
 import sys
@@ -7,6 +8,7 @@ import time
 from dataclasses import dataclass
 from enum import Enum
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -49,7 +51,7 @@ from seppaths.errors import (
     TreeTooSmall,
 )
 from seppaths.oracle import enumerate_trees, min_separating
-from seppaths.trees import canonical_form, contract_bare_paths, relabel_compact
+from seppaths.trees import canonical_form, contract_bare_paths, edge, relabel_compact
 
 from conftest import path_tree, spider_tree, star_tree
 
@@ -274,7 +276,8 @@ def test_bunch_pairs_match_the_grouped_leaf_order():
 #
 # Every step re-sorts the degree-2 vertices and the useful leaves and tries
 # the pairs in lexicographic order; quadratic, but plainly the definition.
-# It names each pair's case, which the package reads off the map.
+# It names each pair's case, which the package reads off the map.  Its base
+# step is the Tree-building residue step that the map edits replaced.
 
 class ReductionCase(Enum):
     DEGREE_AT_LEAST_4 = "DegreeAtLeast4"
@@ -340,8 +343,24 @@ def _allowed(adj, rp):
     return canonical_form(apply_reduction(_as_tree(adj), rp)[0]) != _DEPTH2_FORM
 
 
-def _scanning_reduce_and_lift(t):
+def _residue_pairs(t, p):
+    """h2 = 0: retire or borrow one leaf on a rebuilt Tree, so that 3 divides
+    the leaf count."""
+    s = p.h1 % 3
+    if s == 0:
+        return es.abc_pairs(t)
+    if s == 2:
+        host = min(v for v in t.vertices if not t.is_leaf(v))
+        u = max(t.vertices) + 1
+        t2 = Tree(set(t.vertices) | {u}, t.edges | {edge(host, u)})
+        return [tuple(host if x == u else x for x in pair) for pair in es.abc_pairs(t2)]
     adj = _adjacency(t)
+    u = min(p.leaves)
+    end = es._retire_leaf(adj, u)
+    return es.abc_pairs(_as_tree(adj)) + [(u, end)]
+
+
+def _scanning_reduce_and_lift(adj):
     h1 = sum(len(ns) == 1 for ns in adj.values())
     appended = []
     while len(deg2 := _deg2(adj)) > h1:
@@ -357,7 +376,7 @@ def _scanning_reduce_and_lift(t):
     if p.h2 and p.useful_leaves:
         base = es._mapped(t)
     else:
-        base = es._no_degree2(t, p) if not p.h2 else es._cyclic_leaf_pairs(t, p)
+        base = _residue_pairs(t, p) if not p.h2 else es._cyclic_leaf_pairs(t, p)
     return base + appended[::-1]
 
 
@@ -584,6 +603,31 @@ def test_outputs_match_pinned_digest():
     assert h.hexdigest() == PINNED_DIGEST
 
 
+def _large_pinned_trees():
+    for n in (150, 200, 250, 300, 350, 400):
+        for s in range(3):
+            yield random_tree(n, s)
+            yield _subdivided_random_tree(n, s)
+    yield spider_tree((100, 100, 100))
+
+
+# the same hash over _large_pinned_trees(), the sizes the tree-design
+# benchmark builds, recorded before the edge cases moved onto one map
+LARGE_PINNED_DIGEST = "a0a33f20a73efd27860f8627a3a74529c51e662bac760f8e38b8c9928dfc938d"
+
+
+def test_large_outputs_match_pinned_digest():
+    h = hashlib.sha256()
+    count = 0
+    for t in _large_pinned_trees():
+        for p in edge_system(t).paths:
+            h.update(" ".join(map(str, p.vertices)).encode() + b"\n")
+        h.update(b"--\n")
+        count += 1
+    assert count == 37
+    assert h.hexdigest() == LARGE_PINNED_DIGEST
+
+
 def _pruefer_tree(seq):
     """The labeled tree on 0..len(seq)+1 with Pruefer sequence ``seq``."""
     n = len(seq) + 2
@@ -679,3 +723,85 @@ class TestHeapPairsMatchScanning:
         start = time.perf_counter()
         _edge_pairs(t)
         assert time.perf_counter() - start < 3.0
+
+
+# ---- one map, one base Tree ----
+
+def _odd_parity(t):
+    p = profile(t)
+    return p.h1 < p.h2 and (p.h1 + p.h2) % 2 == 1
+
+
+def _subdivided_tree_lift(t):
+    """The end pairs by the lift that walked a subdivided Tree: a path ending
+    at the subdivision vertex x ends at a if it leaves x through b, else at b."""
+    a, b = min(t.edges)
+    t2, x = subdivide_edge(t, (a, b))
+
+    def unsubdivided(end, other):
+        if end != x:
+            return end
+        return a if unique_path(t2, x, other).vertices[1] == b else b
+
+    return [(unsubdivided(u, v), unsubdivided(v, u))
+            for u, v in es._reduce_and_lift(_adjacency(t2))]
+
+
+def test_parity_lift_matches_the_subdivided_tree_walk():
+    def trees():
+        for n in range(2, 11):
+            yield from enumerate_trees(n)
+        yield from _pinned_trees()
+        for n in range(3, 151):
+            for s in range(3):
+                yield random_tree(n, s)
+                yield _subdivided_random_tree(n, s)
+
+    checked = 0
+    for t in filter(_odd_parity, trees()):
+        assert _edge_pairs(t)[0] == _subdivided_tree_lift(t), t
+        checked += 1
+    assert checked > 300
+
+
+def test_one_tree_and_at_most_two_profiles_per_call(monkeypatch):
+    # the input's profile names the case; the base's is the only other
+    trees = [t for n in range(3, 11) for t in enumerate_trees(n)]
+    trees += [t for t in _pinned_trees() if t.n >= 3]
+    counts = {"trees": 0, "profiles": 0}
+    real_init, real_profile = Tree.__init__, es.profile
+
+    def counting_init(self, *args, **kwargs):
+        counts["trees"] += 1
+        real_init(self, *args, **kwargs)
+
+    def counting_profile(t):
+        counts["profiles"] += 1
+        return real_profile(t)
+
+    monkeypatch.setattr(Tree, "__init__", counting_init)
+    monkeypatch.setattr(es, "profile", counting_profile)
+    for t in trees:
+        counts.update(trees=0, profiles=0)
+        _edge_pairs(t)
+        assert counts["trees"] == 1 and counts["profiles"] <= 2, (t, counts)
+
+
+def test_only_the_base_builds_a_tree():
+    # every edge case edits the adjacency map; _as_tree is the one place
+    # that turns it into a Tree, and module-level fixtures are built once
+    builders = {"Tree", "subdivide_edge", "suppress_vertex"}
+    offenders = set()
+    for fn in ast.parse(Path(es.__file__).read_text()).body:
+        if not isinstance(fn, ast.FunctionDef) or fn.name == "_as_tree":
+            continue
+        for node in ast.walk(fn):
+            if not isinstance(node, ast.Call):
+                continue
+            f = node.func
+            if (isinstance(f, ast.Name) and f.id in builders) or (
+                isinstance(f, ast.Attribute) and f.attr == "from_edges"
+                and isinstance(f.value, ast.Name) and f.value.id == "Tree"
+            ):
+                offenders.add(fn.name)
+    assert not offenders, sorted(offenders)
