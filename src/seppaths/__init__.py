@@ -14,7 +14,6 @@ from .trees import (
     Tree,
     TreeProfile,
     canonical_form,
-    contract_bare_paths,
     dfs_leaf_order,
     edge,
     emit_dot,
@@ -23,10 +22,7 @@ from .trees import (
     path_of,
     profile,
     random_tree,
-    relabel_compact,
     serialize_tree,
-    subdivide_edge,
-    suppress_vertex,
     unique_path,
 )
 from .verify import (

@@ -163,13 +163,14 @@ def planar_construction(t: Tree) -> PathSystem:
     return fs
 
 
-def _bunch_groups(t: Tree, start: int) -> list[list[int]]:
+def _bunch_groups(nbrs, start: int) -> list[list[int]]:
     """The bunches' leaves, each ascending, in the boundary order of the
-    embedding that draws each support's leaves consecutively: a DFS from the
-    leaf ``start`` in which a popped vertex's unseen leaves form one group
-    (``start`` heads its support's) and its unseen non-leaves pop ascending."""
-    (s,) = t.neighbors(start)
-    if t.is_leaf(s):
+    embedding that draws each support's leaves consecutively: a DFS over the
+    neighbor map {v: ascending neighbors} from the leaf ``start`` in which a
+    popped vertex's unseen leaves form one group (``start`` heads its
+    support's) and its unseen non-leaves pop ascending."""
+    (s,) = nbrs[start]
+    if len(nbrs[s]) == 1:
         return [[start, s]]  # the single edge is one bunch
     groups: list[list[int]] = []
     seen = {start, s}
@@ -178,18 +179,19 @@ def _bunch_groups(t: Tree, start: int) -> list[list[int]]:
         x = stack.pop()
         group = [start] if x == s else []
         inner: list[int] = []
-        for w in t.neighbors(x):
+        for w in nbrs[x]:
             if w not in seen:
                 seen.add(w)
-                (group if t.is_leaf(w) else inner).append(w)
+                (group if len(nbrs[w]) == 1 else inner).append(w)
         if group:
             groups.append(group)
         stack.extend(reversed(inner))
     return groups
 
 
-def _pair_bunches(t: Tree, groups: list[list[int]]) -> list[Pair]:
-    """The pairs of ``bunch_pairs`` for the bunches' leaf groups in cyclic order."""
+def _pair_bunches(nbrs, groups: list[list[int]]) -> list[Pair]:
+    """The pairs of ``bunch_pairs`` for the bunches' leaf groups in cyclic
+    order; a leftover leaf pairs with its support, read off the neighbor map."""
     pairs: list[Pair] = []
     remaining: list[int] = []
     r = len(groups)
@@ -205,7 +207,7 @@ def _pair_bunches(t: Tree, groups: list[list[int]]) -> list[Pair]:
         u, v, w = remaining[i : i + 3]
         pairs += [(u, v), (v, w)]
         i += 3
-    pairs += [(leaf, t.neighbors(leaf)[0]) for leaf in remaining[i:]]
+    pairs += [(leaf, nbrs[leaf][0]) for leaf in remaining[i:]]
     return pairs
 
 
@@ -224,10 +226,11 @@ def bunch_pairs(t: Tree) -> list[Pair]:
         raise PreconditionViolated("tree has no bunches")
     if any(b.size < 2 for b in p.bunches):
         raise PreconditionViolated("every bunch must contain at least two leaves")
-    groups = _bunch_groups(t, min(p.leaves))
+    nbrs = {v: t.neighbors(v) for v in t.vertices}
+    groups = _bunch_groups(nbrs, min(p.leaves))
     if len(groups) != len(p.bunches):
         raise InternalClassificationError("traversal and profile disagree on the bunches")
-    return _pair_bunches(t, groups)
+    return _pair_bunches(nbrs, groups)
 
 
 def bunch_construction(t: Tree) -> PathSystem:
@@ -435,10 +438,17 @@ def _edge_pairs(t: Tree) -> tuple[list[Pair], str]:
     adj[b] ^= {a, x}
     adj[x] = {a, b}
 
+    # No pair is (x, a).  The edits never cut an edge between two survivors,
+    # so x and a stay adjacent while both survive, and no pair is adjacent
+    # when it is recorded: degree-2 pairs are chosen non-adjacent, and a
+    # reduction pair's leaf hangs on a support of degree >= 3, not on its
+    # degree-2 partner.  With h1 + h2 now even, the reductions start and end
+    # at h1 = h2, which no fixture has, so the base is the cyclic system,
+    # whose only adjacent pairs are the 3-vertex path's (h1 = 2, h2 = 1).
     def unsubdivided(end: int, other: int) -> int:
         if end != x:
             return end
-        return a if other != a and unique_path(t, a, other).vertices[1] == b else b
+        return a if unique_path(t, a, other).vertices[1] == b else b
 
     return [(unsubdivided(u, v), unsubdivided(v, u)) for u, v in _reduce_and_lift(adj)], label
 

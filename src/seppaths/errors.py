@@ -50,10 +50,6 @@ class PreconditionViolated(SepPathError):
     """A construction was called on a tree outside its hypotheses."""
 
 
-class InvalidPair(SepPathError):
-    """The given (leaf, degree-2 vertex) pair is not a valid reduction pair."""
-
-
 class TreeTooSmall(SepPathError):
     """The tree has fewer vertices than the operation supports."""
 

@@ -1,8 +1,8 @@
-"""Trees, structural profiles, traversals, and bare-path contraction.
+"""Trees, structural profiles with their bare paths, and traversals.
 
 Vertices are non-negative integers.  A tree's vertex set is exactly the set
-of ids it was built with; ids need not be contiguous (contraction and
-reduction keep the surviving ids of the original tree).  Edges are stored
+of ids it was built with; ids need not be contiguous (the constructions'
+reductions keep the surviving ids of the original tree).  Edges are stored
 as ``(min, max)`` tuples throughout the package.
 """
 
@@ -21,7 +21,6 @@ from .errors import (
     NotALeaf,
     NotConnected,
     TreeTooSmall,
-    UnknownElement,
     UnknownVertex,
 )
 
@@ -64,12 +63,6 @@ class PathInTree:
     @property
     def endpoints(self) -> tuple[int, int]:
         return self.vertices[0], self.vertices[-1]
-
-    def vertex_set(self) -> frozenset[int]:
-        return frozenset(self.vertices)
-
-    def edge_set(self) -> frozenset[Edge]:
-        return frozenset(self.edges())
 
     def edges(self) -> tuple[Edge, ...]:
         """The (min, max) edges between consecutive vertices, in path order."""
@@ -450,46 +443,6 @@ def _bunches(t: Tree, leaves: tuple[int, ...]) -> tuple[Bunch, ...]:
     bunches = [Bunch(tuple(sorted([s, *ls])), tuple(ls)) for s, ls in groups.items()]
     bunches.sort(key=lambda b: b.vertices[0])
     return tuple(bunches)
-
-
-def contract_bare_paths(t: Tree) -> tuple[Tree, dict[Edge, PathInTree]]:
-    """Contract every bare path to a single edge between its extremes.
-
-    Returns the contracted tree (no degree-2 vertices, same leaf count,
-    surviving ids preserved) and the map from each new edge to its source
-    bare path.
-    """
-    if t.n < 2:
-        raise TreeTooSmall("cannot contract a single-vertex tree")
-    edge_map = {edge(p.vertices[0], p.vertices[-1]): p for p in profile(t).bare_paths}
-    return Tree.from_edges(edge_map.keys()), edge_map
-
-
-def subdivide_edge(t: Tree, e: Edge) -> tuple[Tree, int]:
-    """Replace edge (u,v) by u-x-v for a fresh vertex x; returns (tree, x)."""
-    e = edge(*e)
-    if e not in t.edges:
-        raise UnknownElement(f"edge {e} not in tree")
-    x = max(t.vertices) + 1
-    u, v = e
-    edges = (t.edges - {e}) | {edge(u, x), edge(x, v)}
-    return Tree(set(t.vertices) | {x}, edges), x
-
-
-def suppress_vertex(t: Tree, v: int) -> tuple[Tree, Edge]:
-    """Remove a degree-2 vertex and bridge its neighbors; returns the bridge."""
-    if t.degree(v) != 2:
-        raise UnknownVertex(f"vertex {v} does not have degree 2")
-    a, b = t.neighbors(v)
-    bridge = edge(a, b)
-    edges = (t.edges - {edge(v, a), edge(v, b)}) | {bridge}
-    return Tree(set(t.vertices) - {v}, edges), bridge
-
-
-def relabel_compact(t: Tree) -> tuple[Tree, dict[int, int]]:
-    """Relabel vertices to 0..n-1 preserving id order; returns (tree, old->new)."""
-    mapping = {v: i for i, v in enumerate(t.vertices)}
-    return Tree(range(t.n), [edge(mapping[u], mapping[v]) for u, v in t.edges]), mapping
 
 
 def random_tree(n: int, seed: int) -> Tree:

@@ -1,5 +1,6 @@
-"""Vertex-separating systems: bounds, the contraction-lift construction with
-its pairing/refinement/window steps, and exact values on the sharp families.
+"""Vertex-separating systems: bounds, the construction that walks the
+bare-path skeleton read off the profile, with its pairing/refinement/window
+steps, and exact values on the sharp families.
 
 The refinement step works on end pairs.  Each end of an added path records
 its bare path, its position there and its heading, the extreme its path
@@ -13,22 +14,8 @@ import heapq
 import warnings
 from collections import deque
 
-from .errors import (
-    InternalClassificationError,
-    NotConsecutive,
-    PreconditionViolated,
-    UnsupportedTree,
-)
-from .trees import (
-    PathInTree,
-    Tree,
-    TreeProfile,
-    contract_bare_paths,
-    edge,
-    profile,
-    subdivide_edge,
-    unique_path,
-)
+from .errors import InternalClassificationError, NotConsecutive, UnsupportedTree
+from .trees import PathInTree, Tree, TreeProfile, profile, unique_path
 from .edge_systems import _bunch_groups, _pair_bunches, _verified, planar_pairs
 from .verify import PathSystem, TargetKind, TargetSet, built_system
 
@@ -82,10 +69,10 @@ def vertex_system(t: Tree) -> PathSystem:
     prof = profile(t)
 
     # the contraction keeps t's leaves, so prof.h1 and prof.leaves hold for it
-    contracted, _ = contract_bare_paths(t)
-    if contracted.n == 4 and prof.h1 == 3:
+    skeleton = _skeleton(prof)
+    if len(skeleton) == 4 and prof.h1 == 3:
         raise UnsupportedTree("contraction is the 3-leaf star")
-    groups = _bunch_groups(contracted, prof.leaves[0])
+    groups = _bunch_groups(skeleton, prof.leaves[0])
     if any(len(g) < 3 for g in groups):
         raise UnsupportedTree("contraction has a bunch of size < 3")
     if set(map(tuple, groups)) != {b.leaves for b in prof.bunches}:
@@ -97,7 +84,7 @@ def vertex_system(t: Tree) -> PathSystem:
         )
 
     # A path between surviving vertices lifts to the unique path in t.
-    lifted = [unique_path(t, a, b) for a, b in _pair_bunches(contracted, groups)]
+    lifted = [unique_path(t, a, b) for a, b in _pair_bunches(skeleton, groups)]
     added = _separate_degree2(t, prof)
 
     fs = built_system(t, lifted + added, "vertex_system", TargetSet.vertices(t))
@@ -106,6 +93,19 @@ def vertex_system(t: Tree) -> PathSystem:
             f"vertex_system built {fs.size} paths, bound {vertex_upper_formula(prof)}"
         )
     return fs
+
+
+def _skeleton(prof: TreeProfile) -> dict[int, list[int]]:
+    """The bare-path contraction as a neighbor map: each extreme of a bare
+    path to the far extremes of its bare paths, ascending."""
+    nbrs: dict[int, list[int]] = {}
+    for bp in prof.bare_paths:
+        a, b = bp.vertices[0], bp.vertices[-1]
+        nbrs.setdefault(a, []).append(b)
+        nbrs.setdefault(b, []).append(a)
+    for ns in nbrs.values():
+        ns.sort()
+    return nbrs
 
 
 def _separate_degree2(t: Tree, prof: TreeProfile) -> list[PathInTree]:
@@ -246,23 +246,6 @@ def is_subdivided_cubic_leafy(t: Tree) -> bool:
             return False  # an unsubdivided interior edge
     # suppressing the degree-2 vertices would change no other degree
     return t.n - sum(d == 2 for d in degs.values()) >= 4
-
-
-def grow_cubic_leafy(t: Tree, leaf: int) -> Tree:
-    """The inductive step of the degree-{1,3} family: attach two new leaves
-    to an existing leaf."""
-    if not t.is_leaf(leaf):
-        raise PreconditionViolated(f"vertex {leaf} is not a leaf")
-    a, b = max(t.vertices) + 1, max(t.vertices) + 2
-    return Tree(set(t.vertices) | {a, b}, t.edges | {edge(leaf, a), edge(leaf, b)})
-
-
-def subdivide_interior_edges(t: Tree) -> Tree:
-    """Replace each interior edge u-v by u-x-v with a fresh vertex x."""
-    out = t
-    for e in profile(t).interior_edges:
-        out, _ = subdivide_edge(out, e)
-    return out
 
 
 def _is_path_graph(t: Tree) -> bool:

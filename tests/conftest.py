@@ -1,8 +1,10 @@
-"""Shared fixtures: the named example trees used across the suite."""
+"""Shared fixtures: the named example trees used across the suite, and the
+tree-surgery references the tests build trees and check results with."""
 
 import pytest
 
-from seppaths import Tree, parse_tree, random_tree
+from seppaths import Edge, PathInTree, Tree, edge, parse_tree, profile, random_tree
+from seppaths.errors import PreconditionViolated, TreeTooSmall, UnknownElement, UnknownVertex
 
 SINGLE_EDGE_TEXT = "0 1\n"
 P3_TEXT = "0 1\n1 2\n"
@@ -90,3 +92,62 @@ def leafy_tree(m: int, seed: int) -> Tree:
     for v in skeleton.leaves():
         edges += [(v, next(fresh)) for _ in range(3)]
     return Tree.from_edges(edges)
+
+
+# ---- tree surgery, to build test trees and as references ----
+
+def contract_bare_paths(t: Tree) -> tuple[Tree, dict[Edge, PathInTree]]:
+    """Contract every bare path to a single edge between its extremes.
+
+    Returns the contracted tree (no degree-2 vertices, same leaf count,
+    surviving ids preserved) and the map from each new edge to its source
+    bare path.
+    """
+    if t.n < 2:
+        raise TreeTooSmall("cannot contract a single-vertex tree")
+    edge_map = {edge(p.vertices[0], p.vertices[-1]): p for p in profile(t).bare_paths}
+    return Tree.from_edges(edge_map.keys()), edge_map
+
+
+def subdivide_edge(t: Tree, e: Edge) -> tuple[Tree, int]:
+    """Replace edge (u,v) by u-x-v for a fresh vertex x; returns (tree, x)."""
+    e = edge(*e)
+    if e not in t.edges:
+        raise UnknownElement(f"edge {e} not in tree")
+    x = max(t.vertices) + 1
+    u, v = e
+    edges = (t.edges - {e}) | {edge(u, x), edge(x, v)}
+    return Tree(set(t.vertices) | {x}, edges), x
+
+
+def suppress_vertex(t: Tree, v: int) -> tuple[Tree, Edge]:
+    """Remove a degree-2 vertex and bridge its neighbors; returns the bridge."""
+    if t.degree(v) != 2:
+        raise UnknownVertex(f"vertex {v} does not have degree 2")
+    a, b = t.neighbors(v)
+    bridge = edge(a, b)
+    edges = (t.edges - {edge(v, a), edge(v, b)}) | {bridge}
+    return Tree(set(t.vertices) - {v}, edges), bridge
+
+
+def relabel_compact(t: Tree) -> tuple[Tree, dict[int, int]]:
+    """Relabel vertices to 0..n-1 preserving id order; returns (tree, old->new)."""
+    mapping = {v: i for i, v in enumerate(t.vertices)}
+    return Tree(range(t.n), [edge(mapping[u], mapping[v]) for u, v in t.edges]), mapping
+
+
+def grow_cubic_leafy(t: Tree, leaf: int) -> Tree:
+    """The inductive step of the degree-{1,3} family: attach two new leaves
+    to an existing leaf."""
+    if not t.is_leaf(leaf):
+        raise PreconditionViolated(f"vertex {leaf} is not a leaf")
+    a, b = max(t.vertices) + 1, max(t.vertices) + 2
+    return Tree(set(t.vertices) | {a, b}, t.edges | {edge(leaf, a), edge(leaf, b)})
+
+
+def subdivide_interior_edges(t: Tree) -> Tree:
+    """Replace each interior edge u-v by u-x-v with a fresh vertex x."""
+    out = t
+    for e in profile(t).interior_edges:
+        out, _ = subdivide_edge(out, e)
+    return out

@@ -41,15 +41,10 @@ from seppaths import (
 from seppaths.errors import UnsupportedTree
 from seppaths.oracle import enumerate_trees, min_separating
 from seppaths.random_graphs import subcritical_p, supercritical_p
-from seppaths.trees import contract_bare_paths, relabel_compact
-from seppaths.vertex_systems import (
-    BunchMismatchWarning,
-    is_cubic_leafy,
-    subdivide_interior_edges,
-)
+from seppaths.vertex_systems import BunchMismatchWarning, is_cubic_leafy
 from seppaths.verify import PathSystem
 
-from conftest import path_tree
+from conftest import contract_bare_paths, path_tree, relabel_compact, subdivide_interior_edges
 
 pytestmark = pytest.mark.filterwarnings(
     "ignore::seppaths.vertex_systems.BunchMismatchWarning"
@@ -204,7 +199,7 @@ def test_criterion_5_construction_suites():
             fs = planar_construction(t)  # verified for E and V+E*
             assert fs.size == p.h1
             for e in t.edges:
-                assert sum(e in q.edge_set() for q in fs.paths) == 2
+                assert sum(e in frozenset(q.edges()) for q in fs.paths) == 2
             planar_hits += 1
         leafy = _leafy(seed)
         lp = profile(leafy)

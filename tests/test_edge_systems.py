@@ -29,7 +29,6 @@ from seppaths import (
     profile,
     random_tree,
     separates,
-    subdivide_edge,
     unique_path,
 )
 import seppaths.edge_systems as es
@@ -46,14 +45,21 @@ from seppaths.edge_systems import (
 )
 from seppaths.errors import (
     InternalClassificationError,
-    InvalidPair,
     PreconditionViolated,
+    SepPathError,
     TreeTooSmall,
 )
 from seppaths.oracle import enumerate_trees, min_separating
-from seppaths.trees import canonical_form, contract_bare_paths, edge, relabel_compact
+from seppaths.trees import canonical_form, edge
 
-from conftest import path_tree, spider_tree, star_tree
+from conftest import (
+    contract_bare_paths,
+    path_tree,
+    relabel_compact,
+    spider_tree,
+    star_tree,
+    subdivide_edge,
+)
 
 
 def test_edge_formula():
@@ -126,13 +132,13 @@ class TestPlanar:
         fs = planar_construction(double_star)
         assert fs.size == 6
         for e in double_star.edges:
-            assert sum(e in p.edge_set() for p in fs.paths) == 2
+            assert sum(e in frozenset(p.edges()) for p in fs.paths) == 2
 
     def test_degree_many_cover(self, double_star):
         # a non-leaf vertex of degree d lies on exactly d paths; leaves on 2
         fs = planar_construction(double_star)
         for v in double_star.vertices:
-            on = sum(v in p.vertex_set() for p in fs.paths)
+            on = sum(v in frozenset(p.vertices) for p in fs.paths)
             assert on == (2 if double_star.is_leaf(v) else double_star.degree(v))
 
     def test_p4_rejected(self, p4):
@@ -233,7 +239,7 @@ def reference_bunch_pairs(t):
             last = bunch_of[leaf]
         groups[-1].append(leaf)
     assert len(groups) == len(p.bunches), "bunch leaves not consecutive in leaf order"
-    return es._pair_bunches(t, groups)
+    return es._pair_bunches({v: t.neighbors(v) for v in t.vertices}, groups)
 
 
 def _outcome(f, t):
@@ -289,6 +295,10 @@ class ReductionPair:
     u: int
     v: int
     case: ReductionCase
+
+
+class InvalidPair(SepPathError):
+    """The given (leaf, degree-2 vertex) pair is not a valid reduction pair."""
 
 
 def _pair_case(adj, u, v):

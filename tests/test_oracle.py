@@ -143,7 +143,7 @@ def _state(ts, paths, cover):
     for i, s in enumerate(ts.elements):
         sig = frozenset(
             j for j, p in enumerate(paths)
-            if (s in p.vertex_set() if isinstance(s, int) else s in p.edge_set())
+            if (s in frozenset(p.vertices) if isinstance(s, int) else s in frozenset(p.edges()))
         )
         classes[sig] = classes.get(sig, 0) | 1 << i
     groups = tuple(g for g in classes.values() if g & (g - 1))

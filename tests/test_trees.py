@@ -16,7 +16,6 @@ from seppaths import (
     PathInTree,
     Tree,
     canonical_form,
-    contract_bare_paths,
     dfs_leaf_order,
     edge_system,
     emit_dot,
@@ -26,8 +25,6 @@ from seppaths import (
     profile,
     random_tree,
     serialize_tree,
-    subdivide_edge,
-    suppress_vertex,
     unique_path,
     vertex_system,
 )
@@ -45,7 +42,7 @@ from seppaths.errors import (
 from seppaths.oracle import enumerate_trees
 from seppaths.random_graphs import Graph
 
-from conftest import leafy_tree, path_tree
+from conftest import contract_bare_paths, leafy_tree, path_tree, subdivide_edge, suppress_vertex
 
 random_trees = st.builds(
     random_tree, n=st.integers(min_value=2, max_value=24), seed=st.integers(0, 2**32)
@@ -329,7 +326,7 @@ class TestProfile:
     @given(random_trees)
     def test_bare_paths_partition_edges(self, t):
         p = profile(t)
-        claimed = [e for bp in p.bare_paths for e in bp.edge_set()]
+        claimed = [e for bp in p.bare_paths for e in frozenset(bp.edges())]
         assert len(claimed) == len(t.edges) == t.n - 1
         assert set(claimed) == set(t.edges)
 
@@ -660,7 +657,7 @@ class TestContraction:
         t2, emap = contract_bare_paths(t)
         assert all(t2.degree(v) != 2 for v in t2.vertices)
         assert len(t2.leaves()) == len(t.leaves())
-        expanded = [e for bp in emap.values() for e in bp.edge_set()]
+        expanded = [e for bp in emap.values() for e in frozenset(bp.edges())]
         assert len(expanded) == len(t.edges) and set(expanded) == set(t.edges)
 
 

@@ -56,7 +56,7 @@ class TestIncidence:
         assert incidence(fs, (0, 2)) == {0}
         # cross-check by brute force over each path's edge set
         for e in k13.edges:
-            manual = {i for i, p in enumerate(fs.paths) if e in p.edge_set()}
+            manual = {i for i, p in enumerate(fs.paths) if e in frozenset(p.edges())}
             assert incidence(fs, e) == manual
 
     def test_trivial_path_vertex(self, p3):
@@ -133,8 +133,8 @@ def nested_loop_signatures(fs, ts):
     sets: O(paths x targets), an independent reference for the path walk."""
     sig = {s: set() for s in ts.elements}
     for i, p in enumerate(fs.paths):
-        vs = p.vertex_set()
-        es = p.edge_set()
+        vs = frozenset(p.vertices)
+        es = frozenset(p.edges())
         for s in ts.elements:
             if (s in vs) if isinstance(s, int) else (s in es):
                 sig[s].add(i)
@@ -164,7 +164,7 @@ class TestSignatureWalk:
             for s in ts.elements:
                 assert incidence(fs, s) == ref[s], s
         for p in fs.paths:
-            vs = p.vertex_set()
+            vs = frozenset(p.vertices)
             for x, y in fs.host.edges:
                 assert kisses(p, (x, y)) == ((x in vs) != (y in vs))
 

@@ -1,4 +1,4 @@
-"""Vertex bounds, the contraction-lift construction, windows, sharp values."""
+"""Vertex bounds, the bare-path skeleton construction, windows, sharp values."""
 
 import hashlib
 import warnings
@@ -23,18 +23,24 @@ from seppaths import (
     vertex_upper_formula,
 )
 from seppaths.errors import NotConsecutive, PreconditionViolated, UnsupportedTree
-from seppaths.oracle import enumerate_trees, min_separating
-from seppaths.edge_systems import bunch_pairs
+from seppaths.oracle import _enumerate_trees_cached, enumerate_trees, min_separating
+from seppaths.edge_systems import _bunch_groups, _pair_bunches, bunch_pairs
 from seppaths.vertex_systems import (
     BunchMismatchWarning,
-    grow_cubic_leafy,
     is_cubic_leafy,
     is_subdivided_cubic_leafy,
-    subdivide_interior_edges,
 )
-from seppaths.trees import canonical_form, contract_bare_paths, suppress_vertex, unique_path
+from seppaths.trees import canonical_form, unique_path
 
-from conftest import leafy_tree, path_tree, star_tree
+from conftest import (
+    contract_bare_paths,
+    grow_cubic_leafy,
+    leafy_tree,
+    path_tree,
+    star_tree,
+    subdivide_interior_edges,
+    suppress_vertex,
+)
 
 
 class TestBounds:
@@ -89,7 +95,7 @@ class TestSlidingWindows:
         assert len(frag) == count
         sigs = []
         for i, v in enumerate(run, start=1):
-            sig = frozenset(j + 1 for j, p in enumerate(frag) if v in p.vertex_set())
+            sig = frozenset(j + 1 for j, p in enumerate(frag) if v in frozenset(p.vertices))
             lo, hi = max(1, i - w + 1), min(count, i)
             assert sig == frozenset(range(lo, hi + 1))
             sigs.append(sig)
@@ -128,9 +134,9 @@ class TestVertexSystem:
         assert fs.size == 4
         # the lone degree-2 vertex keeps the bare signature: exactly the
         # lifted paths crossing the subdivided edge contain it
-        sig8 = frozenset(i for i, p in enumerate(fs.paths) if 8 in p.vertex_set())
+        sig8 = frozenset(i for i, p in enumerate(fs.paths) if 8 in frozenset(p.vertices))
         crossing = frozenset(
-            i for i, p in enumerate(fs.paths) if {0, 1} <= p.vertex_set()
+            i for i, p in enumerate(fs.paths) if {0, 1} <= frozenset(p.vertices)
         )
         assert sig8 == crossing and sig8
 
@@ -423,11 +429,11 @@ class _ReferenceAddedPaths:
 def _reference_find_conflict(addp, clean, bare_of):
     owners = sorted(addp.end_at)
     for u in owners:
-        pu = addp.path_of(u).vertex_set()
+        pu = frozenset(addp.path_of(u).vertices)
         for v in owners:
             if v <= u or bare_of.get(v) != bare_of.get(u):
                 continue
-            if v in pu and u in addp.path_of(v).vertex_set():
+            if v in pu and u in frozenset(addp.path_of(v).vertices):
                 return ("swap", u, v)
         for m in clean:
             if bare_of.get(m) == bare_of.get(u) and m in pu:
@@ -496,3 +502,47 @@ def test_endpoint_exchange_matches_whole_family_rescan():
             assert [p.vertices for p in vertex_system(t).paths] == _reference_vertex_paths(t, fixes)
     # 10 swaps and 271 hand-offs on the leafy trees, one of each on _swap_tree
     assert fixes == {"swap": 11, "handoff": 272}
+
+
+# ---- the skeleton map against the contracted Tree it replaced ----
+
+def test_skeleton_walk_matches_the_contracted_tree():
+    trees = [t for n in range(2, 12) for t in _enumerate_trees_cached(n)]
+    trees += [leafy_tree(m, s) for m in range(5, 121, 5) for s in range(4)]
+    paired = 0
+    for t in trees:
+        prof = profile(t)
+        contracted, _ = contract_bare_paths(t)
+        nbrs = {v: contracted.neighbors(v) for v in contracted.vertices}
+        skeleton = vs._skeleton(prof)
+        assert skeleton == {v: list(ns) for v, ns in nbrs.items()}, t
+        groups = _bunch_groups(skeleton, prof.leaves[0])
+        assert groups == _bunch_groups(nbrs, prof.leaves[0]), t
+        if all(len(g) >= 2 for g in groups):
+            assert _pair_bunches(skeleton, groups) == _pair_bunches(nbrs, groups), t
+            paired += 1
+    assert len(trees) == 531 and paired == 450, paired
+
+
+def test_vertex_system_builds_no_tree(monkeypatch):
+    trees = [t for n in range(2, 10) for t in enumerate_trees(n)]
+    trees += [leafy_tree(m, m) for m in range(5, 65, 5)]
+    built = 0
+    real_init = Tree.__init__
+
+    def counting_init(self, *args, **kwargs):
+        nonlocal built
+        built += 1
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Tree, "__init__", counting_init)
+    supported = 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", BunchMismatchWarning)
+        for t in trees:
+            try:
+                vertex_system(t)
+            except UnsupportedTree:
+                continue
+            supported += 1
+    assert built == 0 and supported == 42, (built, supported)
