@@ -220,7 +220,7 @@ def bunch_pairs(t: Tree) -> list[Pair]:
     bunch has at least two leaves and the tree is not the 3-leaf star.
     """
     p = profile(t)
-    if t.n == 4 and sorted(map(t.degree, t.vertices)) == [1, 1, 1, 3]:
+    if t.n == 4 and p.h1 == 3:
         raise PreconditionViolated("the 3-leaf star is excluded")
     if not p.bunches:
         raise PreconditionViolated("tree has no bunches")

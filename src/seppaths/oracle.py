@@ -367,17 +367,16 @@ def _least_weight(c: int, left: int, nonempty: bool) -> float:
 def enumerate_trees(n: int) -> tuple[Tree, ...]:
     """One tree per unlabeled isomorphism class, deterministic order.
 
-    Counts for n = 2..10 are 1, 1, 2, 3, 6, 11, 23, 47, 106.
+    Counts for n = 2..12 are 1, 1, 2, 3, 6, 11, 23, 47, 106, 235, 551
+    (OEIS A000055).
     """
-    if not 2 <= n <= 10:
-        raise TooLarge(f"n={n} outside supported range 2..10")
+    if not 2 <= n <= MAX_N:
+        raise TooLarge(f"n={n} outside supported range 2..{MAX_N}")
     return _enumerate_trees_cached(n)
 
 
 @lru_cache(maxsize=None)
 def _enumerate_trees_cached(n: int) -> tuple[Tree, ...]:
-    if n == 2:
-        return (Tree.from_edges([(0, 1)]),)
     out = []
     # Start from the path graph rooted at its center.
     layout = list(range(n // 2 + 1)) + list(range(1, (n + 1) // 2))

@@ -12,14 +12,15 @@ from struct import unpack_from
 from typing import Iterable, Sequence
 
 from .errors import HasCycle, UnknownVertex
-from .trees import Edge, PathInTree, edge
+from .trees import Edge, Host, PathInTree
 from .verify import PathSystem, TargetSet, built_system
 
 
-class Graph:
+class Graph(Host):
     """A simple undirected graph on vertices 0..n-1; may be disconnected."""
 
-    __slots__ = ("n", "vertices", "edges", "_adj")
+    __slots__ = ()
+    _kind = "graph"
 
     def __init__(self, n: int, edges: Iterable[Edge]):
         if n < 0:
@@ -49,25 +50,9 @@ class Graph:
         for u, v in rows:
             adj[u].append(v)
             adj[v].append(u)
-        self.n = n
         self.vertices = tuple(range(n))
         self.edges = frozenset(rows)
         self._adj = dict(enumerate(map(tuple, adj)))
-
-    def has_vertex(self, v: int) -> bool:
-        return 0 <= v < self.n
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return edge(u, v) in self.edges
-
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        try:
-            return self._adj[v]
-        except KeyError:
-            raise UnknownVertex(f"vertex {v} not in graph") from None
-
-    def degree(self, v: int) -> int:
-        return len(self.neighbors(v))
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={len(self.edges)})"
@@ -169,7 +154,7 @@ def separating_set_system(n: int) -> SetSystem:
     if n < 2:
         raise ValueError("need n >= 2")
     k, q = divmod(n, 2)
-    t = max((k - 1).bit_length(), 0) if k > 1 else 0  # ceil(log2 k)
+    t = (k - 1).bit_length()  # ceil(log2 k)
     bits = t + 1 if k == 1 << t else t
     # Prefer codes 1..k; fall back to 0..k-1 when 1..k would hit all-ones.
     first_code = 1 if k <= (1 << bits) - 2 else 0

@@ -3,7 +3,8 @@
 Vertices are non-negative integers.  A tree's vertex set is exactly the set
 of ids it was built with; ids need not be contiguous (the constructions'
 reductions keep the surviving ids of the original tree).  Edges are stored
-as ``(min, max)`` tuples throughout the package.
+as ``(min, max)`` tuples throughout the package.  ``Tree`` and the
+random-graph module's ``Graph`` share one base, ``Host``.
 """
 
 from __future__ import annotations
@@ -51,7 +52,8 @@ class PathInTree:
     @classmethod
     def _walked(cls, vertices: tuple[int, ...]) -> "PathInTree":
         """A path whose vertex sequence cannot repeat a vertex by how it was
-        built (a walk along parent links), so the checks are skipped."""
+        built (a walk along parent links or through degree-2 vertices of a
+        tree), so the checks are skipped."""
         p = object.__new__(cls)
         object.__setattr__(p, "vertices", vertices)
         return p
@@ -81,7 +83,35 @@ def path_of(*vertices: int) -> PathInTree:
     return PathInTree(tuple(vertices))
 
 
-class Tree:
+class Host:
+    """The host interface that trees and graphs share: sorted ``vertices``,
+    ``(min, max)`` ``edges``, and ``_adj`` mapping each vertex to its
+    ascending neighbours.  Subclasses fill the slots and set ``_kind``."""
+
+    __slots__ = ("vertices", "edges", "_adj")
+    _kind: str  # "tree" or "graph", as unknown-vertex messages name the host
+
+    @property
+    def n(self) -> int:
+        return len(self.vertices)
+
+    def has_vertex(self, v: int) -> bool:
+        return v in self._adj
+
+    def has_edge(self, u: int, v: int) -> bool:
+        return edge(u, v) in self.edges
+
+    def neighbors(self, v: int) -> tuple[int, ...]:
+        try:
+            return self._adj[v]
+        except KeyError:
+            raise UnknownVertex(f"vertex {v} not in {self._kind}") from None
+
+    def degree(self, v: int) -> int:
+        return len(self.neighbors(v))
+
+
+class Tree(Host):
     """An immutable free tree with sorted-adjacency access.
 
     The adjacency order (ascending vertex id) doubles as the canonical
@@ -92,7 +122,8 @@ class Tree:
     The ``profile`` is built on first use, once per tree.
     """
 
-    __slots__ = ("vertices", "edges", "_adj", "_rooted", "_order", "_profile")
+    __slots__ = ("_rooted", "_order", "_profile")
+    _kind = "tree"
 
     def __init__(self, vertices: Iterable[int], edges: Iterable[Edge]):
         vs = tuple(sorted(set(vertices)))
@@ -138,25 +169,6 @@ class Tree:
 
     def __repr__(self) -> str:
         return f"Tree(n={self.n}, edges={sorted(self.edges)})"
-
-    @property
-    def n(self) -> int:
-        return len(self.vertices)
-
-    def has_vertex(self, v: int) -> bool:
-        return v in self._adj
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return edge(u, v) in self.edges
-
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        try:
-            return self._adj[v]
-        except KeyError:
-            raise UnknownVertex(f"vertex {v} not in tree") from None
-
-    def degree(self, v: int) -> int:
-        return len(self.neighbors(v))
 
     def is_leaf(self, v: int) -> bool:
         return self.degree(v) == 1
@@ -319,8 +331,6 @@ def unique_path(t: Tree, u: int, v: int) -> PathInTree:
         raise UnknownVertex(f"vertex {u} not in tree")
     if not t.has_vertex(v):
         raise UnknownVertex(f"vertex {v} not in tree")
-    if u == v:
-        return PathInTree((u,))
     parent, depth = t.rooted()
     up, down = [u], [v]
     a, b = u, v
@@ -428,7 +438,7 @@ def _bare_paths(t: Tree, deg: dict[int, int]) -> tuple[PathInTree, ...]:
                 seq.append(x)
             if len(seq) > 2:
                 last_interior.add(seq[-2])
-            paths.append(PathInTree(tuple(seq)))
+            paths.append(PathInTree._walked(tuple(seq)))
     return tuple(paths)
 
 
@@ -449,8 +459,6 @@ def random_tree(n: int, seed: int) -> Tree:
     """A seeded uniform random labeled tree on 0..n-1 (decoded Pruefer sequence)."""
     if n < 2:
         raise TreeTooSmall("need at least 2 vertices")
-    if n == 2:
-        return Tree.from_edges([(0, 1)])
     rng = random.Random(seed)
     seq = [rng.randrange(n) for _ in range(n - 2)]
     deg = [1] * n

@@ -1,8 +1,8 @@
 """Ground-truth checking: incidence signatures, separation, covering, kissing.
 
-Works for any host exposing ``vertices``, ``has_vertex``, ``has_edge`` — both
-trees and the random-graph module's graphs.  An element is either a vertex id
-(int) or an edge ((min, max) tuple).
+Works for any host exposing ``vertices``, ``edges``, ``has_vertex`` and
+``has_edge``: both trees and the random-graph module's graphs.  An element
+is either a vertex id (int) or an edge ((min, max) tuple).
 
 ``signatures`` walks each path once, looking its vertices and consecutive
 edges up among the targets: the exact table, in O(total path length +
@@ -19,7 +19,7 @@ same certified sums let ``faults.decoder`` decode probe reports without the
 table.  Membership tests (``path_contains``, ``kisses``) scan the path's own
 vertex sequence.
 
-A ``PathSystem`` on a tree host validates each path with one subset test of
+A ``PathSystem`` on any host validates each path with one subset test of
 its steps against the host's edges in both orientations (a length-0 path
 only needs its vertex in the host); a path that fails is walked vertex by
 vertex, then step by step, to name its first fault.  The package's own
@@ -111,15 +111,11 @@ class PathSystem:
 
     def __post_init__(self) -> None:
         host = self.host
-        arcs = None
-        if isinstance(host, Tree):  # every host edge, in both orientations
-            arcs = set(host.edges)
-            arcs.update([(v, u) for u, v in host.edges])
+        arcs = set(host.edges)  # every host edge, in both orientations
+        arcs.update([(v, u) for u, v in host.edges])
         for p in self.paths:
             vs = p.vertices
-            if arcs is not None and (
-                arcs.issuperset(zip(vs, vs[1:])) if len(vs) > 1 else host.has_vertex(vs[0])
-            ):
+            if arcs.issuperset(zip(vs, vs[1:])) if len(vs) > 1 else host.has_vertex(vs[0]):
                 continue
             # a failing path: find its first bad vertex, then its first bad step
             for v in p.vertices:

@@ -1,17 +1,24 @@
 """The command-line surface: outputs, exit codes, and file round trips."""
 
+import contextlib
+import io
 import json
 import os
+import re
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import seppaths
 from seppaths import cli
 from seppaths.cli import build_parser, main
 from seppaths.oracle import enumerate_trees
+from seppaths.trees import random_tree
 
 from conftest import BROOM_TEXT, DOUBLE_STAR_TEXT, K13_TEXT, P4_TEXT, DEPTH2_TEXT
 
@@ -429,3 +436,132 @@ class TestRendersOnlyItsFormat:
         code, out, _ = run(capsys, "construct-edge", depth2_file)
         assert code == 0 and out.startswith("# size 4\n")
         assert len(calls) == 1
+
+
+# ---- the exit-code contract, over generated documents and arguments ----
+
+_HUGE = "9" * 5000  # more digits than int() reads from a string
+_ODD_NUMBERS = ("nan", "inf", "-inf", "-1", "2.5", "1e400", "abc", "9" * 30, _HUGE)
+_STDERR_LAST = {
+    0: re.compile(r"warning: .*"),
+    1: re.compile(r"warning: .*|[A-Z]\w*: .*|Not(Separated|Covered)\(.*\)"),
+    2: re.compile(r"warning: .*|usage error: .*"),
+}
+
+
+def _mostly(valid, *odd):
+    """About three draws in four from ``valid``, the rest one of the odd values."""
+    pick = st.sampled_from([True, True, True, False])
+    return pick.flatmap(lambda ok: valid if ok else st.sampled_from(odd))
+
+
+@st.composite
+def tree_documents(draw):
+    """A tree of at most 8 vertices under a drawn numbering, as an edge-list
+    document, sometimes with near-valid edits, and its id tokens."""
+    t = random_tree(draw(st.integers(2, 8)), draw(st.integers(0, 2**16)))
+    ids = draw(st.permutations([0, 1, 2, 3, 4, 5, 6, 7, 8, 10**20]))
+    lines = [[str(ids[u]), str(ids[v])] for u, v in sorted(t.edges)]
+    bom = ""
+    edits = ["drop", "repeat", "reverse", "cycle", "forest", "comment", "token", "bom"]
+    for kind in draw(st.lists(st.sampled_from(edits), max_size=2)) if draw(st.booleans()) else []:
+        i = draw(st.integers(0, len(lines) - 1)) if lines else 0
+        if kind == "drop" and lines:
+            del lines[i]
+        elif kind == "repeat" and lines:
+            lines.insert(i, list(lines[i]))
+        elif kind == "reverse" and lines:
+            lines[i].reverse()
+        elif kind == "cycle":
+            lines.append([str(ids[x]) for x in draw(st.permutations(range(t.n)))[:2]])
+        elif kind == "forest":
+            lines.append(["100", "101"])
+        elif kind == "comment" and lines:
+            lines[i].append("#" + draw(st.text(max_size=4)))
+        elif kind == "token" and lines:
+            token = draw(st.sampled_from(["-1", "+3", "2_0", "１", "x", "", _HUGE]))
+            lines[i][draw(st.integers(0, 1))] = token
+        elif kind == "bom":
+            bom = "\ufeff"
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    doc = "".join(" ".join(line) + newline for line in lines)
+    tokens = sorted({tok for line in lines for tok in line[:2]})
+    return bom + doc, doc, tokens
+
+
+def _call(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def _arguments(data, command, tree, pfile, doc, tokens):
+    """The arguments after the subcommand, mostly well formed; a paths file
+    is one path per edge of the document, one per vertex, or random."""
+    draw = data.draw
+    target = ["--target", draw(_mostly(st.sampled_from(sorted(cli._TARGETS)), "bogus"))]
+    if command in ("verify", "localize"):
+        random_paths = st.lists(st.lists(st.integers(-1, 10), min_size=1, max_size=5), max_size=6)
+        paths = draw(st.one_of(
+            st.just(doc), st.just("".join(tok + "\n" for tok in tokens)),
+            random_paths.map(lambda ps: "".join(" ".join(map(str, q)) + "\n" for q in ps)),
+        ))
+        Path(pfile).write_text(paths, encoding="utf-8")
+        if command == "verify":
+            return [tree, pfile, *target]
+        k = len([line for line in paths.splitlines() if line.split("#")[0].strip()])
+        report = draw(_mostly(st.text("PF", min_size=k, max_size=k), "", "PX", "p" * k, "P" * 50))
+        return [tree, pfile, *target, "--report", report]
+    if command == "oracle":
+        budget = draw(_mostly(st.integers(0, 200).map(str), "nan", "-1", "-inf", "abc"))
+        return [tree, *target, *draw(st.sampled_from([[], ["--no-cover"]])), "--budget-ms", budget]
+    if command == "random-exp":
+        mode = draw(_mostly(
+            st.sampled_from([["--auto-supercritical"], ["--auto-subcritical"]]),
+            ["--auto-supercritical", "--auto-subcritical"],
+        ))
+        p = draw(_mostly(st.floats(0, 1).map(str), *_ODD_NUMBERS))
+        return [
+            "--n", draw(_mostly(st.integers(0, 32).map(str), "-2", "nan", "inf", _HUGE)),
+            *draw(st.sampled_from([mode, ["--p", p]])),
+            "--trials", draw(_mostly(st.just("1"), "0", "-1", "nan")),
+            "--seed", draw(_mostly(st.integers(-(10**40), 10**40).map(str), *_ODD_NUMBERS)),
+        ]
+    return [tree]
+
+
+class TestExitCodeContract:
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    @pytest.mark.parametrize("command", [
+        "profile", "construct-edge", "construct-vertex", "verify", "oracle",
+        "random-exp", "localize", "export-dot",
+    ])
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_every_call_exits_0_1_or_2_with_named_messages(self, fmt, command, data):
+        text, doc, tokens = data.draw(tree_documents())
+        with tempfile.TemporaryDirectory() as tmp:
+            tree, pfile = os.path.join(tmp, "t.tree"), os.path.join(tmp, "t.paths")
+            Path(tree).write_text(text, encoding="utf-8")
+            args = _arguments(data, command, tree, pfile, doc, tokens)
+            code, out, err = _call(["--format", fmt, command, *args])
+            assert code in (0, 1, 2)
+            lines = err.splitlines()
+            if code == 2 and lines and lines[0].startswith("usage: seppaths"):
+                assert re.fullmatch(r"seppaths( [\w-]+)?: error: .*", lines[-1]), err
+            else:
+                assert all(_STDERR_LAST[0].fullmatch(line) for line in lines[:-1]), err
+                assert not lines or _STDERR_LAST[code].fullmatch(lines[-1]), err
+                assert code == 0 or lines, err
+            if code != 0:
+                return
+            if command == "export-dot":  # DOT in either format
+                assert out.startswith("graph tree {\n")
+            elif fmt == "json":
+                payload = json.loads(out)
+                if command == "construct-edge":
+                    out = "".join(" ".join(map(str, q)) + "\n" for q in payload["paths"])
+            if command == "construct-edge":
+                Path(pfile).write_text(out)
+                assert _call(["verify", tree, pfile, "--target", "edges"])[0] == 0

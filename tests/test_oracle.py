@@ -9,7 +9,7 @@ import pytest
 
 from seppaths import PathInTree, TargetSet, Tree, canonical_form, covers, random_tree, separates
 from seppaths import oracle
-from seppaths.edge_systems import DEPTH2_BINARY
+from seppaths.edge_systems import DEPTH2_BINARY, edge_target_size
 from seppaths.errors import Infeasible, Timeout, TooLarge
 from seppaths.oracle import (
     _least_weight,
@@ -408,7 +408,7 @@ class TestGraphOracle:
 
 class TestEnumerateTrees:
     def test_counts(self):
-        expected = {2: 1, 3: 1, 4: 2, 5: 3, 6: 6, 7: 11, 8: 23, 9: 47, 10: 106}
+        expected = {2: 1, 3: 1, 4: 2, 5: 3, 6: 6, 7: 11, 8: 23, 9: 47, 10: 106, 11: 235, 12: 551}
         for n, count in expected.items():
             assert len(enumerate_trees(n)) == count
 
@@ -422,8 +422,17 @@ class TestEnumerateTrees:
         ta_form = canonical_form(DEPTH2_BINARY)
         assert ta_form in {canonical_form(t) for t in enumerate_trees(7)}
 
+    def test_edge_optimum_equals_the_target_size_up_to_the_cap(self):
+        # the acceptance criteria solve every tree with n <= 8
+        solved = 0
+        for n in range(9, oracle.MAX_N + 1):
+            for t in enumerate_trees(n):
+                assert min_separating(t, TargetSet.edges(t)).size == edge_target_size(t), t
+                solved += 1
+        assert solved == 939
+
     def test_out_of_range(self):
         with pytest.raises(TooLarge):
-            enumerate_trees(11)
+            enumerate_trees(13)
         with pytest.raises(TooLarge):
             enumerate_trees(1)

@@ -19,6 +19,7 @@ from seppaths import (
     ExperimentConfig,
     Graph,
     TargetSet,
+    Tree,
     covers,
     gen_gnp,
     isolated_count,
@@ -261,8 +262,13 @@ def _induced(g: Graph, block):
 
 class TestGraph:
     def test_unknown_vertex(self):
-        with pytest.raises(UnknownVertex):
+        with pytest.raises(UnknownVertex, match="^vertex 3 not in graph$"):
             Graph(3, [(0, 1)]).neighbors(3)
+
+    def test_trees_and_graphs_share_one_host_implementation(self):
+        shared = {"n", "has_vertex", "has_edge", "neighbors", "degree"}
+        assert not shared & set(Tree.__dict__)
+        assert not shared & set(Graph.__dict__)
 
 
 class TestSpanningPath:

@@ -377,12 +377,16 @@ class TestUniquePath:
     def test_cross_subtree_route(self, depth2):
         assert unique_path(depth2, 4, 6).vertices == (4, 2, 1, 3, 6)
 
-    def test_identity(self, k13):
-        assert unique_path(k13, 2, 2).vertices == (2,)
+    def test_identity(self, k13, depth2):
+        for t in (k13, depth2):
+            for v in t.vertices:
+                assert unique_path(t, v, v).vertices == (v,)
 
     def test_unknown(self, p4):
-        with pytest.raises(UnknownVertex):
+        with pytest.raises(UnknownVertex, match="^vertex 9 not in tree$"):
             unique_path(p4, 0, 9)
+        with pytest.raises(UnknownVertex, match="^vertex 9 not in tree$"):
+            p4.neighbors(9)
 
     @settings(max_examples=60, deadline=None)
     @given(random_trees, st.data())
@@ -784,6 +788,8 @@ def test_path_of_rejects_repeats():
 def test_random_tree_is_deterministic():
     assert random_tree(12, 7).edges == random_tree(12, 7).edges
     assert random_tree(12, 7).edges != random_tree(12, 8).edges
+    for seed in range(5):  # the empty Pruefer sequence decodes to the single edge
+        assert random_tree(2, seed) == Tree.from_edges([(0, 1)])
 
 
 def union_find_parse_error(text: str):

@@ -542,17 +542,33 @@ class TestPathValidation:
         with pytest.raises(InvalidPath, match="unknown vertex 4"):
             PathSystem(t, (path_of(4),))
 
+    def test_valid_graph_paths_take_no_step_by_step_walk(self, monkeypatch):
+        calls = []
+        real = Graph.has_edge
+
+        def counting(self, u, v):
+            calls.append((u, v))
+            return real(self, u, v)
+
+        monkeypatch.setattr(Graph, "has_edge", counting)
+        g = Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)])
+        fs = make_system(g, [(0, 1, 2), (4, 3, 2, 1), (0, 4), (3,)])
+        assert fs.size == 4 and calls == []
+        with pytest.raises(InvalidPath, match="^path 4-0-2: 0 and 2 are not adjacent$"):
+            make_system(g, [(4, 0, 2)])
+        assert calls == [(4, 0), (0, 2)]  # the walk names the failing path's fault
+
     @settings(max_examples=200, deadline=None)
     @given(st.integers(2, 12), st.integers(0, 2**32), st.data())
     def test_same_first_error_as_step_by_step(self, n, seed, data):
-        t = random_tree(n, seed)
-        vertex = st.integers(0, n + 1)  # n and n + 1 are not in the tree
+        vertex = st.integers(0, n + 1)  # n and n + 1 are not in the host
         walks = st.lists(vertex, min_size=1, max_size=5, unique=True)
         paths = [path_of(*vs) for vs in data.draw(st.lists(walks, max_size=4))]
-        expected = _step_by_step_error(t, paths)
-        if expected is None:
-            assert PathSystem(t, tuple(paths)).paths == tuple(paths)
-        else:
-            with pytest.raises(InvalidPath) as info:
-                PathSystem(t, tuple(paths))
-            assert str(info.value) == expected
+        for host in (random_tree(n, seed), gen_gnp(n, 0.5, seed)):
+            expected = _step_by_step_error(host, paths)
+            if expected is None:
+                assert PathSystem(host, tuple(paths)).paths == tuple(paths)
+            else:
+                with pytest.raises(InvalidPath) as info:
+                    PathSystem(host, tuple(paths))
+                assert str(info.value) == expected

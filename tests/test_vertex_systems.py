@@ -23,7 +23,7 @@ from seppaths import (
     vertex_upper_formula,
 )
 from seppaths.errors import NotConsecutive, PreconditionViolated, UnsupportedTree
-from seppaths.oracle import _enumerate_trees_cached, enumerate_trees, min_separating
+from seppaths.oracle import enumerate_trees, min_separating
 from seppaths.edge_systems import _bunch_groups, _pair_bunches, bunch_pairs
 from seppaths.vertex_systems import (
     BunchMismatchWarning,
@@ -221,6 +221,24 @@ class TestVertexSystem:
                 eligible += 1
                 assert opt <= fs.size <= vertex_upper_formula(p)
         assert eligible >= 5
+
+    def test_sandwich_on_trees_with_nine_and_ten_vertices(self):
+        # the acceptance criteria check every tree with n <= 8
+        warnings.simplefilter("ignore", BunchMismatchWarning)
+        checked = eligible = 0
+        for n in (9, 10):
+            for t in enumerate_trees(n):
+                p = profile(t)
+                opt = min_separating(t, TargetSet.vertices(t)).size
+                assert vertex_lower_bound(p) <= opt, t
+                checked += 1
+                try:
+                    fs = vertex_system(t)
+                except UnsupportedTree:
+                    continue
+                eligible += 1
+                assert opt <= fs.size <= vertex_upper_formula(p), t
+        assert (checked, eligible) == (153, 43)
 
     def test_outputs_kiss_every_edge(self):
         warnings.simplefilter("ignore", BunchMismatchWarning)
@@ -507,7 +525,7 @@ def test_endpoint_exchange_matches_whole_family_rescan():
 # ---- the skeleton map against the contracted Tree it replaced ----
 
 def test_skeleton_walk_matches_the_contracted_tree():
-    trees = [t for n in range(2, 12) for t in _enumerate_trees_cached(n)]
+    trees = [t for n in range(2, 12) for t in enumerate_trees(n)]
     trees += [leafy_tree(m, s) for m in range(5, 121, 5) for s in range(4)]
     paired = 0
     for t in trees:
