@@ -265,7 +265,8 @@ def cmd_localize(args) -> int:
 
 
 def cmd_export_dot(args) -> int:
-    print(emit_dot(_load_tree(args.tree)), end="")
+    dot = emit_dot(_load_tree(args.tree))
+    _emit(args, dot.splitlines, {"dot": dot})
     return 0
 
 

@@ -3,8 +3,10 @@
 ``min_separating`` computes the definitional optimum by iterative deepening
 over the family size with branch-and-bound pruning; the returned family is
 provably minimum and is re-checked through the verifier before being
-returned.  ``enumerate_trees`` yields one representative per unlabeled
-isomorphism class (level-sequence successor algorithm).
+returned.  Its candidates, on a tree or a graph, are the simple paths that
+``enumerate_paths`` finds by one depth-first search.  ``enumerate_trees``
+yields one representative per unlabeled isomorphism class (level-sequence
+successor algorithm).
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import Infeasible, Timeout, TooLarge
-from .trees import PathInTree, Tree, edge, unique_path
+from .trees import PathInTree, Tree, edge
 from .verify import PathSystem, TargetSet, built_system
 
 MAX_N = 12
@@ -24,44 +26,31 @@ GRAPH_PATH_CAP = 20000
 REFUTED_CAP = 1 << 17
 
 
-def enumerate_paths(t: Tree, include_trivial: bool) -> tuple[PathInTree, ...]:
-    """Every candidate path of a tree: optional length-0 paths (by vertex id),
-    then the unique u-v path for each pair u < v (by (u, v))."""
-    if t.n > MAX_N:
-        raise TooLarge(f"n={t.n} exceeds cap {MAX_N}")
-    out: list[PathInTree] = []
-    if include_trivial:
-        out.extend(PathInTree((v,)) for v in t.vertices)
-    vs = t.vertices
-    for i in range(len(vs)):
-        for j in range(i + 1, len(vs)):
-            out.append(unique_path(t, vs[i], vs[j]))
-    return tuple(out)
-
-
-def enumerate_simple_paths(g, include_trivial: bool) -> tuple[PathInTree, ...]:
-    """All simple paths of a general graph, one orientation each.
-
-    Supports exact minima on tiny (possibly disconnected) graphs; refuses
-    instances with more than ``GRAPH_PATH_CAP`` paths.
-    """
-    out: list[PathInTree] = []
-    if include_trivial:
-        out.extend(PathInTree((v,)) for v in g.vertices)
-    for start in g.vertices:
-        stack = [(start, [start])]
+def enumerate_paths(host, include_trivial: bool) -> tuple[PathInTree, ...]:
+    """Every candidate path of a tree or graph: optional length-0 paths (by
+    vertex id), then each simple path once, from its lower end, by (start,
+    end, sequence); on a tree, the unique u-v path for each u < v, by (u, v).
+    Refuses more than ``MAX_N`` vertices or ``GRAPH_PATH_CAP`` paths."""
+    if host.n > MAX_N:
+        raise TooLarge(f"n={host.n} exceeds cap {MAX_N}")
+    out = [(v,) for v in host.vertices] if include_trivial else []
+    first = len(out)
+    for start in host.vertices:
+        stack = [(start,)]
         while stack:
-            v, seq = stack.pop()
-            for w in g.neighbors(v):
+            seq = stack.pop()
+            for w in host.neighbors(seq[-1]):
                 if w in seq:
                     continue
-                ext = seq + [w]
-                if ext[0] < ext[-1]:  # emit each path in one orientation only
-                    out.append(PathInTree(tuple(ext)))
+                ext = seq + (w,)
+                if start < w:  # each path once, from its lower end
+                    out.append(ext)
                     if len(out) > GRAPH_PATH_CAP:
                         raise TooLarge(f"more than {GRAPH_PATH_CAP} simple paths")
-                stack.append((w, ext))
-    return tuple(out)
+                stack.append(ext)
+    out[first:] = sorted(out[first:], key=lambda seq: (seq[0], seq[-1], seq))
+    # a simple path never repeats a vertex, so the checks are skipped
+    return tuple(PathInTree._walked(seq) for seq in out)
 
 
 @dataclass(frozen=True)
@@ -95,10 +84,7 @@ class _Search:
     ):
         if include_trivial is None:
             include_trivial = any(isinstance(s, int) for s in ts.elements) or not ts.elements
-        if isinstance(host, Tree):
-            cands = enumerate_paths(host, include_trivial)
-        else:
-            cands = enumerate_simple_paths(host, include_trivial)
+        cands = enumerate_paths(host, include_trivial)
         elements = ts.elements
         self.m = len(elements)
         eidx = {s: i for i, s in enumerate(elements)}
@@ -311,8 +297,6 @@ def min_separating(
     """
     if budget_ms is not None and not budget_ms >= 0:  # NaN fails too
         raise ValueError(f"budget_ms={budget_ms} is not a non-negative number")
-    if host.n > MAX_N:
-        raise TooLarge(f"n={host.n} exceeds cap {MAX_N}")
     started = time.monotonic()
     search = _Search(host, ts, require_cover, budget_ms, include_trivial)
     for k in range(search.floor(), len(search.cands) + 1):

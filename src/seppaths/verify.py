@@ -6,18 +6,18 @@ is either a vertex id (int) or an edge ((min, max) tuple).
 
 ``signatures`` walks each path once, looking its vertices and consecutive
 edges up among the targets: the exact table, in O(total path length +
-targets).  ``check``, ``separates`` and ``covers`` on a tree host first try
-to certify from one hash sweep in O(n + paths): each path gets a fixed
-random word, and each target element the sum of the words of the paths
-through it, found from path ends, offline LCAs and subtree sums without
-walking any path.  Equal path sets give equal sums and the empty set sums
-to zero, so distinct nonzero sums prove the verdict exactly.  When the sums
-do not certify (a collision, a zero, or a family that really fails), the
-verdict and its witness come from the exact table, so a hash can never
-accept a failing family.  Graph hosts always use the exact table.  The
-same certified sums let ``faults.decoder`` decode probe reports without the
-table.  Membership tests (``path_contains``, ``kisses``) scan the path's own
-vertex sequence.
+targets).  ``check``, ``separates`` and ``covers`` share one routine, which
+on a tree host first tries to certify from one hash sweep in O(n + paths):
+each path gets a fixed random word, and each target element the sum of the
+words of the paths through it, found from path ends, offline LCAs and
+subtree sums without walking any path.  Equal path sets give equal sums and
+the empty set sums to zero, so distinct nonzero sums prove the verdict
+exactly.  When the sums do not certify (a collision, a zero, or a family
+that really fails), the verdict and its witness come from the exact table
+(``check_signatures``), so a hash can never accept a failing family.  Graph
+hosts always use the exact table.  The same certified sums let
+``faults.decoder`` decode probe reports without the table.  Membership
+tests (``path_contains``, ``kisses``) scan the path's own vertex sequence.
 
 A ``PathSystem`` on any host validates each path with one subset test of
 its steps against the host's edges in both orientations (a length-0 path
@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from .errors import BadToken, InternalClassificationError, InvalidPath, UnknownElement
-from .trees import Edge, PathInTree, Tree, edge
+from .trees import Edge, PathInTree, Tree, edge, profile
 
 Element = int | Edge
 
@@ -76,9 +76,8 @@ class TargetSet:
 
     @staticmethod
     def vertices_and_interior_edges(tree: Tree) -> "TargetSet":
-        leafset = {v for v in tree.vertices if tree.degree(v) == 1}
-        interior = [e for e in tree.edges if e[0] not in leafset and e[1] not in leafset]
-        els = tuple(sorted([*tree.vertices, *interior], key=element_key))
+        # both parts are sorted, and element_key puts vertices before edges
+        els = tree.vertices + profile(tree).interior_edges
         return TargetSet(TargetKind.VERTICES_AND_INTERIOR_EDGES, els)
 
     @staticmethod
@@ -300,64 +299,59 @@ def _certified_sums(
     return hashes
 
 
-def _separation(sig: dict[Element, frozenset[int]], ts: TargetSet) -> Verdict:
-    groups: dict[frozenset[int], list[Element]] = {}
-    for s in ts.elements:  # elements are stored sorted
-        groups.setdefault(sig[s], []).append(s)
-    colliding = [g for g in groups.values() if len(g) > 1]
-    if not colliding:
-        return Verdict(True, "Separates")
-    first = min(colliding, key=lambda g: element_key(g[0]))
-    return Verdict(False, "NotSeparated", (first[0], first[1]))
+# the pass label for each (separation, covering) request
+_PASSES = {(True, True): "SeparatesAndCovers", (True, False): "Separates", (False, True): "Covers"}
 
 
-def _covering(sig: dict[Element, frozenset[int]], ts: TargetSet) -> Verdict:
-    for s in ts.elements:
-        if not sig[s]:
-            return Verdict(False, "NotCovered", (s,))
-    return Verdict(True, "Covers")
+def check_signatures(
+    sig: dict[Element, frozenset[int]], ts: TargetSet,
+    separation: bool = True, covering: bool = True,
+) -> Verdict:
+    """The exact verdict on an already computed signature map, for the
+    asked-for properties, separation first.
+
+    NotSeparated(s,t) names the lexicographically least colliding pair
+    (vertices before edges): the least element with a non-unique signature
+    and the next element sharing it.  NotCovered(s) names the first element
+    of empty signature.
+    """
+    if separation:
+        groups: dict[frozenset[int], list[Element]] = {}
+        for s in ts.elements:  # elements are stored sorted
+            groups.setdefault(sig[s], []).append(s)
+        colliding = [g for g in groups.values() if len(g) > 1]
+        if colliding:
+            first = min(colliding, key=lambda g: element_key(g[0]))
+            return Verdict(False, "NotSeparated", (first[0], first[1]))
+    if covering:
+        for s in ts.elements:
+            if not sig[s]:
+                return Verdict(False, "NotCovered", (s,))
+    return Verdict(True, _PASSES[separation, covering])
+
+
+def _verdict(fs: PathSystem, ts: TargetSet, separation: bool, covering: bool) -> Verdict:
+    """One sweep: a pass when the tree hash sums certify the asked-for
+    properties, else the exact table's verdict."""
+    if _certified_sums(fs, ts, separation, covering) is not None:
+        return Verdict(True, _PASSES[separation, covering])
+    return check_signatures(signatures(fs, ts), ts, separation, covering)
 
 
 def separates(fs: PathSystem, ts: TargetSet) -> Verdict:
-    """Separates, or NotSeparated(s,t) with the first colliding pair.
-
-    The witness is the lexicographically least pair (vertices before edges),
-    i.e. the least element with a non-unique signature and the next element
-    sharing its signature.
-    """
-    if _certified_sums(fs, ts, covering=False) is not None:
-        return Verdict(True, "Separates")
-    return _separation(signatures(fs, ts), ts)
+    """Separates, or NotSeparated(s,t) with the least colliding pair."""
+    return _verdict(fs, ts, separation=True, covering=False)
 
 
 def covers(fs: PathSystem, ts: TargetSet) -> Verdict:
     """Covers, or NotCovered(s) with the first element of empty signature."""
-    if _certified_sums(fs, ts, separation=False) is not None:
-        return Verdict(True, "Covers")
-    return _covering(signatures(fs, ts), ts)
-
-
-def check_signatures(sig: dict[Element, frozenset[int]], ts: TargetSet) -> Verdict:
-    """The verdict of ``check`` on an already computed signature map."""
-    sep = _separation(sig, ts)
-    if not sep:
-        return sep
-    cov = _covering(sig, ts)
-    if not cov:
-        return cov
-    return Verdict(True, "SeparatesAndCovers")
+    return _verdict(fs, ts, separation=False, covering=True)
 
 
 def check(fs: PathSystem, ts: TargetSet) -> Verdict:
-    """Separates and covers, from one sweep: the tree hash sweep when it
-    certifies, the exact signature table otherwise.
-
-    A failure is reported as ``separates`` or ``covers`` would report it,
-    separation first.
-    """
-    if _certified_sums(fs, ts) is not None:
-        return Verdict(True, "SeparatesAndCovers")
-    return check_signatures(signatures(fs, ts), ts)
+    """SeparatesAndCovers, or the failure ``separates`` or ``covers`` would
+    report, separation first."""
+    return _verdict(fs, ts, separation=True, covering=True)
 
 
 def built_system(

@@ -248,14 +248,6 @@ def is_subdivided_cubic_leafy(t: Tree) -> bool:
     return t.n - sum(d == 2 for d in degs.values()) >= 4
 
 
-def _is_path_graph(t: Tree) -> bool:
-    return t.n >= 2 and all(t.degree(v) <= 2 for v in t.vertices)
-
-
-def _is_star(t: Tree) -> bool:
-    return t.n >= 3 and sum(t.degree(v) > 1 for v in t.vertices) == 1
-
-
 def sharp_value(t: Tree, ts: TargetSet) -> int | None:
     """The exact optimum when the tree belongs to a recognized sharp family,
     else None.
@@ -267,9 +259,9 @@ def sharp_value(t: Tree, ts: TargetSet) -> int | None:
     """
     p = profile(t)
     if ts.kind is TargetKind.VERTICES:
-        if _is_path_graph(t):
+        if p.h1 == 2:  # a path
             return (t.n + 2) // 2
-        if _is_star(t):
+        if t.n >= 3 and p.h1 == t.n - 1:  # a star: one vertex is not a leaf
             return 3 if p.h1 == 3 else -(-2 * p.h1 // 3)
         if p.h2 == 0 and len(p.bunches) >= 2 and all(b.size >= 3 for b in p.bunches):
             return -(-2 * p.h1 // 3)

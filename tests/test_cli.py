@@ -556,8 +556,9 @@ class TestExitCodeContract:
                 assert code == 0 or lines, err
             if code != 0:
                 return
-            if command == "export-dot":  # DOT in either format
-                assert out.startswith("graph tree {\n")
+            if command == "export-dot":  # DOT, bare or as the JSON "dot" string
+                dot = json.loads(out)["dot"] if fmt == "json" else out
+                assert dot.startswith("graph tree {\n") and dot.endswith("}\n")
             elif fmt == "json":
                 payload = json.loads(out)
                 if command == "construct-edge":

@@ -1,6 +1,9 @@
-"""Every name a package module imports is used in that module."""
+"""Every name a package module imports is used in that module, and every
+name README's library layout lists is defined in its module."""
 
 import ast
+import importlib
+import re
 from pathlib import Path
 
 import seppaths
@@ -30,3 +33,17 @@ def test_no_unused_import_in_the_package():
         if (names := _unused_imports(ast.parse(p.read_text())))
     }
     assert not unused, unused
+
+
+def test_readme_layout_names_exist():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    layout = readme.split("## Library layout", 1)[1].split("\n## ", 1)[0]
+    rows = re.findall(r"^\| `(seppaths\.\w+)` \| (.*) \|$", layout, re.MULTILINE)
+    assert len(rows) >= 8
+    missing = [
+        f"{module}.{name}"
+        for module, contents in rows
+        for name in re.findall(r"`(\w+)`", contents)
+        if not hasattr(importlib.import_module(module), name)
+    ]
+    assert not missing, missing

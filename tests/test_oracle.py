@@ -7,7 +7,16 @@ import random
 
 import pytest
 
-from seppaths import PathInTree, TargetSet, Tree, canonical_form, covers, random_tree, separates
+from seppaths import (
+    PathInTree,
+    TargetSet,
+    Tree,
+    canonical_form,
+    covers,
+    random_tree,
+    separates,
+    unique_path,
+)
 from seppaths import oracle
 from seppaths.edge_systems import DEPTH2_BINARY, edge_target_size
 from seppaths.errors import Infeasible, Timeout, TooLarge
@@ -15,7 +24,6 @@ from seppaths.oracle import (
     _least_weight,
     _Search,
     enumerate_paths,
-    enumerate_simple_paths,
     enumerate_trees,
     exists_family,
     min_separating,
@@ -40,6 +48,31 @@ class TestEnumeratePaths:
     def test_cap(self):
         with pytest.raises(TooLarge):
             enumerate_paths(path_tree(13), include_trivial=False)
+
+    def test_trees_in_pair_order(self):
+        # the trivial paths by id, then the unique u-v path for each u < v
+        trees = [Tree([0], [])] + [t for n in range(2, 10) for t in enumerate_trees(n)]
+        for t in trees:
+            pairs = [unique_path(t, u, v) for u, v in itertools.combinations(t.vertices, 2)]
+            for inc in (True, False):
+                trivial = [PathInTree((v,)) for v in t.vertices] if inc else []
+                assert list(enumerate_paths(t, inc)) == trivial + pairs, t
+
+    def test_graphs_match_brute_force(self):
+        # every simple path once, from its lower end, by (start, end, sequence)
+        for n, p, seed in itertools.product(range(2, 7), (0.4, 0.7), range(4)):
+            g = gen_gnp(n, p, seed)
+            reference = {
+                seq
+                for k in range(2, n + 1)
+                for seq in itertools.permutations(g.vertices, k)
+                if seq[0] < seq[-1] and all(g.has_edge(a, b) for a, b in zip(seq, seq[1:]))
+            }
+            got = [q.vertices for q in enumerate_paths(g, include_trivial=True)]
+            assert got[:n] == [(v,) for v in g.vertices]
+            paths = got[n:]
+            assert len(set(paths)) == len(paths) and set(paths) == reference, (n, p, seed)
+            assert paths == sorted(paths, key=lambda seq: (seq[0], seq[-1], seq))
 
 
 class TestMinSeparating:
@@ -402,7 +435,7 @@ class TestGraphOracle:
 
     def test_simple_path_enumeration_matches_tree_count(self, p4):
         g = Graph(4, [(0, 1), (1, 2), (2, 3)])
-        no_trivial = enumerate_simple_paths(g, include_trivial=False)
+        no_trivial = enumerate_paths(g, include_trivial=False)
         assert len(no_trivial) == 6  # C(4,2) pairs, unique paths in a path graph
 
 

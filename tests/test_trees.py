@@ -14,6 +14,7 @@ import seppaths.trees as trees_module
 from seppaths import (
     Bunch,
     PathInTree,
+    TargetSet,
     Tree,
     canonical_form,
     dfs_leaf_order,
@@ -343,6 +344,11 @@ class TestProfile:
         assert len(ts) == 1095
         for t in ts:
             assert profile(t).bunches == union_find_bunches(t), t
+            # the target set read off the profile, against a degree recount
+            leaves = {v for v in t.vertices if t.degree(v) == 1}
+            interior = sorted(e for e in t.edges if not leaves & set(e))
+            got = TargetSet.vertices_and_interior_edges(t).elements
+            assert got == (*t.vertices, *interior), t
 
     def test_bunch_sizes_sum_to_h1(self):
         for n in range(2, 9):

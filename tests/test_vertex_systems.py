@@ -363,6 +363,8 @@ class TestSharpValues:
         assert sharp_value(k13, ts) == 3
 
     def test_unrecognized_returns_none(self, broom):
+        lone = Tree([0], [])  # neither a path nor a star: no leaf at all
+        assert sharp_value(lone, TargetSet.vertices(lone)) is None
         assert sharp_value(broom, TargetSet.vertices(broom)) is None
         assert sharp_value(broom, TargetSet.edges(broom)) is None
 
