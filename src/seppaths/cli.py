@@ -69,8 +69,8 @@ def _load_tree(path: str) -> Tree:
 
 
 def _emit(args, text_lines, payload) -> None:
-    """Print the payload as JSON, or the lines that ``text_lines()`` renders:
-    a JSON run never renders them."""
+    """Print the payload as JSON (a tuple comes out as an array), or the
+    lines that ``text_lines()`` renders: a JSON run never renders them."""
     if args.format == "json":
         print(json.dumps(payload, sort_keys=True))
     else:
@@ -78,16 +78,8 @@ def _emit(args, text_lines, payload) -> None:
             print(line)
 
 
-def _paths_as_lists(fs: PathSystem) -> list[list[int]]:
-    return [list(p.vertices) for p in fs.paths]
-
-
 def _system_text(fs: PathSystem, header: list[str]) -> list[str]:
     return [f"# {h}" for h in header] + serialize_paths(fs).splitlines()
-
-
-def _element_payload(s):
-    return s if isinstance(s, int) else list(s)
 
 
 def cmd_profile(args) -> int:
@@ -98,15 +90,13 @@ def cmd_profile(args) -> int:
         "h1": p.h1,
         "h2": p.h2,
         "h2star": p.h2star,
-        "leaves": list(p.leaves),
-        "deg2": list(p.deg2),
-        "interiorEdges": [list(e) for e in p.interior_edges],
-        "barePaths": [list(bp.vertices) for bp in p.bare_paths],
-        "setI": list(p.set_i),
-        "bunches": [
-            {"vertices": list(b.vertices), "leaves": list(b.leaves)} for b in p.bunches
-        ],
-        "usefulLeaves": list(p.useful_leaves),
+        "leaves": p.leaves,
+        "deg2": p.deg2,
+        "interiorEdges": p.interior_edges,
+        "barePaths": [bp.vertices for bp in p.bare_paths],
+        "setI": p.set_i,
+        "bunches": [{"vertices": b.vertices, "leaves": b.leaves} for b in p.bunches],
+        "usefulLeaves": p.useful_leaves,
     }
     _emit(args, lambda: [
         f"n {t.n}",
@@ -129,7 +119,7 @@ def cmd_profile(args) -> int:
 def cmd_construct_edge(args) -> int:
     t = _load_tree(args.tree)
     fs = edge_system(t)
-    payload = {"size": fs.size, "paths": _paths_as_lists(fs)}
+    payload = {"size": fs.size, "paths": [q.vertices for q in fs.paths]}
     _emit(args, lambda: _system_text(fs, [f"size {fs.size}"]), payload)
     return 0
 
@@ -147,7 +137,7 @@ def cmd_construct_vertex(args) -> int:
     sharp = sharp_value(t, TargetSet.vertices(t))
     payload = {
         "size": fs.size,
-        "paths": _paths_as_lists(fs),
+        "paths": [q.vertices for q in fs.paths],
         "lower": lower,
         "upper": upper,
         "sharp": sharp,
@@ -182,7 +172,7 @@ def cmd_oracle(args) -> int:
     )
     payload = {
         "size": res.size,
-        "paths": _paths_as_lists(res.system),
+        "paths": [q.vertices for q in res.system.paths],
         "nodesExpanded": res.nodes_expanded,
         "elapsed": res.elapsed,
     }
@@ -253,7 +243,7 @@ def cmd_localize(args) -> int:
     diag = decode(report)
     payload = {
         "diagnosis": diag.kind,
-        "element": None if diag.element is None else _element_payload(diag.element),
+        "element": diag.element,
         "failedSet": sorted(diag.failed),
     }
     _emit(args, lambda: [

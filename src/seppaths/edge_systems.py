@@ -341,15 +341,16 @@ def _partner(adj: Adjacency, u: int, deg2: list[int]) -> tuple[Pair | None, bool
     """The least allowed reduction pair with the leaf u, and whether u has
     any partner at all (allowed or not).
 
-    A support of degree >= 4 takes any degree-2 vertex and one of degree 3
-    any outside its neighborhood, which holds at most two of them; so the
-    walk down the heap stops within three live entries unless ``_allowed``
-    refuses, which happens only on trees of 9 or 10 vertices.
+    u's support has degree >= 3: ``_least_pair`` parks every leaf whose
+    support has degree 2, and every map ``_reduce_and_lift`` holds has at
+    least 3 vertices, so no support is a leaf.  A support of degree >= 4
+    takes any degree-2 vertex and one of degree 3 any outside its
+    neighborhood, which holds at most two of them; so the walk down the heap
+    stops within three live entries unless ``_allowed`` refuses, which
+    happens only on trees of 9 or 10 vertices.
     """
     (w,) = adj[u]
     dw = len(adj[w])
-    if dw < 3:
-        return None, False
     seen: list[int] = []
     found, partnered = None, False
     while not found and deg2:

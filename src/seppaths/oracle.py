@@ -142,9 +142,7 @@ class _Search:
         self.budget_ms = budget_ms
 
     def floor(self) -> int:
-        if self.m == 0:
-            return 0
-        return max(_ceil_log2(self.m + (1 if self.require_cover else 0)), 0)
+        return _ceil_log2(self.m + (1 if self.require_cover else 0))
 
     def required_ends(
         self, groups: tuple[int, ...], uncovered: int, left: int | None = None

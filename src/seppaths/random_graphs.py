@@ -78,9 +78,7 @@ def gen_gnp(n: int, p: float, seed: int) -> Graph:
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"p={p} outside [0, 1]")
     edges = []
-    if p >= 1.0:
-        edges = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    elif p > 0.0:
+    if p > 0.0:
         rng = random.Random(seed)
         cut = math.ceil(math.ldexp(p, 53))
         hi = (cut - 1) >> 45

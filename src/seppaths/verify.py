@@ -71,8 +71,7 @@ class TargetSet:
 
     @staticmethod
     def vertices(host) -> "TargetSet":
-        els = tuple(sorted(host.vertices))
-        return TargetSet(TargetKind.VERTICES, els)
+        return TargetSet(TargetKind.VERTICES, host.vertices)  # already a sorted tuple
 
     @staticmethod
     def vertices_and_interior_edges(tree: Tree) -> "TargetSet":
@@ -242,9 +241,6 @@ def _tree_hashes(fs: PathSystem, ts: TargetSet) -> list[int]:
         vs = p.vertices
         a, b = pos[vs[0]], pos[vs[-1]]
         w = words[i]
-        if a == b:
-            meet[a] += w
-            continue
         below[a] += w
         below[b] += w
         e = 2 * i

@@ -229,23 +229,21 @@ def vertex_interior_system(t: Tree) -> PathSystem:
 # ---- sharp families ----
 
 def is_cubic_leafy(t: Tree) -> bool:
-    """All degrees in {1, 3}, at least 4 vertices."""
-    return t.n >= 4 and all(t.degree(v) in (1, 3) for v in t.vertices)
+    """All degrees in {1, 3}, at least 4 vertices.  With no degree-2 vertex
+    the degree sum 2(n - 1) is at least h1 + 3(n - h1), with equality
+    exactly when every non-leaf has degree 3."""
+    p = profile(t)
+    return t.n >= 4 and p.h2 == 0 and t.n == 2 * p.h1 - 2
 
 
 def is_subdivided_cubic_leafy(t: Tree) -> bool:
-    """A degree-{1,3} tree with every interior edge subdivided exactly once."""
-    degs = {v: t.degree(v) for v in t.vertices}
-    if any(d not in (1, 2, 3) for d in degs.values()):
-        return False
-    for v, d in degs.items():
-        if d == 2 and any(degs[w] != 3 for w in t.neighbors(v)):
-            return False
-    for u, v in t.edges:
-        if degs[u] == 3 and degs[v] == 3:
-            return False  # an unsubdivided interior edge
-    # suppressing the degree-2 vertices would change no other degree
-    return t.n - sum(d == 2 for d in degs.values()) >= 4
+    """A degree-{1,3} tree with every interior edge subdivided exactly once:
+    its bare-path contraction, of order m = n - h2, is degree-{1,3}, every
+    degree-2 vertex is the one interior vertex of an I-path (h2* = 0), and
+    all m - 1 - h1 = h1 - 3 bare paths between non-leaves are I-paths."""
+    p = profile(t)
+    m = t.n - p.h2
+    return m >= 4 and m == 2 * p.h1 - 2 and p.h2star == 0 and len(p.set_i) == p.h1 - 3
 
 
 def sharp_value(t: Tree, ts: TargetSet) -> int | None:

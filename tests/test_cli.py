@@ -325,6 +325,13 @@ class TestUnreadableInput:
         else:
             assert proc.stderr.startswith("BadToken:") and "line 2" in proc.stderr
 
+    @pytest.mark.parametrize("command", ["profile", "construct-edge", "export-dot"])
+    def test_non_utf8_tree_names_the_file_and_line(self, capsys, tmp_path, command):
+        bad = tmp_path / "bytes.tree"
+        bad.write_bytes(b"0 1\n\xff 2\n")
+        code, out, err = run(capsys, command, str(bad))
+        assert (code, out, err) == (1, "", f"BadToken: {bad}: line 2: not UTF-8 text\n")
+
 
 class TestMalformedInput:
     """Bad files and bad values: a named error and an exit code, never a

@@ -486,6 +486,8 @@ class TestEdgeSystem:
     def test_too_small(self):
         with pytest.raises(TreeTooSmall):
             edge_system(Tree([0], []))
+        with pytest.raises(TreeTooSmall):
+            edge_target_size(Tree([0], []))
 
     def test_paths_p5_to_p9(self):
         for n in range(5, 10):

@@ -4,6 +4,7 @@ import hashlib
 import itertools
 import math
 import random
+import warnings
 
 import pytest
 
@@ -13,13 +14,17 @@ from seppaths import (
     Tree,
     canonical_form,
     covers,
+    profile,
     random_tree,
     separates,
     unique_path,
+    vertex_lower_bound,
+    vertex_system,
+    vertex_upper_formula,
 )
 from seppaths import oracle
 from seppaths.edge_systems import DEPTH2_BINARY, edge_target_size
-from seppaths.errors import Infeasible, Timeout, TooLarge
+from seppaths.errors import Infeasible, Timeout, TooLarge, UnsupportedTree
 from seppaths.oracle import (
     _least_weight,
     _Search,
@@ -29,6 +34,7 @@ from seppaths.oracle import (
     min_separating,
 )
 from seppaths.random_graphs import Graph, gen_gnp, isolated_count
+from seppaths.vertex_systems import BunchMismatchWarning
 
 from conftest import path_tree, star_tree
 
@@ -48,6 +54,9 @@ class TestEnumeratePaths:
     def test_cap(self):
         with pytest.raises(TooLarge):
             enumerate_paths(path_tree(13), include_trivial=False)
+        for seed in range(3):
+            with pytest.raises(TooLarge, match=f"^more than {oracle.GRAPH_PATH_CAP} simple paths$"):
+                enumerate_paths(gen_gnp(12, 0.9, seed), include_trivial=False)
 
     def test_trees_in_pair_order(self):
         # the trivial paths by id, then the unique u-v path for each u < v
@@ -439,6 +448,12 @@ class TestGraphOracle:
         assert len(no_trivial) == 6  # C(4,2) pairs, unique paths in a path graph
 
 
+# the vertex optimum of every tree with n = 11 and 12, one "n size" line per
+# tree in enumerate_trees order, and the README tightness counts they give
+VERTEX_SWEEP_DIGEST = "6578463f369a179d062d019c8b50ba6551339838bcdc8477dd44144b8c932a4d"
+VERTEX_TIGHTNESS = {11: [235, 194, 53, 15], 12: [551, 490, 101, 25]}
+
+
 class TestEnumerateTrees:
     def test_counts(self):
         expected = {2: 1, 3: 1, 4: 2, 5: 3, 6: 6, 7: 11, 8: 23, 9: 47, 10: 106, 11: 235, 12: 551}
@@ -463,6 +478,38 @@ class TestEnumerateTrees:
                 assert min_separating(t, TargetSet.edges(t)).size == edge_target_size(t), t
                 solved += 1
         assert solved == 939
+
+    @pytest.mark.slow
+    def test_vertex_optima_at_eleven_and_twelve_match_pinned_digest(self):
+        """About two minutes on a 2-vCPU VM: ``pytest -m slow tests/test_oracle.py``.
+
+        Checks the vertex sandwich on every tree with n = 11 and 12, and
+        pins the optima and README's tightness counts per n: trees, lower
+        bound = optimum, ``vertex_system`` applies, ``vertex_system`` =
+        optimum."""
+        h = hashlib.sha256()
+        tight = {}
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", BunchMismatchWarning)
+            for n in (11, 12):
+                counts = [0, 0, 0, 0]
+                for t in enumerate_trees(n):
+                    p = profile(t)
+                    opt = min_separating(t, TargetSet.vertices(t)).size
+                    h.update(f"{n} {opt}\n".encode())
+                    assert vertex_lower_bound(p) <= opt, t
+                    counts[0] += 1
+                    counts[1] += vertex_lower_bound(p) == opt
+                    try:
+                        size = vertex_system(t).size
+                    except UnsupportedTree:
+                        continue
+                    assert opt <= size <= vertex_upper_formula(p), t
+                    counts[2] += 1
+                    counts[3] += size == opt
+                tight[n] = counts
+        assert tight == VERTEX_TIGHTNESS
+        assert h.hexdigest() == VERTEX_SWEEP_DIGEST
 
     def test_out_of_range(self):
         with pytest.raises(TooLarge):

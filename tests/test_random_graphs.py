@@ -3,6 +3,7 @@
 import contextlib
 import hashlib
 import io
+import itertools
 import math
 import random
 import sys
@@ -18,6 +19,7 @@ import seppaths.random_graphs
 from seppaths import (
     ExperimentConfig,
     Graph,
+    PathInTree,
     TargetSet,
     Tree,
     covers,
@@ -32,6 +34,7 @@ from seppaths.cli import main
 from seppaths.oracle import min_separating
 from seppaths.errors import InternalClassificationError, TooLarge, UnknownVertex
 from seppaths.random_graphs import (
+    SpanningPathSearch,
     _exact_path,
     find_spanning_path,
     subcritical_p,
@@ -84,6 +87,12 @@ class TestGenGnp:
     def test_p_one_complete(self):
         g = gen_gnp(5, 1.0, 1)
         assert len(g.edges) == 10
+        # every draw is below 1: the general path gives the complete graph
+        for n in range(41):
+            for seed in (0, 1, 7):
+                g = gen_gnp(n, 1.0, seed)
+                assert g.edges == frozenset(itertools.combinations(range(n), 2))
+                assert all(g.neighbors(v) == tuple(w for w in range(n) if w != v) for v in range(n))
 
     def test_deterministic(self):
         assert gen_gnp(30, 0.4, 99).edges == gen_gnp(30, 0.4, 99).edges
@@ -264,6 +273,8 @@ class TestGraph:
     def test_unknown_vertex(self):
         with pytest.raises(UnknownVertex, match="^vertex 3 not in graph$"):
             Graph(3, [(0, 1)]).neighbors(3)
+        with pytest.raises(UnknownVertex, match="^vertex 5 not in graph$"):
+            find_spanning_path(Graph(3, [(0, 1)]), [0, 5])
 
     def test_trees_and_graphs_share_one_host_implementation(self):
         shared = {"n", "has_vertex", "has_edge", "neighbors", "degree"}
@@ -293,10 +304,31 @@ class TestSpanningPath:
         p = find_spanning_path(g, [0, 1, 2]).path
         assert p is not None and set(p.vertices) == {0, 1, 2}
 
-    def test_disconnected_block_certified(self):
+    def test_disconnected_block_certified(self, monkeypatch):
+        def unreached(*args, **kwargs):
+            raise AssertionError("searched a disconnected block")
+
+        monkeypatch.setattr(seppaths.random_graphs, "_posa", unreached)
+        monkeypatch.setattr(seppaths.random_graphs, "_exact_path", unreached)
         g = Graph(4, [(0, 1), (2, 3)])
         r = find_spanning_path(g, [0, 1, 2, 3])
         assert r.path is None and r.certified_absent
+        # two triangles: every degree is 2, so only the connectivity test refutes them
+        g = Graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
+        assert find_spanning_path(g, g.vertices) == SpanningPathSearch(None, True, 0)
+
+    def test_empty_and_one_vertex_blocks(self):
+        g = Graph(3, [(0, 1)])
+        assert find_spanning_path(g, []) == SpanningPathSearch(None, True, 0)
+        assert find_spanning_path(g, [2, 2]) == SpanningPathSearch(PathInTree((2,)), False, 0)
+
+    def test_exact_phase_returns_the_path(self, monkeypatch):
+        monkeypatch.setattr(seppaths.random_graphs, "POSA_RESTARTS", 0)
+        g = theta_graph(2, 3)  # an 8-cycle
+        r = find_spanning_path(g, g.vertices)
+        assert r.path is not None and sorted(r.path.vertices) == list(g.vertices)
+        assert all(g.has_edge(u, v) for u, v in zip(r.path.vertices, r.path.vertices[1:]))
+        assert not r.certified_absent and r.nodes_expanded > 0
 
     def test_exact_search_matches_the_recursive_reference(self):
         rng = random.Random(4)

@@ -38,6 +38,7 @@ from seppaths.errors import (
     InvalidPath,
     NotALeaf,
     NotConnected,
+    TreeTooSmall,
     UnknownVertex,
 )
 from seppaths.oracle import enumerate_trees
@@ -599,6 +600,10 @@ class TestLeafOrder:
         with pytest.raises(NotALeaf):
             dfs_leaf_order(double_star, 0)
 
+    def test_unknown_start(self, double_star):
+        with pytest.raises(UnknownVertex, match="^vertex 99 not in tree$"):
+            dfs_leaf_order(double_star, 99)
+
     def test_each_leaf_once(self):
         for n in range(2, 8):
             for t in enumerate_trees(n):
@@ -796,6 +801,8 @@ def test_random_tree_is_deterministic():
     assert random_tree(12, 7).edges != random_tree(12, 8).edges
     for seed in range(5):  # the empty Pruefer sequence decodes to the single edge
         assert random_tree(2, seed) == Tree.from_edges([(0, 1)])
+    with pytest.raises(TreeTooSmall):
+        random_tree(1, 0)
 
 
 def union_find_parse_error(text: str):

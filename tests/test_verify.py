@@ -337,6 +337,16 @@ class TestHashSweep:
         assert verdict and verdict.label == "SeparatesAndCovers"
         assert len(exact) == 1
 
+    def test_length_zero_paths_sum_like_the_table(self, depth2):
+        # a one-vertex path is its own LCA, and sums its word at that vertex only
+        for t in (depth2, random_tree(9, 1), random_tree(30, 2)):
+            lone = [(v,) for v in t.vertices[::2] + t.vertices[:3]]
+            fs = make_system(t, lone + [unique_path(t, t.vertices[0], t.vertices[-1]).vertices])
+            words = seppaths.verify._path_words(fs.size)
+            for ts in (TargetSet.edges(t), TargetSet.vertices(t), TargetSet.vertices_and_interior_edges(t)):
+                sig = signatures(fs, ts)
+                assert _tree_hashes(fs, ts) == [sum(words[i] for i in sig[s]) for s in ts.elements]
+
     def test_one_vertex_and_targets_outside_the_host(self, p4, double_star):
         lone = Tree([7], [])
         cases = [

@@ -3,9 +3,11 @@
 import hashlib
 import warnings
 from collections import Counter
+from itertools import product
 
 import pytest
 
+import seppaths.trees as trees_module
 import seppaths.vertex_systems as vs
 from seppaths import (
     TargetSet,
@@ -272,6 +274,46 @@ class TestVertexInterior:
         assert fs.size == p.h1
 
 
+def recount_cubic_leafy(t):
+    """Reference for is_cubic_leafy, counting every degree: all degrees in
+    {1, 3}, at least 4 vertices."""
+    return t.n >= 4 and all(t.degree(v) in (1, 3) for v in t.vertices)
+
+
+def recount_subdivided_cubic_leafy(t):
+    """Reference for is_subdivided_cubic_leafy, counting every degree: a
+    degree-{1,3} tree with every interior edge subdivided exactly once."""
+    degs = {v: t.degree(v) for v in t.vertices}
+    if any(d not in (1, 2, 3) for d in degs.values()):
+        return False
+    for v, d in degs.items():
+        if d == 2 and any(degs[w] != 3 for w in t.neighbors(v)):
+            return False
+    for u, v in t.edges:
+        if degs[u] == 3 and degs[v] == 3:
+            return False  # an unsubdivided interior edge
+    # suppressing the degree-2 vertices would change no other degree
+    return t.n - sum(d == 2 for d in degs.values()) >= 4
+
+
+def _subdivided_cubic_trees():
+    """Every degree-{1,3} tree with n <= 12, with each interior edge
+    subdivided 0, 1 or 2 times, in every combination."""
+    for n in range(4, 13, 2):
+        for t in enumerate_trees(n):
+            if not recount_cubic_leafy(t):
+                continue
+            inner = profile(t).interior_edges
+            for counts in product(range(3), repeat=len(inner)):
+                edges = set(t.edges)
+                fresh = iter(range(t.n, t.n + 2 * len(inner)))
+                for (u, v), k in zip(inner, counts):
+                    chain = [u] + [next(fresh) for _ in range(k)] + [v]
+                    edges -= {(u, v)}
+                    edges |= set(zip(chain, chain[1:]))
+                yield Tree.from_edges(edges)
+
+
 class TestCubicFamilies:
     def test_recognizer_equals_generator(self):
         # every degree-{1,3} tree arises from the two-leaf growth scheme:
@@ -336,6 +378,36 @@ class TestCubicFamilies:
             positives += reference(t)
         assert positives >= 20
 
+    def test_recognizers_equal_the_degree_recounts(self):
+        trees = [Tree([0], [])] + [t for n in range(2, 13) for t in enumerate_trees(n)]
+        trees += _subdivided_cubic_trees()
+        positives = Counter()
+        for t in trees:
+            cubic, subdivided = recount_cubic_leafy(t), recount_subdivided_cubic_leafy(t)
+            assert (is_cubic_leafy(t), is_subdivided_cubic_leafy(t)) == (cubic, subdivided), t
+            positives[cubic, subdivided] += 1
+        # K1,3 is in both families, twice: enumerated, and with no interior edge to subdivide
+        assert positives == {(False, False): 1194, (True, False): 12, (False, True): 8, (True, True): 2}
+
+    def test_recognizers_and_sharp_value_read_no_degree(self, k13, broom, double_star, monkeypatch):
+        h = grow_cubic_leafy(k13, 1)
+        trees = [k13, broom, double_star, h, subdivide_interior_edges(h), path_tree(5), star_tree(5)]
+        cases = [
+            (t, ts, sharp_value(t, ts))
+            for t in trees
+            for ts in (TargetSet.vertices(t), TargetSet.vertices_and_interior_edges(t))
+        ]
+        expected = [(recount_cubic_leafy(t), recount_subdivided_cubic_leafy(t)) for t in trees]
+
+        def refuse(self, v):
+            raise AssertionError("a degree was recounted")
+
+        monkeypatch.setattr(trees_module.Host, "neighbors", refuse)
+        monkeypatch.setattr(trees_module.Host, "degree", refuse)
+        assert [(is_cubic_leafy(t), is_subdivided_cubic_leafy(t)) for t in trees] == expected
+        for t, ts, value in cases:
+            assert sharp_value(t, ts) == value
+
 
 class TestSharpValues:
     def test_paths(self, p4):
@@ -367,6 +439,7 @@ class TestSharpValues:
         assert sharp_value(lone, TargetSet.vertices(lone)) is None
         assert sharp_value(broom, TargetSet.vertices(broom)) is None
         assert sharp_value(broom, TargetSet.edges(broom)) is None
+        assert sharp_value(broom, TargetSet.vertices_and_interior_edges(broom)) is None
 
 
 def _pinned_trees():
