@@ -68,7 +68,8 @@ class _Search:
     (bitmasks); a family works when every group is a singleton and, in cover
     mode, no element is left unhit.  A node is pruned when the paths left
     cannot split its largest group (log2 of its size) or cannot supply the
-    path ends its state forces (``required_ends``), or when ``refuted``
+    path ends its state forces at leaves and degree-2 vertices
+    (``required_ends``), or when ``refuted``
     already holds its state with at least as many paths left.  The log2 test
     is decided at the root before the search and, for a child, in its
     parent's loop, as is every child of a node with one path left.
@@ -110,24 +111,30 @@ class _Search:
         self.suffix_union = suffix
         # A path holding an element of leaf_mask ends at that element's leaf:
         # one bit per vertex of degree <= 1, the vertex if it is a target,
-        # else its pendant edge.  A path holding some but not all of the
-        # target elements among a degree-2 vertex and its two edges ends at
-        # that vertex; deg2_masks keeps those masks with at least 2 bits.
-        # A degree-2 vertex target with neither of its edges a target is
-        # "lone"; a path holding one of two adjacent lone vertices but not
-        # the other ends at it, so pair_masks keeps each such edge's two bits.
+        # else its pendant edge.  A vertex target of degree <= 2 with none
+        # of its edges a target is "lone".  A path holding some but not all
+        # of the target elements among a degree-2 vertex, its two edges and
+        # its lone leaf neighbours ends at that vertex or is such a leaf's
+        # length-0 path; deg2_masks keeps those masks when the vertex and
+        # its edges give at least 2 bits.  A path holding one of two
+        # adjacent lone vertices but not the other ends at it on the side
+        # away from the other, which at a leaf makes it the leaf's length-0
+        # path, so pair_masks keeps each such edge's two bits.
+        nbrs = {v: host.neighbors(v) for v in host.vertices}
+        own = {
+            v: [1 << eidx[s] for s in (v, *(edge(v, w) for w in ws)) if s in eidx]
+            for v, ws in nbrs.items()
+        }
+        lone = {v for v, bits in own.items() if v in eidx and len(bits) == 1 and len(nbrs[v]) <= 2}
         leaf_mask = 0
         deg2_masks = []
-        lone = set()
-        for v in host.vertices:
-            nbrs = host.neighbors(v)
-            bits = [1 << eidx[s] for s in (v, *(edge(v, w) for w in nbrs)) if s in eidx]
-            if len(nbrs) <= 1 and bits:
+        for v, ws in nbrs.items():
+            bits = own[v]
+            if len(ws) <= 1 and bits:
                 leaf_mask |= bits[0]
-            elif len(nbrs) == 2 and len(bits) >= 2:
-                deg2_masks.append(sum(bits))
-            elif len(nbrs) == 2 and v in eidx:  # its one target element
-                lone.add(v)
+            elif len(ws) == 2 and len(bits) >= 2:
+                leaves = (1 << eidx[u] for u in ws if u in lone and len(nbrs[u]) == 1)
+                deg2_masks.append(sum(bits) + sum(leaves))
         self.leaf_mask = leaf_mask
         self.deg2_masks = tuple(deg2_masks)
         self.pair_masks = tuple(
@@ -154,14 +161,17 @@ class _Search:
         A path holding a leaf element ends at its leaf, so the c leaf
         elements of one group, which the paths to come must give pairwise
         distinct signatures (nonempty ones in the uncovered group), need
-        ``_least_weight(c, left, ...)`` ends at their leaves.  A degree-2
-        vertex with c of its elements in one group needs c - 1 paths ending
-        there, since a path through it holds all of them.  Two adjacent lone
-        degree-2 vertices in one group need a path ending at one of them on
-        the side away from the other; such an end cuts one pair, and a
-        length-0 path spends both its slots.  The three counts fall on
-        disjoint vertices, so a state with more than 2k required ends has no
-        completion of k paths.
+        ``_least_weight(c, left, ...)`` ends at their leaves; that counts
+        one slot of a leaf's length-0 path, never its second.  A degree-2
+        vertex with c of its elements, or of its lone leaf neighbour's, in
+        one group needs c - 1 paths ending there or at that leaf with length
+        0, since a path through the vertex holds all of them.  Two adjacent
+        lone vertices in one group need a path ending at one of them on the
+        side away from the other, which for a lone leaf is the second slot
+        of its length-0 path; such an end cuts one pair, and a length-0 path
+        at a degree-2 vertex spends both its slots.  The three counts fall
+        on disjoint end slots, so a state with more than 2k required ends
+        has no completion of k paths.
         """
         if left is None:
             left = self.m  # at least the leaf count: the unbounded weights

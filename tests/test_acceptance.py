@@ -140,10 +140,11 @@ def test_criterion_4_sharp_families(all_trees_to_9):
         assert min_separating(t, ts).size == want
         assert sharp_value(t, ts) == want
 
-    # (b) degree-{1,3} trees with n <= 9: optimum for vertices-plus-interior
+    # (b) degree-{1,3} trees with n <= 10: optimum for vertices-plus-interior
     # is h1 = |E*| + 3, achieved by the consecutive-leaf construction
-    cubic = [t for n in range(4, 10) for t in all_trees_to_9[n] if is_cubic_leafy(t)]
-    assert len(cubic) == 3  # one shape each at n = 4, 6, 8
+    trees = [t for n in range(4, 10) for t in all_trees_to_9[n]] + list(enumerate_trees(10))
+    cubic = [t for t in trees if is_cubic_leafy(t)]
+    assert len(cubic) == 5  # one shape each at n = 4, 6, 8, two at n = 10
     for t in cubic:
         p = profile(t)
         assert p.h1 == len(p.interior_edges) + 3

@@ -123,7 +123,7 @@ class TestOracle:
         f = tmp_path / "p10.tree"
         f.write_text("".join(f"{i} {i + 1}\n" for i in range(9)))
         code, out, err = run(
-            capsys, "oracle", str(f), "--target", "vertices", "--budget-ms", "0"
+            capsys, "oracle", str(f), "--target", "v-and-interior", "--budget-ms", "0"
         )
         assert code == 1 and out == ""
         assert err.startswith("Timeout: budget 0.0 ms exhausted; no family of size < ")

@@ -36,7 +36,7 @@ from seppaths.oracle import (
 from seppaths.random_graphs import Graph, gen_gnp, isolated_count
 from seppaths.vertex_systems import BunchMismatchWarning
 
-from conftest import path_tree, star_tree
+from conftest import path_tree, spider_tree, star_tree
 
 
 class TestEnumeratePaths:
@@ -135,9 +135,11 @@ class TestMinSeparating:
                 assert inclusive <= exclusive
 
     def test_timeout(self):
+        # v-and-interior targets: with vertex targets this path solves in
+        # 9 nodes, before the first clock check
         t = path_tree(10)
         with pytest.raises(Timeout):
-            min_separating(t, TargetSet.vertices(t), budget_ms=0.001)
+            min_separating(t, TargetSet.vertices_and_interior_edges(t), budget_ms=0.001)
 
     @pytest.mark.parametrize("budget", [float("nan"), -1.0])
     def test_bad_budget_rejected(self, budget):
@@ -149,18 +151,18 @@ class TestMinSeparating:
     def test_zero_budget_times_out(self):
         t = path_tree(10)
         with pytest.raises(Timeout):
-            min_separating(t, TargetSet.vertices(t), budget_ms=0.0)
+            min_separating(t, TargetSet.vertices_and_interior_edges(t), budget_ms=0.0)
 
     def test_timeout_carries_the_refuted_sizes(self):
         # the first clock check comes after 1024 nodes, whatever the budget,
         # so it falls while some size between the floor and the optimum is
         # under search, every smaller size already refuted
         t = path_tree(10)
-        ts = TargetSet.vertices(t)
+        ts = TargetSet.vertices_and_interior_edges(t)
         with pytest.raises(Timeout) as caught:
             min_separating(t, ts, budget_ms=0)
         bound = caught.value.lower_bound
-        assert _Search(t, ts, True, None).floor() <= bound <= 6
+        assert _Search(t, ts, True, None).floor() <= bound <= 9
         assert str(caught.value).endswith(f"; no family of size < {bound} exists")
 
     def test_too_large(self):
@@ -233,7 +235,7 @@ class TestPruning:
 
     def test_root_bound_never_exceeds_the_optimum(self):
         # v-and-interior targets stop at n = 8: at n = 9 their solves take
-        # about 35 s
+        # about 12 s
         for n in range(2, 10):
             for t in enumerate_trees(n):
                 for ts in _targets(t)[: 3 if n <= 8 else 2]:
@@ -334,6 +336,14 @@ class TestPruning:
         t = path_tree(10)
         assert min_separating(t, TargetSet.vertices(t)).nodes_expanded <= 250000
 
+    def test_lone_leaves_next_to_degree_2_vertices_cut_both_vertex_targets(self):
+        # before a lone leaf paired with its degree-2 neighbour and joined
+        # its mask these took 139311 and 61011 nodes
+        t = path_tree(10)
+        assert min_separating(t, TargetSet.vertices(t)).nodes_expanded <= 100
+        t = enumerate_trees(8)[9]
+        assert min_separating(t, TargetSet.vertices_and_interior_edges(t)).nodes_expanded <= 30000
+
     def test_refuted_state_table_cuts_v_and_interior_refutations(self):
         # before the table this took 113610 nodes
         t = enumerate_trees(8)[9]
@@ -341,20 +351,43 @@ class TestPruning:
 
     @pytest.mark.parametrize("n, edge_targets, prefix, left, ends", [
         # vertex targets on 0-...-5 after the path 0-1-2: leaf 5 needs an
-        # end, and so does each of the lone pairs {1, 2} and {3, 4}, which
-        # share a signature; {2, 3} is already split
-        (6, [], (0, 1, 2), 3, 3),
+        # end, and so does each of the lone pairs {0, 1}, {1, 2}, {3, 4}
+        # and {4, 5}, which share a signature; {2, 3} is already split
+        (6, [], (0, 1, 2), 3, 5),
         # vertex targets and the edge (3, 4) on 0-...-7 after 2-3-4-5: the
-        # uncovered leaves 0 and 7 need an end each, and 3 and 4 each share
-        # a signature with (3, 4) and so need a path ending there; the lone
-        # pairs {1, 2} and {5, 6} are split
-        (8, [(3, 4)], (2, 3, 4, 5), 4, 4),
+        # uncovered leaves 0 and 7 need an end each, 3 and 4 each share a
+        # signature with (3, 4) and so need a path ending there, and so do
+        # the uncovered lone pairs {0, 1} and {6, 7}; {1, 2} and {5, 6} are
+        # split
+        (8, [(3, 4)], (2, 3, 4, 5), 4, 6),
     ])
     def test_lone_pairs_count_one_end_each_on_a_hand_built_prefix(
         self, n, edge_targets, prefix, left, ends
     ):
         t = path_tree(n)
         ts = TargetSet.custom(t, [*t.vertices, *edge_targets])
+        search = _Search(t, ts, True, None)
+        groups, uncovered = _state(ts, [PathInTree(prefix)], True)
+        assert search.required_ends(groups, uncovered, left=left) == ends
+
+    @pytest.mark.parametrize("t, target, prefix, left, ends", [
+        # vertex targets on the spider with legs 0-1-2, 0-3-4 and 0-5-6
+        # after the path 2-1-0: the uncovered leaves 4 and 6 need an end
+        # each, and each leg's leaf shares a signature with its degree-2
+        # vertex, so each of {1, 2}, {3, 4} and {5, 6} needs one more: the
+        # leaf's length-0 path, or a path ending at the degree-2 vertex on
+        # the side away from the leaf
+        (spider_tree((2, 2, 2)), 1, (2, 1, 0), 3, 5),
+        # v-and-interior targets on 0-...-4 after 2-3-4: leaf 0 needs an
+        # end; 0, 1 and (1, 2) share a signature, so two paths end at 1 or
+        # are the length-0 path at 0, and the same goes for 3, 4 and (2, 3)
+        # at 3; 2 and (2, 3) need one path ending at 2
+        (path_tree(5), 2, (2, 3, 4), 3, 6),
+    ], ids=["spider-vertices", "path-v-and-interior"])
+    def test_lone_leaves_next_to_degree_2_vertices_count_on_a_hand_built_prefix(
+        self, t, target, prefix, left, ends
+    ):
+        ts = _targets(t)[target]
         search = _Search(t, ts, True, None)
         groups, uncovered = _state(ts, [PathInTree(prefix)], True)
         assert search.required_ends(groups, uncovered, left=left) == ends
@@ -385,22 +418,23 @@ class TestRootDecision:
 class TestRefutedStates:
     def test_every_entry_has_no_completion(self):
         # a refuted entry claims that no left candidates from masks[start:]
-        # complete its state; check each claim against every such set
+        # complete its state; check each claim against every such set, with
+        # cover on and off
         checked = 0
         for n in range(2, 7):
             for t in enumerate_trees(n):
-                for ts in _targets(t):
-                    search = _Search(t, ts, True, None)
+                for ts, cover in itertools.product(_targets(t), (True, False)):
+                    search = _Search(t, ts, cover, None)
                     k = search.floor()
                     while search.at_most(k) is None:
                         k += 1
-                    assert k == min_separating(t, ts).size
+                    assert k == min_separating(t, ts, require_cover=cover).size
                     for (start, groups, uncovered), left in search.refuted.items():
                         rest = search.masks[start:]
                         for size in range(left + 1):
                             for family in itertools.combinations(rest, size):
                                 assert not _completes(groups, uncovered, family), (
-                                    t.edges, ts.kind, start, size
+                                    t.edges, ts.kind, cover, start, size
                                 )
                         checked += 1
         assert checked > 500
@@ -481,7 +515,7 @@ class TestEnumerateTrees:
 
     @pytest.mark.slow
     def test_vertex_optima_at_eleven_and_twelve_match_pinned_digest(self):
-        """About two minutes on a 2-vCPU VM: ``pytest -m slow tests/test_oracle.py``.
+        """About 15 s on a 2-vCPU VM: ``pytest -m slow tests/test_oracle.py``.
 
         Checks the vertex sandwich on every tree with n = 11 and 12, and
         pins the optima and README's tightness counts per n: trees, lower

@@ -430,6 +430,22 @@ class TestSharpValues:
             ts = TargetSet.vertices(t)
             assert sharp_value(t, ts) == min_separating(t, ts).size
 
+    def test_every_value_is_the_optimum_on_small_trees(self):
+        # vertex targets on every tree with n <= 9, v-and-interior targets on
+        # every tree with n <= 8
+        checked = Counter()
+        for n in range(2, 10):
+            for t in enumerate_trees(n):
+                targets = [TargetSet.vertices(t)]
+                if n <= 8:
+                    targets.append(TargetSet.vertices_and_interior_edges(t))
+                for ts in targets:
+                    value = sharp_value(t, ts)
+                    if value is not None:
+                        assert value == min_separating(t, ts).size, (t, ts.kind)
+                        checked[ts.kind.value] += 1
+        assert checked == {"vertices": 17, "v-and-interior": 3}
+
     def test_cubic_interior_target(self, k13):
         ts = TargetSet.vertices_and_interior_edges(k13)
         assert sharp_value(k13, ts) == 3
