@@ -89,7 +89,7 @@ def _depth2_shape(nbrs) -> bool:
 
 
 def is_depth2_binary(t: Tree) -> bool:
-    return t.n == 7 and _depth2_shape({v: t.neighbors(v) for v in t.vertices})
+    return t.n == 7 and _depth2_shape(t._adj)
 
 
 def edge_target_size(t: Tree) -> int:
@@ -226,11 +226,10 @@ def bunch_pairs(t: Tree) -> list[Pair]:
         raise PreconditionViolated("tree has no bunches")
     if any(b.size < 2 for b in p.bunches):
         raise PreconditionViolated("every bunch must contain at least two leaves")
-    nbrs = {v: t.neighbors(v) for v in t.vertices}
-    groups = _bunch_groups(nbrs, min(p.leaves))
+    groups = _bunch_groups(t._adj, min(p.leaves))
     if len(groups) != len(p.bunches):
         raise InternalClassificationError("traversal and profile disagree on the bunches")
-    return _pair_bunches(nbrs, groups)
+    return _pair_bunches(t._adj, groups)
 
 
 def bunch_construction(t: Tree) -> PathSystem:

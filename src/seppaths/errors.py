@@ -89,11 +89,12 @@ class Timeout(SepPathError):
 
 
 class Infeasible(SepPathError):
-    """No family over the candidate universe separates the target at all.
+    """No family over the candidate paths separates the target at all: the
+    guard at the end of ``min_separating``'s size loop.
 
-    Unreachable for the default candidate sets (single-edge paths always
-    separate-cover edge targets, length-0 paths vertex targets); it can
-    happen when length-0 candidates are excluded by hand.
+    Unreachable, since the candidates always hold a working family: the
+    single-edge paths give every edge its own path, and the length-0 paths,
+    present whenever a target is a vertex, every vertex.
     """
 
 

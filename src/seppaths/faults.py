@@ -22,7 +22,7 @@ from typing import Callable
 
 from . import verify
 from .errors import NotCovering, NotSeparating
-from .verify import Element, PathSystem, TargetSet, host_element, incidence, path_contains
+from .verify import Element, PathSystem, TargetSet, incidence
 
 
 def signature_table(fs: PathSystem, ts: TargetSet) -> dict[Element, frozenset[int]]:
@@ -54,8 +54,8 @@ def simulate_probes(fs: PathSystem, fault: Element | None) -> ProbeReport:
     """Single-fault model: probe i fails iff the faulty element lies on path i."""
     if fault is None:
         return ProbeReport(tuple(True for _ in fs.paths))
-    fault = host_element(fs.host, fault)
-    return ProbeReport(tuple(not path_contains(p, fault) for p in fs.paths))
+    failed = incidence(fs, fault)
+    return ProbeReport(tuple(i not in failed for i in range(len(fs.paths))))
 
 
 @dataclass(frozen=True)

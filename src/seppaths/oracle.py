@@ -62,31 +62,23 @@ class OracleResult:
 
 
 class _Search:
-    """Branch-and-bound over subfamilies of the candidate paths.
+    """Branch-and-bound over subfamilies of the candidate paths: the host's
+    simple paths, length-0 ones exactly when some target is a vertex.
 
     Element signatures are tracked as a partition into same-signature groups
     (bitmasks); a family works when every group is a singleton and, in cover
     mode, no element is left unhit.  A node is pruned when the paths left
     cannot split its largest group (log2 of its size) or cannot supply the
-    path ends its state forces at leaves and degree-2 vertices
-    (``required_ends``), or when ``refuted``
-    already holds its state with at least as many paths left.  The log2 test
-    is decided at the root before the search and, for a child, in its
-    parent's loop, as is every child of a node with one path left.
+    path ends its state forces at leaves and on its end masks
+    (``required_ends``), or when ``refuted`` already holds its state with at
+    least as many paths left.  The log2 test is decided at the root by
+    ``floor`` before the search and, for a child, in its parent's loop, as
+    is every child of a node with one path left.
     """
 
-    def __init__(
-        self,
-        host,
-        ts: TargetSet,
-        require_cover: bool,
-        budget_ms: float | None,
-        include_trivial: bool | None = None,
-    ):
-        if include_trivial is None:
-            include_trivial = any(isinstance(s, int) for s in ts.elements) or not ts.elements
-        cands = enumerate_paths(host, include_trivial)
+    def __init__(self, host, ts: TargetSet, require_cover: bool, budget_ms: float | None):
         elements = ts.elements
+        cands = enumerate_paths(host, any(isinstance(s, int) for s in elements))
         self.m = len(elements)
         eidx = {s: i for i, s in enumerate(elements)}
         masks = []
@@ -113,33 +105,31 @@ class _Search:
         # one bit per vertex of degree <= 1, the vertex if it is a target,
         # else its pendant edge.  A vertex target of degree <= 2 with none
         # of its edges a target is "lone".  A path holding some but not all
-        # of the target elements among a degree-2 vertex, its two edges and
-        # its lone leaf neighbours ends at that vertex or is such a leaf's
-        # length-0 path; deg2_masks keeps those masks when the vertex and
-        # its edges give at least 2 bits.  A path holding one of two
-        # adjacent lone vertices but not the other ends at it on the side
-        # away from the other, which at a leaf makes it the leaf's length-0
-        # path, so pair_masks keeps each such edge's two bits.
-        nbrs = {v: host.neighbors(v) for v in host.vertices}
+        # of an end mask's elements ends at one of its vertices or is a lone
+        # leaf's length-0 path.  The end masks are a degree-2 vertex's
+        # target elements among itself, its two edges and its lone leaf
+        # neighbours, when the vertex and its edges give at least 2 bits,
+        # and the two bits of each edge between lone vertices: a path holding
+        # one of them ends at it on the side away from the other.
+        nbrs = host._adj
         own = {
             v: [1 << eidx[s] for s in (v, *(edge(v, w) for w in ws)) if s in eidx]
             for v, ws in nbrs.items()
         }
         lone = {v for v, bits in own.items() if v in eidx and len(bits) == 1 and len(nbrs[v]) <= 2}
         leaf_mask = 0
-        deg2_masks = []
+        end_masks = []
         for v, ws in nbrs.items():
             bits = own[v]
             if len(ws) <= 1 and bits:
                 leaf_mask |= bits[0]
             elif len(ws) == 2 and len(bits) >= 2:
                 leaves = (1 << eidx[u] for u in ws if u in lone and len(nbrs[u]) == 1)
-                deg2_masks.append(sum(bits) + sum(leaves))
+                end_masks.append(sum(bits) + sum(leaves))
+            if v in lone:
+                end_masks += (bits[0] | own[w][0] for w in ws if w > v and w in lone)
         self.leaf_mask = leaf_mask
-        self.deg2_masks = tuple(deg2_masks)
-        self.pair_masks = tuple(
-            1 << eidx[u] | 1 << eidx[w] for u, w in sorted(host.edges) if u in lone and w in lone
-        )
+        self.end_masks = tuple(end_masks)
         self.require_cover = require_cover
         # (start, sorted groups, uncovered) -> the most paths left with which
         # the search found no completion of that state; kept across k
@@ -162,16 +152,15 @@ class _Search:
         elements of one group, which the paths to come must give pairwise
         distinct signatures (nonempty ones in the uncovered group), need
         ``_least_weight(c, left, ...)`` ends at their leaves; that counts
-        one slot of a leaf's length-0 path, never its second.  A degree-2
-        vertex with c of its elements, or of its lone leaf neighbour's, in
-        one group needs c - 1 paths ending there or at that leaf with length
-        0, since a path through the vertex holds all of them.  Two adjacent
-        lone vertices in one group need a path ending at one of them on the
-        side away from the other, which for a lone leaf is the second slot
-        of its length-0 path; such an end cuts one pair, and a length-0 path
-        at a degree-2 vertex spends both its slots.  The three counts fall
-        on disjoint end slots, so a state with more than 2k required ends
-        has no completion of k paths.
+        one slot of a leaf's length-0 path, never its second.  An end mask
+        (see ``__init__``) with c of its elements in one group needs c - 1
+        path ends that no other count uses: at its degree-2 vertex, since a
+        path through that vertex holds the whole mask, at one of its two
+        lone vertices on the side away from the other, or the second slot
+        of a lone leaf's length-0 path.  A length-0 path at a degree-2
+        vertex spends both its slots.  The two counts fall on disjoint end
+        slots, so a state with more than 2k required ends has no completion
+        of k paths.
         """
         if left is None:
             left = self.m  # at least the leaf count: the unbounded weights
@@ -182,16 +171,11 @@ class _Search:
                 c = (g & leaf).bit_count()
                 if c > 1:
                     ends += _least_weight(c, left, False)
-        for d in self.deg2_masks:
+        for d in self.end_masks:
             for g in groups:
                 x = g & d
                 if x & (x - 1):
                     ends += x.bit_count() - 1
-                    break
-        for p in self.pair_masks:
-            for g in groups:
-                if g & p == p:
-                    ends += 1
                     break
         return ends
 
@@ -279,8 +263,8 @@ class _Search:
         init_uncovered = full if cover else 0
         if not init_groups and not init_uncovered:
             return []
-        if k < max(_ceil_log2(self.m), 1):
-            return None  # the root fails the log2 test, or has no path left
+        if k < self.floor():
+            return None  # the root fails the log2 test
         return chosen if rec(0, init_groups, init_uncovered, k) else None
 
 
@@ -290,14 +274,12 @@ def min_separating(
     require_cover: bool = True,
     *,
     budget_ms: float | None = None,
-    include_trivial: bool | None = None,
 ) -> OracleResult:
     """Minimum-size family separating (and, by default, covering) ts.
 
     Iterative deepening over the family size, so the first family found is a
-    certified minimum.  Length-0 candidate paths are included whenever the
-    target contains a vertex and skipped for pure edge targets; pass
-    ``include_trivial`` to override.  Exceeding the size cap or the
+    certified minimum.  Length-0 candidate paths are included exactly when
+    the target contains a vertex.  Exceeding the size cap or the
     wall-clock budget raises; there is no approximation, but a ``Timeout``
     carries the size it was searching as ``lower_bound``.  A NaN or
     negative ``budget_ms`` raises ValueError; 0 times out at the first clock
@@ -306,7 +288,7 @@ def min_separating(
     if budget_ms is not None and not budget_ms >= 0:  # NaN fails too
         raise ValueError(f"budget_ms={budget_ms} is not a non-negative number")
     started = time.monotonic()
-    search = _Search(host, ts, require_cover, budget_ms, include_trivial)
+    search = _Search(host, ts, require_cover, budget_ms)
     for k in range(search.floor(), len(search.cands) + 1):
         try:
             picked = search.at_most(k)

@@ -234,11 +234,9 @@ def find_spanning_path(g: Graph, block: Sequence[int], *, seed: int = 0) -> Span
         inblock[v] = True
     adj = {v: tuple(filter(inblock.__getitem__, g.neighbors(v))) for v in block}
 
-    # cheap certified impossibilities: isolation, too many degree-<=1
-    # vertices, or a disconnected induced subgraph
+    # cheap certified impossibilities: too many degree-<=1 vertices, or a
+    # disconnected induced subgraph (which an isolated vertex makes it)
     degs = {v: len(adj[v]) for v in block}
-    if any(d == 0 for d in degs.values()):
-        return SpanningPathSearch(None, True, 0)
     if sum(1 for d in degs.values() if d == 1) > 2:
         return SpanningPathSearch(None, True, 0)
     if not _connected(block, adj):

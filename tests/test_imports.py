@@ -1,5 +1,6 @@
-"""Every name a package module imports is used in that module, and every
-name README's library layout lists is defined in its module."""
+"""Every name a package module imports is used in that module, every private
+module-level name is referenced somewhere in the package, and every name
+README's library layout lists is defined in its module."""
 
 import ast
 import importlib
@@ -33,6 +34,51 @@ def test_no_unused_import_in_the_package():
         if (names := _unused_imports(ast.parse(p.read_text())))
     }
     assert not unused, unused
+
+
+def _defined_names(stmt: ast.stmt) -> list[str]:
+    """The names a module-level statement defines."""
+    if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [stmt.name]
+    targets = stmt.targets if isinstance(stmt, ast.Assign) else [getattr(stmt, "target", None)]
+    return [t.id for t in targets if isinstance(t, ast.Name)]
+
+
+def _referenced_names(stmt: ast.stmt) -> set[str]:
+    """The names a statement reads, as a bare name, an attribute or an import."""
+    names = set()
+    for node in ast.walk(stmt):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            names.update(alias.name for alias in node.names)
+    return names
+
+
+def test_every_private_module_name_is_referenced():
+    # a name counts as referenced only from a statement other than the one
+    # that defines it, so a helper that calls only itself is still caught
+    statements = [
+        (p.stem, stmt)
+        for p in sorted(SOURCE.glob("*.py"))
+        for stmt in ast.parse(p.read_text()).body
+    ]
+    reads = [_referenced_names(stmt) for _, stmt in statements]
+    private = [
+        (module, name, i)
+        for i, (module, stmt) in enumerate(statements)
+        for name in _defined_names(stmt)
+        if name.startswith("_") and not name.startswith("__")
+    ]
+    assert len(private) >= 50
+    orphans = [
+        f"{module}.{name}"
+        for module, name, i in private
+        if not any(name in names for j, names in enumerate(reads) if j != i)
+    ]
+    assert not orphans, orphans
 
 
 def test_readme_layout_names_exist():

@@ -23,8 +23,8 @@ from seppaths import (
     vertex_upper_formula,
 )
 from seppaths import oracle
-from seppaths.edge_systems import DEPTH2_BINARY, edge_target_size
-from seppaths.errors import Infeasible, Timeout, TooLarge, UnsupportedTree
+from seppaths.edge_systems import DEPTH2_BINARY, edge_system, edge_target_size
+from seppaths.errors import Timeout, TooLarge, UnsupportedTree
 from seppaths.oracle import (
     _least_weight,
     _Search,
@@ -121,18 +121,24 @@ class TestMinSeparating:
                     <= min_separating(t, ts, require_cover=True).size
                 )
 
-    def test_trivial_path_inclusion_is_monotone(self):
-        # a richer candidate set can only help: the inclusive optimum is a
-        # lower bound for the optimum over non-trivial paths alone
-        for n in range(2, 7):
-            for t in enumerate_trees(n):
-                ts = TargetSet.vertices(t)
-                inclusive = min_separating(t, ts, include_trivial=True).size
-                try:
-                    exclusive = min_separating(t, ts, include_trivial=False).size
-                except Infeasible:
-                    continue  # no non-trivial family at all: trivially not below
-                assert inclusive <= exclusive
+    def test_candidates_hold_length_0_paths_exactly_when_a_target_is_a_vertex(self):
+        tree, graph = spider_tree((2, 1, 1)), gen_gnp(6, 0.5, 3)
+        for host, mixed in (
+            (tree, TargetSet.vertices_and_interior_edges(tree)),
+            (graph, TargetSet.custom(graph, [0, *graph.edges])),  # a vertex and every edge
+        ):
+            for ts, trivial in (
+                (TargetSet.edges(host), False),
+                (TargetSet.vertices(host), True),
+                (mixed, True),
+                (TargetSet.custom(host, [0]), True),
+                (TargetSet.custom(host, []), False),
+            ):
+                cands = _Search(host, ts, True, None).cands
+                length_0 = [p.vertices for p in cands if len(p.vertices) == 1]
+                assert length_0 == ([(v,) for v in host.vertices] if trivial else []), ts
+                want = enumerate_paths(host, trivial)
+                assert sorted(p.vertices for p in cands) == sorted(p.vertices for p in want)
 
     def test_timeout(self):
         # v-and-interior targets: with vertex targets this path solves in
@@ -205,10 +211,13 @@ def _completes(groups, uncovered, family):
 
 
 # sha256 of (size, path vertex sequences) of min_separating over
-# enumerate_trees(2..7) x three targets x cover on/off x include_trivial
-# None/True, recorded at commit 0352b0c, before the path-end bound; pruning
-# must leave the first family found, and so every result, unchanged
-ORACLE_DIGEST = "75692cc847e6d65373823e0b0dda2b3b661fae8db8aec2675dc41b5c5e8b102f"
+# enumerate_trees(2..7) x three targets x cover on/off, with the candidates
+# that follow the targets, recorded at commit c30e4b3; pruning must leave the
+# first family found, and so every result, unchanged
+ORACLE_DIGEST = "4889543d918e0af8589b63c3c0f4dab5c8f4fcdfe6d16878e07d9a2f2dd81c51"
+# the total nodes_expanded of those solves at c30e4b3: a pruning change shows
+# here even when it leaves every result
+ORACLE_NODES = 97387
 
 # sha256 of (size, path vertex sequences) of min_separating with cover over
 # enumerate_trees(8) and enumerate_trees(9), edge and vertex targets, each
@@ -216,22 +225,24 @@ ORACLE_DIGEST = "75692cc847e6d65373823e0b0dda2b3b661fae8db8aec2675dc41b5c5e8b102
 # oracle workload solves, recorded at commit 0313e1d, before the left-aware
 # leaf count and the lone-pair count
 BENCH_DIGEST = "657e9cca610d780fc79128962caa714a977394fc6be919fcc419e5ef9668d4db"
+# the total nodes_expanded of those solves at commit c30e4b3
+BENCH_NODES = 26259
 
 
 class TestPruning:
     def test_outputs_match_pinned_digest(self):
         h = hashlib.sha256()
+        nodes = 0
         for n in range(2, 8):
             for t in enumerate_trees(n):
                 for ts in _targets(t):
                     for cover in (True, False):
-                        for trivial in (None, True):
-                            res = min_separating(
-                                t, ts, require_cover=cover, include_trivial=trivial
-                            )
-                            paths = [p.vertices for p in res.system.paths]
-                            h.update(repr((res.size, paths)).encode())
+                        res = min_separating(t, ts, require_cover=cover)
+                        paths = [p.vertices for p in res.system.paths]
+                        h.update(repr((res.size, paths)).encode())
+                        nodes += res.nodes_expanded
         assert h.hexdigest() == ORACLE_DIGEST
+        assert nodes == ORACLE_NODES
 
     def test_root_bound_never_exceeds_the_optimum(self):
         # v-and-interior targets stop at n = 8: at n = 9 their solves take
@@ -316,6 +327,7 @@ class TestPruning:
 
     def test_bench_sized_outputs_match_pinned_digest(self):
         h = hashlib.sha256()
+        nodes = 0
         rng = random.Random(14)
         for n in (8, 9):
             for t in enumerate_trees(n):
@@ -326,7 +338,9 @@ class TestPruning:
                     res = min_separating(relabelled, ts, require_cover=True)
                     paths = [p.vertices for p in res.system.paths]
                     h.update(repr((res.size, paths)).encode())
+                    nodes += res.nodes_expanded
         assert h.hexdigest() == BENCH_DIGEST
+        assert nodes == BENCH_NODES
 
     def test_leaf_signatures_and_lone_pairs_cut_vertex_target_refutations(self):
         # before the left-aware leaf count and the lone-pair count these
@@ -400,8 +414,8 @@ class TestPruning:
 
 class TestRootDecision:
     def test_sizes_below_the_floor_fail_and_the_root_expands_nothing(self):
-        # the log2 test can fail only at the root, so at_most decides it
-        # there before the search and no node is counted
+        # every size below floor() fails the log2 test at the root, so
+        # at_most decides it there before the search and no node is counted
         for n in range(2, 8):
             for t in enumerate_trees(n):
                 for ts in _targets(t):
@@ -409,7 +423,6 @@ class TestRootDecision:
                         floor = _Search(t, ts, cover, None).floor()
                         for k in range(floor):
                             assert exists_family(t, ts, k, cover) is False, (t, ts.kind, cover, k)
-                        for k in range(oracle._ceil_log2(len(ts))):
                             search = _Search(t, ts, cover, None)
                             assert search.at_most(k) is None, (t, ts.kind, cover, k)
                             assert search.nodes == 0, (t, ts.kind, cover, k)
@@ -544,6 +557,24 @@ class TestEnumerateTrees:
                 tight[n] = counts
         assert tight == VERTEX_TIGHTNESS
         assert h.hexdigest() == VERTEX_SWEEP_DIGEST
+
+    @pytest.mark.slow
+    def test_edge_theorem_at_thirteen_and_fourteen(self, monkeypatch):
+        """About 30 s on a 2-vCPU VM: the cap is raised to 14 for this test
+        only, and the oracle's edge optimum equals the theorem's size and
+        ``edge_system``'s on every tree with n = 13 and 14."""
+        monkeypatch.setattr(oracle, "MAX_N", 14)
+        solved = {}
+        for n in (13, 14):
+            trees = nodes = 0
+            for t in enumerate_trees(n):
+                res = min_separating(t, TargetSet.edges(t))
+                assert res.size == edge_target_size(t) == len(edge_system(t)), t
+                trees += 1
+                nodes += res.nodes_expanded
+            solved[n] = (trees, nodes)
+        # tree counts from OEIS A000055; node totals recorded at commit c30e4b3
+        assert solved == {13: (1301, 940005), 14: (3159, 4814998)}
 
     def test_out_of_range(self):
         with pytest.raises(TooLarge):
