@@ -15,6 +15,7 @@ import math
 import time
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Sequence
 
 from .errors import Infeasible, Timeout, TooLarge
 from .trees import PathInTree, Tree, edge
@@ -31,26 +32,38 @@ def enumerate_paths(host, include_trivial: bool) -> tuple[PathInTree, ...]:
     vertex id), then each simple path once, from its lower end, by (start,
     end, sequence); on a tree, the unique u-v path for each u < v, by (u, v).
     Refuses more than ``MAX_N`` vertices or ``GRAPH_PATH_CAP`` paths."""
+    return _paths(host, include_trivial, {})[0]
+
+
+def _paths(host, include_trivial: bool, bit: dict) -> tuple[tuple[PathInTree, ...], list[int]]:
+    """The paths of ``enumerate_paths``, in its order, and for each the OR of
+    ``bit`` over its vertices and edges (elements without a bit add 0), both
+    from one depth-first search: each step ORs in the bits of the vertex it
+    reaches and of the edge it takes."""
     if host.n > MAX_N:
         raise TooLarge(f"n={host.n} exceeds cap {MAX_N}")
-    out = [(v,) for v in host.vertices] if include_trivial else []
+    steps = {
+        u: [(w, bit.get(w, 0) | bit.get((u, w) if u < w else (w, u), 0)) for w in ws]
+        for u, ws in host._adj.items()
+    }
+    out = [((v,), bit.get(v, 0)) for v in host.vertices] if include_trivial else []
     first = len(out)
     for start in host.vertices:
-        stack = [(start,)]
+        stack = [((start,), bit.get(start, 0))]
         while stack:
-            seq = stack.pop()
-            for w in host.neighbors(seq[-1]):
+            seq, mask = stack.pop()
+            for w, step in steps[seq[-1]]:
                 if w in seq:
                     continue
-                ext = seq + (w,)
+                ext = (seq + (w,), mask | step)
                 if start < w:  # each path once, from its lower end
                     out.append(ext)
                     if len(out) > GRAPH_PATH_CAP:
                         raise TooLarge(f"more than {GRAPH_PATH_CAP} simple paths")
                 stack.append(ext)
-    out[first:] = sorted(out[first:], key=lambda seq: (seq[0], seq[-1], seq))
+    out[first:] = sorted(out[first:], key=lambda e: (e[0][0], e[0][-1], e[0]))
     # a simple path never repeats a vertex, so the checks are skipped
-    return tuple(PathInTree._walked(seq) for seq in out)
+    return tuple(PathInTree._walked(seq) for seq, _ in out), [mask for _, mask in out]
 
 
 @dataclass(frozen=True)
@@ -74,21 +87,20 @@ class _Search:
     least as many paths left.  The log2 test is decided at the root by
     ``floor`` before the search and, for a child, in its parent's loop, as
     is every child of a node with one path left.
+
+    ``nodes`` counts every state entered, every child that resolves
+    something new but fails its log2 test, and every child of a node with
+    one path left that splits a group or hits an uncovered element.  A
+    search keeps the count in a local, adds a one-path-left node's children
+    once its scan ends, and, only when a budget is set, reads the clock each
+    time the count reaches a multiple of 1024.
     """
 
     def __init__(self, host, ts: TargetSet, require_cover: bool, budget_ms: float | None):
         elements = ts.elements
-        cands = enumerate_paths(host, any(isinstance(s, int) for s in elements))
         self.m = len(elements)
-        eidx = {s: i for i, s in enumerate(elements)}
-        masks = []
-        for p in cands:
-            mask = 0
-            for s in p.elements():
-                bit = eidx.get(s)
-                if bit is not None:
-                    mask |= 1 << bit
-            masks.append(mask)
+        bit = {s: 1 << i for i, s in enumerate(elements)}
+        cands, masks = _paths(host, any(isinstance(s, int) for s in elements), bit)
         # Candidates splitting the most element pairs come first.
         m = self.m
         order = sorted(
@@ -113,10 +125,10 @@ class _Search:
         # one of them ends at it on the side away from the other.
         nbrs = host._adj
         own = {
-            v: [1 << eidx[s] for s in (v, *(edge(v, w) for w in ws)) if s in eidx]
+            v: [bit[s] for s in (v, *(edge(v, w) for w in ws)) if s in bit]
             for v, ws in nbrs.items()
         }
-        lone = {v for v, bits in own.items() if v in eidx and len(bits) == 1 and len(nbrs[v]) <= 2}
+        lone = {v for v, bits in own.items() if v in bit and len(bits) == 1 and len(nbrs[v]) <= 2}
         leaf_mask = 0
         end_masks = []
         for v, ws in nbrs.items():
@@ -124,7 +136,7 @@ class _Search:
             if len(ws) <= 1 and bits:
                 leaf_mask |= bits[0]
             elif len(ws) == 2 and len(bits) >= 2:
-                leaves = (1 << eidx[u] for u in ws if u in lone and len(nbrs[u]) == 1)
+                leaves = (bit[u] for u in ws if u in lone and len(nbrs[u]) == 1)
                 end_masks.append(sum(bits) + sum(leaves))
             if v in lone:
                 end_masks += (bits[0] | own[w][0] for w in ws if w > v and w in lone)
@@ -142,7 +154,7 @@ class _Search:
         return _ceil_log2(self.m + (1 if self.require_cover else 0))
 
     def required_ends(
-        self, groups: tuple[int, ...], uncovered: int, left: int | None = None
+        self, groups: Sequence[int], uncovered: int, left: int | None = None
     ) -> float:
         """A lower bound on the number of path ends that any completion of
         a search state by ``left`` more paths must add (any number of them
@@ -179,13 +191,6 @@ class _Search:
                     break
         return ends
 
-    def _count_node(self) -> None:
-        """Count one search node; every 1024th checks the budget."""
-        self.nodes += 1
-        if self.deadline is not None and self.nodes % 1024 == 0:
-            if time.monotonic() > self.deadline:
-                raise Timeout(f"budget {self.budget_ms} ms exhausted")
-
     def at_most(self, k: int) -> list[int] | None:
         """Indices of a family of size <= k, or None if none exists."""
         full = (1 << self.m) - 1
@@ -195,11 +200,25 @@ class _Search:
         suffix = self.suffix_union
         cover = self.require_cover
         required_ends = self.required_ends
-        count_node = self._count_node
         refuted = self.refuted
+        deadline = self.deadline
+        nodes = self.nodes
+        next_check = (nodes // 1024 + 1) * 1024
 
-        def rec(start: int, groups: tuple[int, ...], uncovered: int, left: int) -> bool:
-            count_node()
+        def read_clock() -> None:
+            """Move ``next_check`` past ``nodes``, reading the clock at each
+            multiple of 1024 passed when a budget is set."""
+            nonlocal next_check
+            while nodes >= next_check:
+                next_check += 1024
+                if deadline is not None and time.monotonic() > deadline:
+                    raise Timeout(f"budget {self.budget_ms} ms exhausted")
+
+        def rec(start: int, groups: Sequence[int], uncovered: int, left: int) -> bool:
+            nonlocal nodes
+            nodes += 1
+            if nodes >= next_check:
+                read_clock()
             if not groups and not uncovered:
                 return True
             if uncovered & ~suffix[start]:
@@ -209,6 +228,8 @@ class _Search:
             if left == 1:
                 # every group is a pair: a child works iff its path splits
                 # every pair and hits every uncovered element
+                entered = 0
+                found = False
                 for i in range(start, ncands):
                     mask = masks[i]
                     hit = uncovered & mask
@@ -219,41 +240,53 @@ class _Search:
                             split += 1
                     if not split and not hit:
                         continue
-                    count_node()
+                    entered += 1
                     if split == len(groups) and hit == uncovered:
                         chosen.append(i)
-                        return True
-                return False
+                        found = True
+                        break
+                nodes += entered
+                if nodes >= next_check:
+                    read_clock()
+                return found
             key = (start, tuple(sorted(groups)), uncovered)
             if refuted.get(key, 0) >= left:
                 return False
-            # a child with a group larger than this fails its log2 test
+            # a child passes its log2 test when its groups hold at most widest
+            # elements each; only a group wider than that here can break it,
+            # unless the child's path takes between least and widest of it
             widest = 1 << (left - 1)
+            wide = [(g, g.bit_count() - widest) for g in groups if g.bit_count() > widest]
             for i in range(start, ncands):
                 mask = masks[i]
                 new_groups = []
                 changed = False
                 for g in groups:
                     a = g & mask
-                    b = g & ~mask
-                    if a and b:
+                    if a and a != g:
                         changed = True
+                        b = g ^ a
                         if a & (a - 1):
                             new_groups.append(a)
                         if b & (b - 1):
                             new_groups.append(b)
-                    elif g & (g - 1):
+                    else:
                         new_groups.append(g)
                 new_uncovered = uncovered & ~mask
                 if not changed and new_uncovered == uncovered:
                     continue  # resolves nothing new; a smaller family exists without it
-                if max(map(int.bit_count, new_groups), default=0) > widest:
-                    count_node()
-                    continue
-                chosen.append(i)
-                if rec(i + 1, tuple(new_groups), new_uncovered, left - 1):
-                    return True
-                chosen.pop()
+                for g, least in wide:
+                    c = (g & mask).bit_count()
+                    if c > widest or c < least:  # the child fails its log2 test
+                        nodes += 1
+                        if nodes >= next_check:
+                            read_clock()
+                        break
+                else:
+                    chosen.append(i)
+                    if rec(i + 1, new_groups, new_uncovered, left - 1):
+                        return True
+                    chosen.pop()
             if len(refuted) >= REFUTED_CAP:
                 refuted.clear()
             refuted[key] = left
@@ -265,7 +298,10 @@ class _Search:
             return []
         if k < self.floor():
             return None  # the root fails the log2 test
-        return chosen if rec(0, init_groups, init_uncovered, k) else None
+        try:
+            return chosen if rec(0, init_groups, init_uncovered, k) else None
+        finally:
+            self.nodes = nodes
 
 
 def min_separating(

@@ -4,6 +4,7 @@ import hashlib
 import itertools
 import math
 import random
+import time
 import warnings
 
 import pytest
@@ -17,14 +18,16 @@ from seppaths import (
     profile,
     random_tree,
     separates,
+    sharp_value,
     unique_path,
+    vertex_interior_system,
     vertex_lower_bound,
     vertex_system,
     vertex_upper_formula,
 )
 from seppaths import oracle
 from seppaths.edge_systems import DEPTH2_BINARY, edge_system, edge_target_size
-from seppaths.errors import Timeout, TooLarge, UnsupportedTree
+from seppaths.errors import PreconditionViolated, Timeout, TooLarge, UnsupportedTree
 from seppaths.oracle import (
     _least_weight,
     _Search,
@@ -147,6 +150,26 @@ class TestMinSeparating:
         with pytest.raises(Timeout):
             min_separating(t, TargetSet.vertices_and_interior_edges(t), budget_ms=0.001)
 
+    def test_clock_read_at_every_1024th_node_only_with_a_budget(self, monkeypatch):
+        t = enumerate_trees(8)[9]
+        ts = TargetSet.vertices_and_interior_edges(t)
+        real = time.monotonic
+        reads = []
+
+        def counting():
+            reads.append(None)
+            return real()
+
+        monkeypatch.setattr(oracle.time, "monotonic", counting)
+        per_budget = {}
+        for budget in (None, 1e9):
+            reads.clear()
+            res = min_separating(t, ts, budget_ms=budget)
+            assert res.nodes_expanded == 22140
+            per_budget[budget] = len(reads)
+        # the deadline, then one read per 1024 nodes
+        assert per_budget[1e9] - per_budget[None] == 1 + 22140 // 1024
+
     @pytest.mark.parametrize("budget", [float("nan"), -1.0])
     def test_bad_budget_rejected(self, budget):
         # NaN would never pass the deadline, so the search would run unbounded
@@ -246,7 +269,7 @@ class TestPruning:
 
     def test_root_bound_never_exceeds_the_optimum(self):
         # v-and-interior targets stop at n = 8: at n = 9 their solves take
-        # about 12 s
+        # about 9 s
         for n in range(2, 10):
             for t in enumerate_trees(n):
                 for ts in _targets(t)[: 3 if n <= 8 else 2]:
@@ -499,6 +522,39 @@ class TestGraphOracle:
 # tree in enumerate_trees order, and the README tightness counts they give
 VERTEX_SWEEP_DIGEST = "6578463f369a179d062d019c8b50ba6551339838bcdc8477dd44144b8c932a4d"
 VERTEX_TIGHTNESS = {11: [235, 194, 53, 15], 12: [551, 490, 101, 25]}
+# the edge optimum of every tree with n = 13, 14 and 15, one "n size" line
+# per tree in enumerate_trees order
+EDGE_SWEEP_DIGEST = "075320ee8da50405c9084e5bcd4eb88d44588f40bfe9ae8a57d1e1f91853ea40"
+
+
+# per n: trees, trees on which vertex_interior_system builds, and those on
+# which its size equals the v-and-interior optimum
+VERTEX_INTERIOR_COUNTS = {
+    3: (1, 0, 0), 4: (2, 1, 1), 5: (3, 1, 0), 6: (6, 2, 1), 7: (11, 2, 0), 8: (23, 4, 1),
+    9: (47, 5, 0),
+}
+
+
+@pytest.mark.parametrize("n", [*range(3, 9), pytest.param(9, marks=pytest.mark.slow)])
+def test_v_and_interior_optima_bound_the_constructions(n):
+    """The v-and-interior optimum of every tree with n vertices is at most
+    ``vertex_interior_system``'s size where that builds, and equals
+    ``sharp_value`` where that is known.  n = 9 takes about 9 s on a 2-vCPU
+    VM and runs under ``pytest -m slow``."""
+    counts = [0, 0, 0]
+    for t in enumerate_trees(n):
+        ts = TargetSet.vertices_and_interior_edges(t)
+        opt = min_separating(t, ts).size
+        assert sharp_value(t, ts) in (None, opt), t
+        counts[0] += 1
+        try:
+            size = vertex_interior_system(t).size
+        except PreconditionViolated:
+            continue
+        assert opt <= size, t
+        counts[1] += 1
+        counts[2] += size == opt
+    assert tuple(counts) == VERTEX_INTERIOR_COUNTS[n]
 
 
 class TestEnumerateTrees:
@@ -528,7 +584,7 @@ class TestEnumerateTrees:
 
     @pytest.mark.slow
     def test_vertex_optima_at_eleven_and_twelve_match_pinned_digest(self):
-        """About 15 s on a 2-vCPU VM: ``pytest -m slow tests/test_oracle.py``.
+        """About 12 s on a 2-vCPU VM: ``pytest -m slow tests/test_oracle.py``.
 
         Checks the vertex sandwich on every tree with n = 11 and 12, and
         pins the optima and README's tightness counts per n: trees, lower
@@ -559,22 +615,26 @@ class TestEnumerateTrees:
         assert h.hexdigest() == VERTEX_SWEEP_DIGEST
 
     @pytest.mark.slow
-    def test_edge_theorem_at_thirteen_and_fourteen(self, monkeypatch):
-        """About 30 s on a 2-vCPU VM: the cap is raised to 14 for this test
+    def test_edge_theorem_from_thirteen_to_fifteen(self, monkeypatch):
+        """About 130 s on a 2-vCPU VM: the cap is raised to 15 for this test
         only, and the oracle's edge optimum equals the theorem's size and
-        ``edge_system``'s on every tree with n = 13 and 14."""
-        monkeypatch.setattr(oracle, "MAX_N", 14)
+        ``edge_system``'s on every tree with n = 13, 14 and 15."""
+        monkeypatch.setattr(oracle, "MAX_N", 15)
+        h = hashlib.sha256()
         solved = {}
-        for n in (13, 14):
+        for n in (13, 14, 15):
             trees = nodes = 0
             for t in enumerate_trees(n):
                 res = min_separating(t, TargetSet.edges(t))
                 assert res.size == edge_target_size(t) == len(edge_system(t)), t
+                h.update(f"{n} {res.size}\n".encode())
                 trees += 1
                 nodes += res.nodes_expanded
             solved[n] = (trees, nodes)
-        # tree counts from OEIS A000055; node totals recorded at commit c30e4b3
-        assert solved == {13: (1301, 940005), 14: (3159, 4814998)}
+        # tree counts from OEIS A000055; node totals recorded at commit
+        # c30e4b3 (n = 13, 14) and 72902b0 (n = 15)
+        assert solved == {13: (1301, 940005), 14: (3159, 4814998), 15: (7741, 44322015)}
+        assert h.hexdigest() == EDGE_SWEEP_DIGEST
 
     def test_out_of_range(self):
         with pytest.raises(TooLarge):
