@@ -43,7 +43,7 @@ def _paths(host, include_trivial: bool, bit: dict) -> tuple[tuple[PathInTree, ..
     if host.n > MAX_N:
         raise TooLarge(f"n={host.n} exceeds cap {MAX_N}")
     steps = {
-        u: [(w, bit.get(w, 0) | bit.get((u, w) if u < w else (w, u), 0)) for w in ws]
+        u: [(w, bit.get(w, 0) | bit.get(edge(u, w), 0)) for w in ws]
         for u, ws in host._adj.items()
     }
     out = [((v,), bit.get(v, 0)) for v in host.vertices] if include_trivial else []
@@ -92,8 +92,8 @@ class _Search:
     something new but fails its log2 test, and every child of a node with
     one path left that splits a group or hits an uncovered element.  A
     search keeps the count in a local, adds a one-path-left node's children
-    once its scan ends, and, only when a budget is set, reads the clock each
-    time the count reaches a multiple of 1024.
+    once its scan ends, and, only when a budget is set, reads the clock once
+    each time the count reaches or passes a multiple of 1024.
     """
 
     def __init__(self, host, ts: TargetSet, require_cover: bool, budget_ms: float | None):
@@ -206,13 +206,12 @@ class _Search:
         next_check = (nodes // 1024 + 1) * 1024
 
         def read_clock() -> None:
-            """Move ``next_check`` past ``nodes``, reading the clock at each
-            multiple of 1024 passed when a budget is set."""
+            """Move ``next_check`` to the next multiple of 1024 above
+            ``nodes``, reading the clock once when a budget is set."""
             nonlocal next_check
-            while nodes >= next_check:
-                next_check += 1024
-                if deadline is not None and time.monotonic() > deadline:
-                    raise Timeout(f"budget {self.budget_ms} ms exhausted")
+            next_check = nodes - nodes % 1024 + 1024
+            if deadline is not None and time.monotonic() > deadline:
+                raise Timeout(f"budget {self.budget_ms} ms exhausted")
 
         def rec(start: int, groups: Sequence[int], uncovered: int, left: int) -> bool:
             nonlocal nodes

@@ -86,10 +86,9 @@ def path_of(*vertices: int) -> PathInTree:
 class Host:
     """The host interface that trees and graphs share: sorted ``vertices``,
     ``(min, max)`` ``edges``, and ``_adj`` mapping each vertex to its
-    ascending neighbours.  Subclasses fill the slots and set ``_kind``;
-    ``_arcs`` stays unset until ``_arc_set`` first builds it."""
+    ascending neighbours.  Subclasses fill the slots and set ``_kind``."""
 
-    __slots__ = ("vertices", "edges", "_adj", "_arcs")
+    __slots__ = ("vertices", "edges", "_adj")
     _kind: str  # "tree" or "graph", as unknown-vertex messages name the host
 
     @property
@@ -101,15 +100,6 @@ class Host:
 
     def has_edge(self, u: int, v: int) -> bool:
         return edge(u, v) in self.edges
-
-    def _arc_set(self) -> frozenset[Edge]:
-        """Every edge in both orientations, built on the first call and kept
-        for the host's lifetime (a host never changes)."""
-        try:
-            return self._arcs
-        except AttributeError:
-            self._arcs = self.edges.union([(v, u) for u, v in self.edges])
-            return self._arcs
 
     def neighbors(self, v: int) -> tuple[int, ...]:
         try:

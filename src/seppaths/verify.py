@@ -20,10 +20,9 @@ hosts always use the exact table.  The same certified sums let
 tests (``path_contains``, ``kisses``) scan the path's own vertex sequence.
 
 A ``PathSystem`` on any host validates each path with one subset test of
-its steps against the host's edges in both orientations, a set the host
-builds on its first validation and keeps (a length-0 path only needs its
-vertex in the host); a path that fails is walked vertex by vertex, then
-step by step, to name its first fault.  The package's own
+its steps against the host's edges in both orientations (a length-0 path
+only needs its vertex in the host); a path that fails is walked vertex by
+vertex, then step by step, to name its first fault.  The package's own
 families skip that walk only through ``built_system``, which checks them.
 """
 
@@ -110,7 +109,8 @@ class PathSystem:
 
     def __post_init__(self) -> None:
         host = self.host
-        arcs = host._arc_set()
+        arcs = set(host.edges)  # every host edge, in both orientations
+        arcs.update([(v, u) for u, v in host.edges])
         for p in self.paths:
             vs = p.vertices
             if arcs.issuperset(zip(vs, vs[1:])) if len(vs) > 1 else host.has_vertex(vs[0]):

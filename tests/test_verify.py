@@ -572,19 +572,6 @@ class TestPathValidation:
             make_system(g, [(4, 0, 2)])
         assert calls == [(4, 0), (0, 2)]  # the walk names the failing path's fault
 
-    def test_arc_set_is_built_once_per_host_on_first_validation(self):
-        g = gen_gnp(9, 0.5, 4)
-        t = random_tree(40, 4)
-        edge_system(t)
-        # neither the constructors nor a family the package built pay for it
-        assert not hasattr(g, "_arcs") and not hasattr(t, "_arcs")
-        a, b = g.neighbors(0)[:2]
-        make_system(g, [(a, 0, b)])
-        arcs = g._arcs
-        assert arcs == g.edges | {(v, u) for u, v in g.edges}
-        make_system(g, [(b, 0), (0,)])
-        assert g._arcs is arcs
-
     @settings(max_examples=200, deadline=None)
     @given(st.integers(2, 12), st.integers(0, 2**32), st.data())
     def test_same_first_error_as_step_by_step(self, n, seed, data):
@@ -593,10 +580,9 @@ class TestPathValidation:
         paths = [path_of(*vs) for vs in data.draw(st.lists(walks, max_size=4))]
         for host in (random_tree(n, seed), gen_gnp(n, 0.5, seed)):
             expected = _step_by_step_error(host, paths)
-            for _ in range(2):  # the host's arc set is built, then reused
-                if expected is None:
-                    assert PathSystem(host, tuple(paths)).paths == tuple(paths)
-                else:
-                    with pytest.raises(InvalidPath) as info:
-                        PathSystem(host, tuple(paths))
-                    assert str(info.value) == expected
+            if expected is None:
+                assert PathSystem(host, tuple(paths)).paths == tuple(paths)
+            else:
+                with pytest.raises(InvalidPath) as info:
+                    PathSystem(host, tuple(paths))
+                assert str(info.value) == expected
