@@ -3,11 +3,15 @@ spanning-path search per block, and the isolated-vertex experiment."""
 
 from __future__ import annotations
 
+import marshal
 import math
+import os
 import random
+import signal
+import threading
 import time
 from dataclasses import dataclass
-from itertools import compress, filterfalse, repeat
+from itertools import accumulate, compress, filterfalse, repeat, zip_longest
 from struct import unpack_from
 from typing import Iterable, Sequence
 
@@ -331,24 +335,155 @@ def _exact_path(adj, block, forced_ends: list[int], node_budget: int):
 
 def random_vertex_system(g: Graph, seed: int) -> PathSystem | None:
     """The set-system blocks over a seeded vertex labeling, one spanning path
-    per block; None if any block admits no (found) spanning path."""
+    per block; None if any block admits no (found) spanning path.
+
+    Every block's search seed is drawn up front, in block order (a
+    one-vertex block draws none), so a block is searched the same way in
+    any process.  Block 0 is searched here; when it has a path,
+    ``_search_rest`` may split the other blocks over the usable CPUs.  The
+    outcome is decided in block order either way: the first block without
+    a path gives None, and an error raised while searching a block
+    surfaces only if every block before it has a path."""
     if g.n < 2:
         return None
     rng = random.Random(seed)
     perm = list(g.vertices)
     rng.shuffle(perm)
-    system = separating_set_system(g.n)
-    paths = []
-    for i, blk in enumerate(system.blocks):
+    blocks = separating_set_system(g.n).blocks
+    jobs = [(blk, rng.getrandbits(32) if len(blk) > 1 else 0) for blk in blocks]
+    paths = _search_blocks(g, perm, jobs[:1])
+    if paths[-1] is not None and len(jobs) > 1:
+        paths += _search_rest(g, perm, jobs[1:])
+    if paths[-1] is None:
+        return None
+    return built_system(g, paths, "random_vertex_system", TargetSet.vertices(g))
+
+
+def _search_blocks(g: Graph, perm: list[int], jobs) -> list[PathInTree | None]:
+    """The spanning path of each (block, seed) job in order, with the block
+    read through the labeling perm, up to the first block without one
+    (whose entry is None)."""
+    paths: list[PathInTree | None] = []
+    for blk, seed in jobs:
         real = [perm[j] for j in blk]
         if len(real) == 1:
             paths.append(PathInTree((real[0],)))
             continue
-        found = find_spanning_path(g, real, seed=rng.getrandbits(32)).path
-        if found is None:
-            return None
+        found = find_spanning_path(g, real, seed=seed).path
         paths.append(found)
-    return built_system(g, paths, "random_vertex_system", TargetSet.vertices(g))
+        if found is None:
+            break
+    return paths
+
+
+def _search_rest(g: Graph, perm: list[int], jobs) -> list[PathInTree | None]:
+    """``_search_blocks`` over jobs, as the contiguous chunks of ``_split``
+    searched at once: the first here, each other one in a forked child.  A
+    chunk whose child sent no well-formed result is searched again here, so
+    an error its search raises surfaces from this process."""
+    chunks = _split(jobs)
+    paths: list[PathInTree | None] = []
+    for chunk, got in zip_longest(chunks, _forked(g, perm, chunks)):
+        if got is None:
+            got = _search_blocks(g, perm, chunk)
+        paths += got
+        if got[-1] is None:
+            break
+    return paths
+
+
+def _split(jobs: list) -> list[list]:
+    """jobs as contiguous chunks, one per usable CPU, the first no larger
+    than the rest (its process has searched block 0 already); one chunk,
+    the whole of jobs, when there is no ``os.fork`` or
+    ``os.sched_getaffinity``, another live thread (a fork copies its locks
+    in whatever state they are), one usable CPU or one job."""
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+        return [jobs]
+    if threading.active_count() != 1:
+        return [jobs]
+    k = min(len(os.sched_getaffinity(0)), len(jobs))
+    q, r = divmod(len(jobs), k)
+    ends = list(accumulate((q + (i >= k - r) for i in range(k)), initial=0))
+    return [jobs[a:b] for a, b in zip(ends, ends[1:])]
+
+
+def _forked(g: Graph, perm: list[int], chunks: list[list]) -> list:
+    """Per chunk, its ``_search_blocks`` result, or None where no child sent
+    a well-formed one.  chunks[0] is searched here while a forked child
+    searches each other chunk and sends its vertex sequences back over a
+    pipe with ``marshal``.  Every child is reaped before this returns or
+    raises, and killed first when its result is no longer wanted (the
+    first chunk has a block without a path, or raised); the list then ends
+    after the first chunk.  A fork that fails ends the list after the
+    chunks that have a child."""
+    children: list[tuple[int, int]] = []  # (pid, read end of its pipe)
+    received = False
+    try:
+        for chunk in chunks[1:]:
+            r, w = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(r)
+                os.close(w)
+                break
+            if pid == 0:
+                _child(w, [fd for _, fd in children] + [r], g, perm, chunk)
+            os.close(w)
+            children.append((pid, r))
+        own = _search_blocks(g, perm, chunks[0])
+        if own[-1] is None:
+            return [own]
+        got = [_receive(r, len(chunk)) for (_, r), chunk in zip(children, chunks[1:])]
+        received = True
+        return [own, *got]
+    finally:
+        for pid, r in children:
+            if not received:
+                os.kill(pid, signal.SIGKILL)
+            os.close(r)
+            try:
+                os.waitpid(pid, 0)
+            except ChildProcessError:  # reaped already: the caller ignores SIGCHLD
+                pass
+
+
+def _child(w: int, inherited: list[int], g: Graph, perm: list[int], chunk) -> None:
+    """In a forked child: close the pipe read ends it inherited (so that its
+    write fails, not blocks, once the parent is gone), search the chunk,
+    write its vertex sequences (None for a block without a path) to w, and
+    leave through ``os._exit``, so no caller's cleanup, buffered output or
+    exit handler runs twice."""
+    code = 1
+    try:
+        for fd in inherited:
+            os.close(fd)
+        found = _search_blocks(g, perm, chunk)
+        with open(w, "wb") as out:
+            out.write(marshal.dumps([None if p is None else p.vertices for p in found]))
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _receive(r: int, size: int) -> list[PathInTree | None] | None:
+    """A child's result for a chunk of `size` blocks, read to end of file,
+    or None unless it is well-formed: one vertex tuple per block, up to and
+    including a None where the chunk stopped early."""
+    with open(r, "rb", closefd=False) as f:
+        data = f.read()
+    try:
+        got = marshal.loads(data)
+    except (EOFError, ValueError, TypeError):  # no result, or a cut one
+        return None
+    if type(got) is not list or not 0 < len(got) <= size:
+        return None
+    if not all(type(vs) is tuple for vs in got[:-1]):
+        return None
+    if not (got[-1] is None or (type(got[-1]) is tuple and len(got) == size)):
+        return None
+    return [None if vs is None else PathInTree(vs) for vs in got]
 
 
 # ---- seeded experiment harness ----

@@ -19,11 +19,13 @@ hosts always use the exact table.  The same certified sums let
 ``faults.decoder`` decode probe reports without the table.  Membership
 tests (``path_contains``, ``kisses``) scan the path's own vertex sequence.
 
-A ``PathSystem`` on any host validates each path with one subset test of
-its steps against the host's edges in both orientations (a length-0 path
-only needs its vertex in the host); a path that fails is walked vertex by
-vertex, then step by step, to name its first fault.  The package's own
-families skip that walk only through ``built_system``, which checks them.
+A ``PathSystem`` whose paths take fewer steps in all than the host has
+edges walks each path vertex by vertex, then step by step, which names its
+first fault.  Any other validates each path with one subset test of its
+steps against the host's edges in both orientations (a length-0 path only
+needs its vertex in the host), and walks only a path that fails.  The
+package's own families skip validation only through ``built_system``,
+which checks them.
 """
 
 from __future__ import annotations
@@ -109,20 +111,17 @@ class PathSystem:
 
     def __post_init__(self) -> None:
         host = self.host
+        steps = sum(len(p.vertices) for p in self.paths) - len(self.paths)
+        if steps < len(host.edges):  # a few steps: walk them, not the host
+            for p in self.paths:
+                _walk(host, p)
+            return
         arcs = set(host.edges)  # every host edge, in both orientations
         arcs.update([(v, u) for u, v in host.edges])
         for p in self.paths:
             vs = p.vertices
-            if arcs.issuperset(zip(vs, vs[1:])) if len(vs) > 1 else host.has_vertex(vs[0]):
-                continue
-            # a failing path: find its first bad vertex, then its first bad step
-            for v in p.vertices:
-                if not self.host.has_vertex(v):
-                    raise InvalidPath(f"path {p} uses unknown vertex {v}")
-            for i in range(len(p.vertices) - 1):
-                u, v = p.vertices[i], p.vertices[i + 1]
-                if not self.host.has_edge(u, v):
-                    raise InvalidPath(f"path {p}: {u} and {v} are not adjacent")
+            if not (arcs.issuperset(zip(vs, vs[1:])) if len(vs) > 1 else host.has_vertex(vs[0])):
+                _walk(host, p)  # a failing path: name its first fault
 
     def __len__(self) -> int:
         return len(self.paths)
@@ -142,6 +141,17 @@ class PathSystem:
             else:
                 seen[key] = i
         return warnings
+
+
+def _walk(host, p: PathInTree) -> None:
+    """Check p vertex by vertex, then step by step; InvalidPath names the
+    first unknown vertex, else the first step between non-adjacent ones."""
+    for v in p.vertices:
+        if not host.has_vertex(v):
+            raise InvalidPath(f"path {p} uses unknown vertex {v}")
+    for u, v in zip(p.vertices, p.vertices[1:]):
+        if not host.has_edge(u, v):
+            raise InvalidPath(f"path {p}: {u} and {v} are not adjacent")
 
 
 def make_system(host, paths: Iterable[Sequence[int] | PathInTree]) -> PathSystem:

@@ -5,8 +5,12 @@ import hashlib
 import io
 import itertools
 import math
+import os
 import random
+import signal
 import sys
+import threading
+import time
 import tracemalloc
 from types import SimpleNamespace
 
@@ -40,6 +44,17 @@ from seppaths.random_graphs import (
     subcritical_p,
     supercritical_p,
 )
+
+
+@pytest.fixture(autouse=True)
+def no_child_left():
+    """Fail a test that leaves a child process, running or unreaped."""
+    yield
+    try:
+        left = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return
+    pytest.fail(f"a child process was left: waitpid gave {left}")
 
 
 def reference_gnp_edges(n, p, rng):
@@ -396,6 +411,139 @@ class TestRandomVertexSystem:
             for seed in range(10)
         )
         assert wins >= 9
+
+
+def block_paths(g, seed, cpus, forks=None):
+    """random_vertex_system's path vertex sequences (None on failure) with
+    `cpus` usable CPUs, and the number of children it forked, which also
+    goes into the list `forks` when one is given."""
+    forks = [] if forks is None else forks
+    real_fork = os.fork
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        m.setattr(os, "fork", lambda: forks.append(1) or real_fork())
+        fs = random_vertex_system(g, seed)
+    return (None if fs is None else [p.vertices for p in fs.paths]), len(forks)
+
+
+def blocks_of(g, seed):
+    """random_vertex_system's blocks as vertex lists, in block order."""
+    perm = list(g.vertices)
+    random.Random(seed).shuffle(perm)
+    return [[perm[j] for j in blk] for blk in separating_set_system(g.n).blocks]
+
+
+class TestSplitSearch:
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 7, 33, 64, 65, 300])
+    @pytest.mark.parametrize("p_of", [subcritical_p, supercritical_p, lambda n: 0.5])
+    def test_same_paths_on_any_number_of_cpus(self, n, p_of):
+        left = len(separating_set_system(n).blocks) - 1
+        for seed in range(4):
+            g = gen_gnp(n, p_of(n), seed)
+            alone, forks = block_paths(g, seed, 1)
+            assert forks == 0
+            for cpus in (2, 3):
+                split, forks = block_paths(g, seed, cpus)
+                assert split == alone
+                if alone is not None:  # block 0 had a path, so the rest split
+                    assert forks == max(min(cpus, left), 1) - 1
+
+    def test_isolated_vertex_outside_block_zero_fails(self):
+        g = gen_gnp(64, supercritical_p(64), 3)
+        blocks = blocks_of(g, 3)
+        lone = blocks[-1][-1]
+        assert lone not in blocks[0]
+        h = Graph(64, [e for e in g.edges if lone not in e])
+        assert block_paths(g, 3, 1)[0] is not None
+        assert block_paths(h, 3, 1) == (None, 0)
+        assert block_paths(h, 3, 2) == (None, 1)
+
+    def test_child_killed_once_the_first_chunk_fails(self, monkeypatch):
+        g = gen_gnp(64, supercritical_p(64), 3)
+        blocks = blocks_of(g, 3)  # 7 blocks: block 0, then 1-3 here, 4-6 in the child
+        lone = next(v for v in blocks[1] if v not in blocks[0])
+        h = Graph(64, [e for e in g.edges if lone not in e])
+        parent, real = os.getpid(), seppaths.random_graphs.find_spanning_path
+
+        def search(*args, **kwargs):
+            if os.getpid() != parent:
+                time.sleep(30)  # a child's chunk that would hold the call up
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(seppaths.random_graphs, "find_spanning_path", search)
+        started = time.monotonic()
+        assert block_paths(h, 3, 2) == (None, 1)
+        assert time.monotonic() - started < 15
+
+    def test_child_that_sends_nothing_is_searched_again(self, monkeypatch):
+        g = gen_gnp(64, supercritical_p(64), 3)
+        alone, _ = block_paths(g, 3, 1)
+        real_fork = os.fork
+
+        def fork():
+            pid = real_fork()
+            if pid == 0:
+                os._exit(1)
+            return pid
+
+        monkeypatch.setattr(os, "fork", fork)
+        assert alone is not None and block_paths(g, 3, 3) == (alone, 2)
+
+    def test_failed_fork_leaves_its_chunks_here(self, monkeypatch):
+        g = gen_gnp(64, supercritical_p(64), 3)
+        alone, _ = block_paths(g, 3, 1)
+
+        def fork():
+            raise BlockingIOError(11, "Resource temporarily unavailable")
+
+        monkeypatch.setattr(os, "fork", fork)
+        fds = len(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else None
+        assert block_paths(g, 3, 3) == (alone, 1)
+        assert fds is None or len(os.listdir("/proc/self/fd")) == fds  # its pipe is closed
+
+    def test_error_in_a_child_block_surfaces_as_in_process(self, monkeypatch):
+        g = gen_gnp(64, supercritical_p(64), 3)
+        last = sorted(blocks_of(g, 3)[-1])
+        real_posa = seppaths.random_graphs._posa
+
+        def posa(adj, degs, block, start, rng, step_budget):
+            if block == last:
+                raise RuntimeError(f"no rotation from {start}")
+            return real_posa(adj, degs, block, start, rng, step_budget)
+
+        monkeypatch.setattr(seppaths.random_graphs, "_posa", posa)
+        errors = []
+        for cpus in (1, 2):
+            forks = []
+            with pytest.raises(RuntimeError) as info:
+                block_paths(g, 3, cpus, forks)
+            errors.append((type(info.value), str(info.value), len(forks)))
+        assert errors[0][:2] == errors[1][:2] and errors[0][1].startswith("no rotation from ")
+        assert (errors[0][2], errors[1][2]) == (0, 1)  # the error came from the child's chunk
+
+    def test_caller_that_ignores_sigchld(self):
+        # such a caller's children are reaped on exit, and waitpid says so
+        g = gen_gnp(64, supercritical_p(64), 3)
+        alone, _ = block_paths(g, 3, 1)
+        old = signal.signal(signal.SIGCHLD, signal.SIG_IGN)
+        try:
+            assert block_paths(g, 3, 2) == (alone, 1)
+        finally:
+            signal.signal(signal.SIGCHLD, old)
+
+    def test_no_fork_with_a_second_thread(self):
+        g = gen_gnp(64, supercritical_p(64), 3)
+        alone, _ = block_paths(g, 3, 1)
+        release = threading.Event()
+        other = threading.Thread(target=release.wait)
+        other.start()
+        try:
+            assert block_paths(g, 3, 2) == (alone, 0)
+        finally:
+            release.set()
+            other.join(timeout=10)
+        assert not other.is_alive()
+        assert block_paths(g, 3, 2) == (alone, 1)
 
 
 class TestIsolated:

@@ -572,6 +572,31 @@ class TestPathValidation:
             make_system(g, [(4, 0, 2)])
         assert calls == [(4, 0), (0, 2)]  # the walk names the failing path's fault
 
+    def test_a_few_steps_on_a_dense_graph_never_iterate_its_edges(self):
+        class CountingEdges(frozenset):
+            iterations = 0
+
+            def __iter__(self):
+                CountingEdges.iterations += 1
+                return super().__iter__()
+
+        g = gen_gnp(300, 0.5, 1)
+        g.edges = CountingEdges(g.edges)
+        a, b, c = g.neighbors(0)[:3]
+        fs = make_system(g, [(0, a), (b, 0, c)])
+        assert fs.size == 2 and CountingEdges.iterations == 0
+        missing = next(v for v in g.vertices if v and not g.has_edge(0, v))
+        with pytest.raises(InvalidPath, match=f"^path {b}-0-{missing}: 0 and {missing} are not adjacent$"):
+            make_system(g, [(0, a), (b, 0, missing)])
+        assert CountingEdges.iterations == 0
+        # four steps on five edges are walked; five take the arc set
+        cycle = Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)])
+        cycle.edges = CountingEdges(cycle.edges)
+        make_system(cycle, [(0, 1, 2), (4, 3, 2)])
+        assert CountingEdges.iterations == 0
+        make_system(cycle, [(0, 1, 2), (4, 3, 2), (0, 4)])
+        assert CountingEdges.iterations > 0
+
     @settings(max_examples=200, deadline=None)
     @given(st.integers(2, 12), st.integers(0, 2**32), st.data())
     def test_same_first_error_as_step_by_step(self, n, seed, data):
