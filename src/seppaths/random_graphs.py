@@ -218,6 +218,11 @@ class SpanningPathSearch:
 
 POSA_RESTARTS = 20
 EXACT_NODE_BUDGET = 10_000_000
+# Block vertices a chunk must average to pay for a child's fork, exit and
+# reap (about 4 ms for a 36 MB process on a 2-vCPU VM).  There the split
+# first gained on supercritical G(n, p) between n = 544 and 576, whose 9
+# blocks after block 0 hold 2448 and 2592 vertices for 2 chunks.
+CHUNK_MIN_VERTICES = 1280
 
 
 def find_spanning_path(g: Graph, block: Sequence[int], *, seed: int = 0) -> SpanningPathSearch:
@@ -339,11 +344,13 @@ def random_vertex_system(g: Graph, seed: int) -> PathSystem | None:
 
     Every block's search seed is drawn up front, in block order (a
     one-vertex block draws none), so a block is searched the same way in
-    any process.  Block 0 is searched here; when it has a path,
-    ``_search_rest`` may split the other blocks over the usable CPUs.  The
-    outcome is decided in block order either way: the first block without
-    a path gives None, and an error raised while searching a block
-    surfaces only if every block before it has a path."""
+    any process.  When ``_split`` cuts the blocks after block 0 into two or
+    more chunks, block 0 is searched here and, if it has a path,
+    ``_search_chunks`` searches the chunks on the usable CPUs; otherwise
+    every block is searched here.  The outcome is decided in block order
+    either way: the first block without a path gives None, and an error
+    raised while searching a block surfaces only if every block before it
+    has a path."""
     if g.n < 2:
         return None
     rng = random.Random(seed)
@@ -351,9 +358,13 @@ def random_vertex_system(g: Graph, seed: int) -> PathSystem | None:
     rng.shuffle(perm)
     blocks = separating_set_system(g.n).blocks
     jobs = [(blk, rng.getrandbits(32) if len(blk) > 1 else 0) for blk in blocks]
-    paths = _search_blocks(g, perm, jobs[:1])
-    if paths[-1] is not None and len(jobs) > 1:
-        paths += _search_rest(g, perm, jobs[1:])
+    chunks = _split(jobs[1:])
+    if len(chunks) > 1:
+        paths = _search_blocks(g, perm, jobs[:1])
+        if paths[-1] is not None:
+            paths += _search_chunks(g, perm, chunks)
+    else:
+        paths = _search_blocks(g, perm, jobs)
     if paths[-1] is None:
         return None
     return built_system(g, paths, "random_vertex_system", TargetSet.vertices(g))
@@ -376,12 +387,11 @@ def _search_blocks(g: Graph, perm: list[int], jobs) -> list[PathInTree | None]:
     return paths
 
 
-def _search_rest(g: Graph, perm: list[int], jobs) -> list[PathInTree | None]:
-    """``_search_blocks`` over jobs, as the contiguous chunks of ``_split``
+def _search_chunks(g: Graph, perm: list[int], chunks: list[list]) -> list[PathInTree | None]:
+    """``_search_blocks`` over the chunks' jobs in order, with the chunks
     searched at once: the first here, each other one in a forked child.  A
-    chunk whose child sent no well-formed result is searched again here, so
-    an error its search raises surfaces from this process."""
-    chunks = _split(jobs)
+    chunk whose child sent no result is searched again here, so an error
+    its search raises surfaces from this process."""
     paths: list[PathInTree | None] = []
     for chunk, got in zip_longest(chunks, _forked(g, perm, chunks)):
         if got is None:
@@ -394,15 +404,21 @@ def _search_rest(g: Graph, perm: list[int], jobs) -> list[PathInTree | None]:
 
 def _split(jobs: list) -> list[list]:
     """jobs as contiguous chunks, one per usable CPU, the first no larger
-    than the rest (its process has searched block 0 already); one chunk,
-    the whole of jobs, when there is no ``os.fork`` or
+    than the rest (its process has searched block 0 already), and fewer
+    when a chunk would average under ``CHUNK_MIN_VERTICES`` block vertices.
+    One chunk, the whole of jobs, when there is no ``os.fork`` or
     ``os.sched_getaffinity``, another live thread (a fork copies its locks
-    in whatever state they are), one usable CPU or one job."""
-    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+    in whatever state they are), a SIGCHLD disposition other than the
+    default (the kernel or a handler may reap a child, freeing its pid for
+    reuse before it is killed or waited for), or fewer than two chunks."""
+    k = min(len(jobs), sum(len(blk) for blk, _ in jobs) // CHUNK_MIN_VERTICES)
+    if k < 2 or not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
         return [jobs]
-    if threading.active_count() != 1:
+    if threading.active_count() != 1 or signal.getsignal(signal.SIGCHLD) is not signal.SIG_DFL:
         return [jobs]
-    k = min(len(os.sched_getaffinity(0)), len(jobs))
+    k = min(k, len(os.sched_getaffinity(0)))
+    if k < 2:
+        return [jobs]
     q, r = divmod(len(jobs), k)
     ends = list(accumulate((q + (i >= k - r) for i in range(k)), initial=0))
     return [jobs[a:b] for a, b in zip(ends, ends[1:])]
@@ -410,9 +426,9 @@ def _split(jobs: list) -> list[list]:
 
 def _forked(g: Graph, perm: list[int], chunks: list[list]) -> list:
     """Per chunk, its ``_search_blocks`` result, or None where no child sent
-    a well-formed one.  chunks[0] is searched here while a forked child
-    searches each other chunk and sends its vertex sequences back over a
-    pipe with ``marshal``.  Every child is reaped before this returns or
+    one.  chunks[0] is searched here while a forked child searches each
+    other chunk and sends its vertex sequences back over a pipe with
+    ``marshal``.  Every child is reaped before this returns or
     raises, and killed first when its result is no longer wanted (the
     first chunk has a block without a path, or raised); the list then ends
     after the first chunk.  A fork that fails ends the list after the
@@ -435,7 +451,7 @@ def _forked(g: Graph, perm: list[int], chunks: list[list]) -> list:
         own = _search_blocks(g, perm, chunks[0])
         if own[-1] is None:
             return [own]
-        got = [_receive(r, len(chunk)) for (_, r), chunk in zip(children, chunks[1:])]
+        got = [_receive(r) for _, r in children]
         received = True
         return [own, *got]
     finally:
@@ -443,10 +459,7 @@ def _forked(g: Graph, perm: list[int], chunks: list[list]) -> list:
             if not received:
                 os.kill(pid, signal.SIGKILL)
             os.close(r)
-            try:
-                os.waitpid(pid, 0)
-            except ChildProcessError:  # reaped already: the caller ignores SIGCHLD
-                pass
+            os.waitpid(pid, 0)
 
 
 def _child(w: int, inherited: list[int], g: Graph, perm: list[int], chunk) -> None:
@@ -467,21 +480,13 @@ def _child(w: int, inherited: list[int], g: Graph, perm: list[int], chunk) -> No
         os._exit(code)
 
 
-def _receive(r: int, size: int) -> list[PathInTree | None] | None:
-    """A child's result for a chunk of `size` blocks, read to end of file,
-    or None unless it is well-formed: one vertex tuple per block, up to and
-    including a None where the chunk stopped early."""
+def _receive(r: int) -> list[PathInTree | None] | None:
+    """A child's result, read to end of file, or None when it sent none."""
     with open(r, "rb", closefd=False) as f:
         data = f.read()
     try:
         got = marshal.loads(data)
     except (EOFError, ValueError, TypeError):  # no result, or a cut one
-        return None
-    if type(got) is not list or not 0 < len(got) <= size:
-        return None
-    if not all(type(vs) is tuple for vs in got[:-1]):
-        return None
-    if not (got[-1] is None or (type(got[-1]) is tuple and len(got) == size)):
         return None
     return [None if vs is None else PathInTree(vs) for vs in got]
 

@@ -38,8 +38,10 @@ from seppaths.cli import main
 from seppaths.oracle import min_separating
 from seppaths.errors import InternalClassificationError, TooLarge, UnknownVertex
 from seppaths.random_graphs import (
+    CHUNK_MIN_VERTICES,
     SpanningPathSearch,
     _exact_path,
+    _split,
     find_spanning_path,
     subcritical_p,
     supercritical_p,
@@ -413,17 +415,24 @@ class TestRandomVertexSystem:
         assert wins >= 9
 
 
-def block_paths(g, seed, cpus, forks=None):
+def block_paths(g, seed, cpus, forks=None, chunk_min=1):
     """random_vertex_system's path vertex sequences (None on failure) with
-    `cpus` usable CPUs, and the number of children it forked, which also
+    `cpus` usable CPUs and `chunk_min` as CHUNK_MIN_VERTICES (1 lets a
+    small graph split), and the number of children it forked, which also
     goes into the list `forks` when one is given."""
     forks = [] if forks is None else forks
     real_fork = os.fork
     with pytest.MonkeyPatch.context() as m:
         m.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
         m.setattr(os, "fork", lambda: forks.append(1) or real_fork())
+        m.setattr(seppaths.random_graphs, "CHUNK_MIN_VERTICES", chunk_min)
         fs = random_vertex_system(g, seed)
     return (None if fs is None else [p.vertices for p in fs.paths]), len(forks)
+
+
+def open_fds():
+    """The number of open descriptors, or None where /proc/self/fd is absent."""
+    return len(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else None
 
 
 def blocks_of(g, seed):
@@ -457,6 +466,18 @@ class TestSplitSearch:
         assert block_paths(g, 3, 1)[0] is not None
         assert block_paths(h, 3, 1) == (None, 0)
         assert block_paths(h, 3, 2) == (None, 1)
+
+    def test_no_fork_once_block_zero_fails(self, monkeypatch):
+        g = gen_gnp(64, supercritical_p(64), 3)
+        first, real = sorted(blocks_of(g, 3)[0]), seppaths.random_graphs.find_spanning_path
+
+        def search(g, block, *, seed=0):
+            if sorted(block) == first:  # every other block has a path
+                return SpanningPathSearch(None, False, 0)
+            return real(g, block, seed=seed)
+
+        monkeypatch.setattr(seppaths.random_graphs, "find_spanning_path", search)
+        assert block_paths(g, 3, 2) == (None, 0)
 
     def test_child_killed_once_the_first_chunk_fails(self, monkeypatch):
         g = gen_gnp(64, supercritical_p(64), 3)
@@ -497,9 +518,9 @@ class TestSplitSearch:
             raise BlockingIOError(11, "Resource temporarily unavailable")
 
         monkeypatch.setattr(os, "fork", fork)
-        fds = len(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else None
+        fds = open_fds()
         assert block_paths(g, 3, 3) == (alone, 1)
-        assert fds is None or len(os.listdir("/proc/self/fd")) == fds  # its pipe is closed
+        assert open_fds() == fds  # its pipe is closed
 
     def test_error_in_a_child_block_surfaces_as_in_process(self, monkeypatch):
         g = gen_gnp(64, supercritical_p(64), 3)
@@ -521,15 +542,50 @@ class TestSplitSearch:
         assert errors[0][:2] == errors[1][:2] and errors[0][1].startswith("no rotation from ")
         assert (errors[0][2], errors[1][2]) == (0, 1)  # the error came from the child's chunk
 
-    def test_caller_that_ignores_sigchld(self):
-        # such a caller's children are reaped on exit, and waitpid says so
+    @pytest.mark.parametrize("disposition", [signal.SIG_IGN, lambda signum, frame: None])
+    def test_no_fork_unless_sigchld_is_default(self, disposition):
+        # the kernel or a handler could reap a child and free its pid for reuse
+        # before it is killed or waited for
         g = gen_gnp(64, supercritical_p(64), 3)
         alone, _ = block_paths(g, 3, 1)
-        old = signal.signal(signal.SIGCHLD, signal.SIG_IGN)
+        lone = next(v for v in blocks_of(g, 3)[1] if v not in blocks_of(g, 3)[0])
+        h = Graph(64, [e for e in g.edges if lone not in e])  # fails in the first chunk
+        fds = open_fds()
+        old = signal.signal(signal.SIGCHLD, disposition)
         try:
-            assert block_paths(g, 3, 2) == (alone, 1)
+            assert block_paths(g, 3, 2) == (alone, 0)
+            assert block_paths(h, 3, 2) == (None, 0)
         finally:
             signal.signal(signal.SIGCHLD, old)
+        assert open_fds() == fds
+        assert block_paths(g, 3, 2) == (alone, 1)
+
+    def test_chunks_average_at_least_the_minimum_block_vertices(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)))
+        m = CHUNK_MIN_VERTICES
+
+        def sizes(*blocks):
+            return [len(c) for c in _split([(range(b), 0) for b in blocks])]
+
+        assert sizes(m, m - 1) == [2]
+        assert sizes(m, m) == [1, 1]
+        assert sizes(*[m // 2] * 5) == [2, 3]
+        assert sizes(*[m // 2] * 6) == [2, 2, 2]
+        assert sizes(*[m] * 6) == [1, 1, 2, 2]
+
+    def test_small_supercritical_graphs_never_fork(self):
+        # the forked chunk would average under CHUNK_MIN_VERTICES (1280) block
+        # vertices: 9 blocks of 256 after block 0 make 2304 in all
+        assert CHUNK_MIN_VERTICES == 1280
+        for n in (16, 64, 300, 512):
+            for seed in range(2):
+                g = gen_gnp(n, supercritical_p(n), seed)
+                real = block_paths(g, seed, 2, chunk_min=CHUNK_MIN_VERTICES)
+                assert real == (block_paths(g, seed, 1)[0], 0)
+        g = gen_gnp(576, supercritical_p(576), 0)  # 9 blocks of 288: 2592
+        alone, _ = block_paths(g, 0, 1)
+        assert alone is not None
+        assert block_paths(g, 0, 2, chunk_min=CHUNK_MIN_VERTICES) == (alone, 1)
 
     def test_no_fork_with_a_second_thread(self):
         g = gen_gnp(64, supercritical_p(64), 3)
