@@ -428,11 +428,11 @@ def _forked(g: Graph, perm: list[int], chunks: list[list]) -> list:
     """Per chunk, its ``_search_blocks`` result, or None where no child sent
     one.  chunks[0] is searched here while a forked child searches each
     other chunk and sends its vertex sequences back over a pipe with
-    ``marshal``.  Every child is reaped before this returns or
-    raises, and killed first when its result is no longer wanted (the
-    first chunk has a block without a path, or raised); the list then ends
-    after the first chunk.  A fork that fails ends the list after the
-    chunks that have a child."""
+    ``marshal``.  Every child is reaped before this returns or raises, and
+    killed first when its result is no longer wanted (the first chunk has a
+    block without a path, or raised); the list then ends after the first
+    chunk.  A fork that fails ends the list after the chunks that have a
+    child."""
     children: list[tuple[int, int]] = []  # (pid, read end of its pipe)
     received = False
     try:
