@@ -10,10 +10,12 @@ import random
 import signal
 import threading
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass
-from itertools import accumulate, compress, filterfalse, repeat, zip_longest
+from functools import partial
+from itertools import accumulate, compress, filterfalse, repeat
 from struct import unpack_from
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .errors import HasCycle, UnknownVertex
 from .trees import Edge, Host, PathInTree
@@ -62,53 +64,120 @@ class Graph(Host):
         return f"Graph(n={self.n}, m={len(self.edges)})"
 
 
+# gen_gnp's row split.  The costs of scanning a pair at p <= 1/16, in units
+# of drawing its two words, fitted to where the caller and the child finished
+# together at n = 2048 and the sub- and supercritical p on a 2-vCPU VM:
+# SCAN_COST for every pair, plus VISIT_COST for each pair the probe loop
+# visits.  Below ROW_SPLIT_MIN_PAIRS pairs the fork costs more than the split
+# saves: in a 38 MB process there, the split first gained between n = 832
+# and 896.
+SCAN_COST = 0.62
+VISIT_COST = 28.5
+ROW_SPLIT_MIN_PAIRS = 400_000
+
+
 def gen_gnp(n: int, p: float, seed: int) -> Graph:
     """G(n, p): each of the C(n, 2) pairs included independently; the same
     (n, p, seed) always reproduces the same graph.
 
     Pair (i, j), i < j, in row-major order, is an edge exactly when
-    `random.Random(seed).random() < p` holds for its turn in the stream.
-    That draw is K / 2^53 with K = (w0 >> 5) * 2^26 + (w1 >> 6), for the
-    next two 32-bit Mersenne Twister words w0, w1, so the test is K < cut
-    with cut = ceil(p * 2^53) (both sides are exact doubles).  Row i takes
-    its n - 1 - i pairs as one `getrandbits` block, which consumes the same
-    words in the same order; as little-endian bytes, pair k's w0 is bytes
-    8k..8k+3 and its w1 bytes 8k+4..8k+7.  The top byte of w0 is K >> 45:
-    below (cut - 1) >> 45 the pair is an edge, above it the pair is not,
-    and only a pair that hits it exactly (at most 1/256 of them) needs the
-    whole K.  Cost: Θ(n²) words drawn and scanned in C, Python work only
-    per candidate pair, and one row's block of memory at a time.
+    `random.Random(seed).random() < p` holds for its turn in the stream;
+    ``_scan_rows`` tests the pairs a row at a time.  When ``_row_split``
+    gives a row r < n - 1, the caller scans rows [0, r) while a forked
+    child draws their words from its own ``random.Random(seed)``, unscanned,
+    and scans rows [r, n - 1), so both lists, in row order, make the same
+    graph.  If the child sends nothing, the caller's generator stands at
+    row r, and it scans the rest itself.
     """
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"p={p} outside [0, 1]")
+    if p == 0.0:
+        return Graph._from_rows(n, [])
+    rng = random.Random(seed)
+    r = _row_split(n, p)
+    if r == n - 1:
+        return Graph._from_rows(n, _scan_rows(rng, n, p, 0, r))
+    with _forked([partial(_skip_and_scan, seed, n, p, r)]) as receive:
+        edges = _scan_rows(rng, n, p, 0, r)
+        [rest] = receive()
+        # built before the block reaps the child, while its exit runs
+        edges += _scan_rows(rng, n, p, r, n - 1) if rest is None else rest
+        return Graph._from_rows(n, edges)
+
+
+def _scan_rows(rng: random.Random, n: int, p: float, first: int, stop: int) -> list[Edge]:
+    """The edges of rows [first, stop), in row order, with rng standing at
+    row first; 0 < p <= 1.
+
+    The draw of a pair is K / 2^53 with K = (w0 >> 5) * 2^26 + (w1 >> 6),
+    for the next two 32-bit Mersenne Twister words w0, w1, so the test is
+    K < cut with cut = ceil(p * 2^53) (both sides are exact doubles).  Row
+    i takes its n - 1 - i pairs as one `getrandbits` block, which consumes
+    the same words in the same order; as little-endian bytes, pair k's w0
+    is bytes 8k..8k+3 and its w1 bytes 8k+4..8k+7.  The top byte of w0 is
+    K >> 45: below (cut - 1) >> 45 the pair is an edge, above it the pair
+    is not, and only a pair that hits it exactly (at most 1/256 of them)
+    needs the whole K.  Cost: Θ(pairs) words drawn and scanned in C, Python
+    work only per candidate pair, and one row's block of memory at a time.
+    """
     edges = []
-    if p > 0.0:
-        rng = random.Random(seed)
-        cut = math.ceil(math.ldexp(p, 53))
-        hi = (cut - 1) >> 45
-        # Once certain edges are dense (p > 1/16), one compress per row picks
-        # them out in C faster than the probe loop; below that the loop
-        # visits them too.
-        bulk = hi >= 16
-        sure = bytes(b < hi for b in range(256))
-        probe = bytes(b == hi if bulk else b <= hi for b in range(256))
-        cols = tuple(range(n)) if bulk else ()
-        for i in range(n - 1):
-            m = n - 1 - i
-            data = rng.getrandbits(64 * m).to_bytes(8 * m, "little")
-            tops = data[3::8]
-            start = len(edges)
-            if bulk:
-                edges.extend(zip(repeat(i), compress(cols[i + 1 :], tops.translate(sure))))
-            marks = tops.translate(probe)
-            k = marks.find(1)
-            while k >= 0:
-                if tops[k] < hi or _draw53(data, k) < cut:
-                    edges.append((i, i + 1 + k))
-                k = marks.find(1, k + 1)
-            if bulk:  # the row's ties came after its certain edges
-                edges[start:] = sorted(edges[start:])
-    return Graph._from_rows(n, edges)
+    cut = math.ceil(math.ldexp(p, 53))
+    hi = (cut - 1) >> 45
+    # Once certain edges are dense (p > 1/16), one compress per row picks
+    # them out in C faster than the probe loop; below that the loop visits
+    # them too.
+    bulk = hi >= 16
+    sure = bytes(b < hi for b in range(256))
+    probe = bytes(b == hi if bulk else b <= hi for b in range(256))
+    cols = tuple(range(n)) if bulk else ()
+    for i in range(first, stop):
+        m = n - 1 - i
+        data = rng.getrandbits(64 * m).to_bytes(8 * m, "little")
+        tops = data[3::8]
+        start = len(edges)
+        if bulk:
+            edges.extend(zip(repeat(i), compress(cols[i + 1 :], tops.translate(sure))))
+        marks = tops.translate(probe)
+        k = marks.find(1)
+        while k >= 0:
+            if tops[k] < hi or _draw53(data, k) < cut:
+                edges.append((i, i + 1 + k))
+            k = marks.find(1, k + 1)
+        if bulk:  # the row's ties came after its certain edges
+            edges[start:] = sorted(edges[start:])
+    return edges
+
+
+def _row_split(n: int, p: float) -> int:
+    """The row r at which ``gen_gnp`` splits its rows, or n - 1 for no
+    split: when p > 1/16, there are fewer than ``ROW_SPLIT_MIN_PAIRS``
+    pairs, or ``_fork_cpus`` allows one CPU.  Above p = 1/16 compress picks
+    the edges out, and each edge costs the caller about as much to receive
+    from a child as to pick out itself, so the split saves too little.
+    The caller scans rows [0, r) while the child draws the same words and
+    then scans rows [r, n - 1), so both finish together when the caller
+    takes the share 1 / (2 - s) of the pairs, where s is the cost of
+    drawing a pair over that of scanning it at p.  One child, whatever the
+    CPU count: by the same costs, a second one would draw about 90% of the
+    words before its first row."""
+    pairs = n * (n - 1) // 2
+    if p > 1 / 16 or pairs < ROW_SPLIT_MIN_PAIRS or _fork_cpus() < 2:
+        return n - 1
+    # the probe loop visits the pairs whose top byte is at most the
+    # threshold's: at most p + 1/256 of them
+    scan = 1 + SCAN_COST + VISIT_COST * (p + 1 / 256)
+    mine = pairs / (2 - 1 / scan)
+    b = 2 * n - 1  # rows [0, r) hold r (b - r) / 2 pairs
+    return round((b - math.sqrt(b * b - 8 * mine)) / 2)
+
+
+def _skip_and_scan(seed: int, n: int, p: float, r: int) -> list[Edge]:
+    """The edges of rows [r, n - 1) of ``gen_gnp(n, p, seed)``: rows [0, r)
+    are drawn a row's block at a time and left unscanned."""
+    rng = random.Random(seed)
+    for i in range(r):
+        rng.getrandbits(64 * (n - 1 - i))
+    return _scan_rows(rng, n, p, r, n - 1)
 
 
 def _draw53(data: bytes, k: int) -> int:
@@ -389,34 +458,40 @@ def _search_blocks(g: Graph, perm: list[int], jobs) -> list[PathInTree | None]:
 
 def _search_chunks(g: Graph, perm: list[int], chunks: list[list]) -> list[PathInTree | None]:
     """``_search_blocks`` over the chunks' jobs in order, with the chunks
-    searched at once: the first here, each other one in a forked child.  A
-    chunk whose child sent no result is searched again here, so an error
-    its search raises surfaces from this process."""
-    paths: list[PathInTree | None] = []
-    for chunk, got in zip_longest(chunks, _forked(g, perm, chunks)):
+    searched at once: the first here, each other one in a forked child.
+    The children are killed unread once the first chunk has a block
+    without a path.  A chunk whose child sent no result is searched again
+    here, so an error its search raises surfaces from this process."""
+    with _forked([partial(_chunk_vertices, g, perm, chunk) for chunk in chunks[1:]]) as receive:
+        paths = _search_blocks(g, perm, chunks[0])
+        if paths[-1] is None:
+            return paths
+        sent = receive()
+    for chunk, got in zip(chunks[1:], sent):
         if got is None:
-            got = _search_blocks(g, perm, chunk)
-        paths += got
-        if got[-1] is None:
+            found = _search_blocks(g, perm, chunk)
+        else:
+            found = [None if vs is None else PathInTree(vs) for vs in got]
+        paths += found
+        if found[-1] is None:
             break
     return paths
 
 
+def _chunk_vertices(g: Graph, perm: list[int], chunk: list) -> list[tuple[int, ...] | None]:
+    """``_search_blocks`` of the chunk as vertex sequences, for a pipe."""
+    return [None if p is None else p.vertices for p in _search_blocks(g, perm, chunk)]
+
+
 def _split(jobs: list) -> list[list]:
-    """jobs as contiguous chunks, one per usable CPU, the first no larger
-    than the rest (its process has searched block 0 already), and fewer
-    when a chunk would average under ``CHUNK_MIN_VERTICES`` block vertices.
-    One chunk, the whole of jobs, when there is no ``os.fork`` or
-    ``os.sched_getaffinity``, another live thread (a fork copies its locks
-    in whatever state they are), a SIGCHLD disposition other than the
-    default (the kernel or a handler may reap a child, freeing its pid for
-    reuse before it is killed or waited for), or fewer than two chunks."""
+    """jobs as contiguous chunks, one per CPU that ``_fork_cpus`` allows,
+    the first no larger than the rest (its process has searched block 0
+    already), and fewer when a chunk would average under
+    ``CHUNK_MIN_VERTICES`` block vertices; one chunk, the whole of jobs,
+    when that leaves fewer than two."""
     k = min(len(jobs), sum(len(blk) for blk, _ in jobs) // CHUNK_MIN_VERTICES)
-    if k < 2 or not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
-        return [jobs]
-    if threading.active_count() != 1 or signal.getsignal(signal.SIGCHLD) is not signal.SIG_DFL:
-        return [jobs]
-    k = min(k, len(os.sched_getaffinity(0)))
+    if k >= 2:
+        k = min(k, _fork_cpus())
     if k < 2:
         return [jobs]
     q, r = divmod(len(jobs), k)
@@ -424,19 +499,42 @@ def _split(jobs: list) -> list[list]:
     return [jobs[a:b] for a, b in zip(ends, ends[1:])]
 
 
-def _forked(g: Graph, perm: list[int], chunks: list[list]) -> list:
-    """Per chunk, its ``_search_blocks`` result, or None where no child sent
-    one.  chunks[0] is searched here while a forked child searches each
-    other chunk and sends its vertex sequences back over a pipe with
-    ``marshal``.  Every child is reaped before this returns or raises, and
-    killed first when its result is no longer wanted (the first chunk has a
-    block without a path, or raised); the list then ends after the first
-    chunk.  A fork that fails ends the list after the chunks that have a
-    child."""
+# ---- forked children ----
+
+def _fork_cpus() -> int:
+    """The CPUs a split of the work may use: the usable CPUs, or 1 when
+    there is no ``os.fork`` or ``os.sched_getaffinity``, another live
+    thread (a fork copies its locks in whatever state they are), or a
+    SIGCHLD disposition other than the default (the kernel or a handler
+    may reap a child, freeing its pid for reuse before it is killed or
+    waited for)."""
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+        return 1
+    if threading.active_count() != 1 or signal.getsignal(signal.SIGCHLD) is not signal.SIG_DFL:
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+@contextmanager
+def _forked(tasks: list[Callable[[], object]]):
+    """Run each task in a forked child, which sends its result back over a
+    pipe with ``marshal``, and yield a function that reads them: per task,
+    the result, or None where no child sent one (the fork failed, which
+    leaves that task and the ones after it without a child, or the child
+    sent no result or a cut one).  Every child is reaped when the block
+    exits, and killed first unless the results were read, so a caller
+    that returns or raises early does not wait for them."""
     children: list[tuple[int, int]] = []  # (pid, read end of its pipe)
     received = False
+
+    def receive() -> list:
+        nonlocal received
+        got = [_receive(r) for _, r in children]
+        received = True
+        return got + [None] * (len(tasks) - len(got))
+
     try:
-        for chunk in chunks[1:]:
+        for task in tasks:
             r, w = os.pipe()
             try:
                 pid = os.fork()
@@ -445,15 +543,10 @@ def _forked(g: Graph, perm: list[int], chunks: list[list]) -> list:
                 os.close(w)
                 break
             if pid == 0:
-                _child(w, [fd for _, fd in children] + [r], g, perm, chunk)
+                _child(w, [fd for _, fd in children] + [r], task)
             os.close(w)
             children.append((pid, r))
-        own = _search_blocks(g, perm, chunks[0])
-        if own[-1] is None:
-            return [own]
-        got = [_receive(r) for _, r in children]
-        received = True
-        return [own, *got]
+        yield receive
     finally:
         for pid, r in children:
             if not received:
@@ -462,33 +555,31 @@ def _forked(g: Graph, perm: list[int], chunks: list[list]) -> list:
             os.waitpid(pid, 0)
 
 
-def _child(w: int, inherited: list[int], g: Graph, perm: list[int], chunk) -> None:
+def _child(w: int, inherited: list[int], task: Callable[[], object]) -> None:
     """In a forked child: close the pipe read ends it inherited (so that its
-    write fails, not blocks, once the parent is gone), search the chunk,
-    write its vertex sequences (None for a block without a path) to w, and
-    leave through ``os._exit``, so no caller's cleanup, buffered output or
-    exit handler runs twice."""
+    write fails, not blocks, once the parent is gone), run the task, write
+    its result to w, and leave through ``os._exit``, so no caller's
+    cleanup, buffered output or exit handler runs twice."""
     code = 1
     try:
         for fd in inherited:
             os.close(fd)
-        found = _search_blocks(g, perm, chunk)
+        data = marshal.dumps(task())
         with open(w, "wb") as out:
-            out.write(marshal.dumps([None if p is None else p.vertices for p in found]))
+            out.write(data)
         code = 0
     finally:
         os._exit(code)
 
 
-def _receive(r: int) -> list[PathInTree | None] | None:
+def _receive(r: int):
     """A child's result, read to end of file, or None when it sent none."""
     with open(r, "rb", closefd=False) as f:
         data = f.read()
     try:
-        got = marshal.loads(data)
+        return marshal.loads(data)
     except (EOFError, ValueError, TypeError):  # no result, or a cut one
         return None
-    return [None if vs is None else PathInTree(vs) for vs in got]
 
 
 # ---- seeded experiment harness ----

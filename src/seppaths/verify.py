@@ -202,11 +202,13 @@ def signatures(fs: PathSystem, ts: TargetSet) -> dict[Element, frozenset[int]]:
     """Signature of every target element, computed in one sweep.
 
     Each path is walked once and each of its vertices and edges looked up
-    among the targets: O(total path length + targets).
+    among the targets: O(total path length + targets).  Vertex targets look
+    up the vertices alone, and no edge is built.
     """
     sig: dict[Element, set[int]] = {s: set() for s in ts.elements}
+    vertices_only = ts.kind is TargetKind.VERTICES
     for i, p in enumerate(fs.paths):
-        for s in p.elements():
+        for s in p.vertices if vertices_only else p.elements():
             hit = sig.get(s)
             if hit is not None:
                 hit.add(i)

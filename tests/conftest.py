@@ -1,5 +1,8 @@
-"""Shared fixtures: the named example trees used across the suite, and the
-tree-surgery references the tests build trees and check results with."""
+"""Shared fixtures: the named example trees used across the suite, the
+tree-surgery references the tests build trees and check results with, and
+a check that no test leaves a child process."""
+
+import os
 
 import pytest
 
@@ -13,6 +16,18 @@ K13_TEXT = "0 1\n0 2\n0 3\n"
 DEPTH2_TEXT = "1 2\n1 3\n2 4\n2 5\n3 6\n3 7\n"
 DOUBLE_STAR_TEXT = "0 1\n0 2\n0 3\n0 4\n1 5\n1 6\n1 7\n"
 BROOM_TEXT = "0 1\n1 2\n2 3\n0 4\n0 5\n3 6\n3 7\n"
+
+
+@pytest.fixture(autouse=True)
+def no_child_left():
+    """Fail a test that leaves a child process, running or unreaped: the
+    G(n, p) generator and block search fork from any caller."""
+    yield
+    try:
+        left = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return
+    pytest.fail(f"a child process was left: waitpid gave {left}")
 
 
 @pytest.fixture

@@ -39,24 +39,17 @@ from seppaths.oracle import min_separating
 from seppaths.errors import InternalClassificationError, TooLarge, UnknownVertex
 from seppaths.random_graphs import (
     CHUNK_MIN_VERTICES,
+    ROW_SPLIT_MIN_PAIRS,
     SpanningPathSearch,
     _exact_path,
+    _row_split,
+    _scan_rows,
+    _skip_and_scan,
     _split,
     find_spanning_path,
     subcritical_p,
     supercritical_p,
 )
-
-
-@pytest.fixture(autouse=True)
-def no_child_left():
-    """Fail a test that leaves a child process, running or unreaped."""
-    yield
-    try:
-        left = os.waitpid(-1, os.WNOHANG)
-    except ChildProcessError:
-        return
-    pytest.fail(f"a child process was left: waitpid gave {left}")
 
 
 def reference_gnp_edges(n, p, rng):
@@ -600,6 +593,159 @@ class TestSplitSearch:
             other.join(timeout=10)
         assert not other.is_alive()
         assert block_paths(g, 3, 2) == (alone, 1)
+
+
+def gnp_rows(n, p, seed, cpus, min_pairs=0):
+    """gen_gnp(n, p, seed) with `cpus` usable CPUs and `min_pairs` as
+    ROW_SPLIT_MIN_PAIRS (0 lets a small graph split), and the number of
+    children it forked."""
+    forks = []
+    real_fork = os.fork
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        m.setattr(os, "fork", lambda: forks.append(1) or real_fork())
+        m.setattr(seppaths.random_graphs, "ROW_SPLIT_MIN_PAIRS", min_pairs)
+        g = gen_gnp(n, p, seed)
+    return g, len(forks)
+
+
+def same_graph(g, h):
+    return g.n == h.n and g.edges == h.edges and g._adj == h._adj
+
+
+class TestRowSplit:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(3, 60), boundary_p, st.integers(0, 2**64 - 1))
+    def test_split_matches_the_per_pair_reference(self, n, p, seed):
+        g, forks = gnp_rows(n, p, seed, 2)
+        assert forks == (0.0 < p <= 1 / 16)
+        assert g.edges == reference_gnp_edges(n, p, random.Random(seed))
+        assert same_graph(g, gnp_rows(n, p, seed, 1)[0])
+
+    # the probe loop (p <= 1/16), compress (p > 1/16), p = 1, and p whose
+    # top-byte ties all pass (a multiple of 1/256) or nearly all fail
+    @pytest.mark.parametrize("p", [
+        subcritical_p(300), supercritical_p(300), 1 / 16, 17 / 256, 0.5, 1.0,
+        3 / 256, (3 * 2**45 + 1) / 2**53, 40 / 256, (40 * 2**45 + 1) / 2**53,
+    ])
+    def test_same_graph_on_both_branches(self, p):
+        for n, seed in ((3, 0), (4, 1), (97, 2), (300, 3)):
+            alone, forks = gnp_rows(n, p, seed, 1)
+            assert forks == 0
+            for cpus in (2, 3):  # one child, whatever the CPU count
+                split, forks = gnp_rows(n, p, seed, cpus)
+                assert forks == (p <= 1 / 16) and same_graph(split, alone)
+            # and split by hand at any row r, compress rows too, which never fork
+            for r in {0, 1, n // 3, n - 2}:
+                rows = _scan_rows(random.Random(seed), n, p, 0, r) + _skip_and_scan(seed, n, p, r)
+                assert same_graph(Graph._from_rows(n, rows), alone)
+
+    def test_caller_scans_between_half_and_three_quarters(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        for n in (1024, 2048, 8192):
+            pairs = n * (n - 1) // 2
+            shares = []
+            for p in (subcritical_p(n), supercritical_p(n), 1 / 32, 1 / 16):
+                r = _row_split(n, p)
+                assert 0 < r < n - 1
+                shares.append(r * (2 * n - 1 - r) / 2 / pairs)
+            assert shares == sorted(shares, reverse=True)  # denser rows scan dearer
+            assert 0.5 < shares[-1] and shares[0] < 0.75
+            for p in (17 / 256, 0.5, 1.0):  # compress: no split
+                assert _row_split(n, p) == n - 1
+
+    def test_child_that_sends_nothing_is_scanned_here(self, monkeypatch):
+        alone, _ = gnp_rows(300, 0.05, 5, 1)
+        real_fork = os.fork
+
+        def fork():
+            pid = real_fork()
+            if pid == 0:
+                os._exit(1)
+            return pid
+
+        monkeypatch.setattr(os, "fork", fork)
+        fds = open_fds()
+        split, forks = gnp_rows(300, 0.05, 5, 2)
+        assert forks == 1 and same_graph(split, alone)
+        assert open_fds() == fds
+
+    def test_failed_fork_scans_here(self, monkeypatch):
+        alone, _ = gnp_rows(300, 0.05, 5, 1)
+
+        def fork():
+            raise BlockingIOError(11, "Resource temporarily unavailable")
+
+        monkeypatch.setattr(os, "fork", fork)
+        fds = open_fds()
+        split, forks = gnp_rows(300, 0.05, 5, 2)
+        assert forks == 1 and same_graph(split, alone)
+        assert open_fds() == fds  # its pipe is closed
+
+    def test_child_killed_when_the_caller_raises(self, monkeypatch):
+        def stall(*args):
+            time.sleep(30)  # a child that would hold the call up
+
+        def scan(rng, n, p, first, stop):
+            raise MemoryError("caller's rows")
+
+        monkeypatch.setattr(seppaths.random_graphs, "_skip_and_scan", stall)
+        monkeypatch.setattr(seppaths.random_graphs, "_scan_rows", scan)
+        started = time.monotonic()
+        with pytest.raises(MemoryError, match="caller's rows"):
+            gnp_rows(300, 0.05, 5, 2)
+        assert time.monotonic() - started < 15  # killed, then reaped
+
+    @pytest.mark.parametrize("disposition", [signal.SIG_IGN, lambda signum, frame: None])
+    def test_no_fork_unless_sigchld_is_default(self, disposition):
+        alone, _ = gnp_rows(300, 0.05, 5, 1)
+        old = signal.signal(signal.SIGCHLD, disposition)
+        try:
+            split, forks = gnp_rows(300, 0.05, 5, 2)
+        finally:
+            signal.signal(signal.SIGCHLD, old)
+        assert forks == 0 and same_graph(split, alone)
+
+    def test_no_fork_with_a_second_thread(self):
+        alone, _ = gnp_rows(300, 0.05, 5, 1)
+        release = threading.Event()
+        other = threading.Thread(target=release.wait)
+        other.start()
+        try:
+            split, forks = gnp_rows(300, 0.05, 5, 2)
+        finally:
+            release.set()
+            other.join(timeout=10)
+        assert not other.is_alive()
+        assert forks == 0 and same_graph(split, alone)
+
+    def test_small_graphs_never_fork(self):
+        # C(894, 2) = 399171 pairs, under ROW_SPLIT_MIN_PAIRS; C(896, 2) = 400960
+        assert ROW_SPLIT_MIN_PAIRS == 400_000
+        for n in (64, 300, 894):
+            g, forks = gnp_rows(n, subcritical_p(n), 1, 2, min_pairs=ROW_SPLIT_MIN_PAIRS)
+            assert forks == 0 and same_graph(g, gnp_rows(n, subcritical_p(n), 1, 1)[0])
+        g, forks = gnp_rows(896, subcritical_p(896), 1, 2, min_pairs=ROW_SPLIT_MIN_PAIRS)
+        assert forks == 1 and same_graph(g, gnp_rows(896, subcritical_p(896), 1, 1)[0])
+
+    @pytest.mark.parametrize("regime", ["subcritical", "supercritical"])
+    def test_random_exp_output_unchanged_at_bench_sizes(self, regime):
+        # GNP_DIGEST stops at n = 1024; the bench runs n = 2048
+        for seed in (1, 7, 2**32 - 1):
+            argv = ["--format", "json", "random-exp", "--n", "2048", f"--auto-{regime}",
+                    "--trials", "2", "--seed", str(seed)]
+            outs = []
+            for cpus in (1, 2):
+                forks = []
+                real_fork = os.fork
+                out = io.StringIO()
+                with pytest.MonkeyPatch.context() as m, contextlib.redirect_stdout(out):
+                    m.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+                    m.setattr(os, "fork", lambda: forks.append(1) or real_fork())
+                    assert main(argv) == 0
+                outs.append(out.getvalue().encode())
+                assert (len(forks) >= 2) == (cpus == 2)  # each graph split its rows
+            assert outs[0] == outs[1]
 
 
 class TestIsolated:

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 import seppaths.verify
 from seppaths import (
     Graph,
+    PathInTree,
     PathSystem,
     TargetKind,
     TargetSet,
@@ -190,6 +191,66 @@ class TestSignatureWalk:
         candidates = list(enumerate_paths(g, True))
         fs = PathSystem(g, _perturbed(data, list(working.paths) if working else [], candidates))
         self._agree(fs, (TargetSet.edges(g), TargetSet.vertices(g), _custom_target(data, g)))
+
+
+def elements_walk_signatures(fs, ts):
+    """The table as a walk over every path's ``elements()`` (vertices, then
+    edges) gives it: the reference for the vertex-target walk."""
+    sig = {s: set() for s in ts.elements}
+    for i, p in enumerate(fs.paths):
+        for s in p.elements():
+            if s in sig:
+                sig[s].add(i)
+    return {s: frozenset(ix) for s, ix in sig.items()}
+
+
+class TestVertexTargetWalk:
+    """Vertex targets walk the path vertices alone: the table, and so every
+    NotSeparated and NotCovered witness, is the elements() walk's, and no
+    path edge is built."""
+
+    def _agree(self, fs):
+        ts = TargetSet.vertices(fs.host)
+        ref = elements_walk_signatures(fs, ts)
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(PathInTree, "edges", lambda p: pytest.fail("a path edge was built"))
+            sig = signatures(fs, ts)
+            verdicts = (check(fs, ts), separates(fs, ts), covers(fs, ts))
+        assert sig == ref
+        assert exact_verdicts(fs, ts) == (
+            check_signatures(ref, ts),
+            check_signatures(ref, ts, covering=False),
+            check_signatures(ref, ts, separation=False),
+        )
+        if not isinstance(fs.host, Tree):  # a tree's hash sums may settle a pass
+            assert verdicts == exact_verdicts(fs, ts)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(2, 30), st.integers(0, 2**32), st.data())
+    def test_trees(self, n, seed, data):
+        t = random_tree(n, seed)
+        vs = st.sampled_from(t.vertices)
+        candidates = [unique_path(t, data.draw(vs), data.draw(vs)) for _ in range(4)]
+        self._agree(PathSystem(t, _perturbed(data, list(edge_system(t).paths), candidates)))
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(3, 7), st.sampled_from((0.3, 0.5, 0.7)), st.integers(0, 2**32), st.data())
+    def test_gnp_hosts(self, n, p, seed, data):
+        g = gen_gnp(n, p, seed)
+        working = random_vertex_system(g, seed)
+        candidates = list(enumerate_paths(g, True))
+        self._agree(PathSystem(g, _perturbed(data, list(working.paths) if working else [], candidates)))
+
+    def test_failing_witnesses(self):
+        g = gen_gnp(64, 0.2, 1)
+        fs = random_vertex_system(g, 1)
+        ts = TargetSet.vertices(g)
+        short = PathSystem(g, fs.paths[:-2])  # two blocks short: collisions
+        assert not check(short, ts) and check(short, ts).label == "NotSeparated"
+        self._agree(short)
+        uncovered = PathSystem(g, [p for p in fs.paths if 0 not in p.vertices])
+        assert covers(uncovered, ts).label == "NotCovered"
+        self._agree(uncovered)
 
 
 class TestSignatureEquivalence:
