@@ -88,12 +88,27 @@ class _Search:
     ``floor`` before the search and, for a child, in its parent's loop, as
     is every child of a node with one path left.
 
+    Two leaves are twins when they hang off one support vertex with the same
+    target status for the leaf and for its pendant edge; swapping them is an
+    automorphism of the host that keeps the targets.  At a node with at
+    least two paths left, a twin whose group holds a lower-id twin of its
+    class is dominated, and a child whose path ends at a dominated twin is
+    skipped, unless its other end is that twin's only lower twin in the
+    group.  The swap fixes every path chosen so far and maps the skipped
+    path to an earlier candidate, so it maps any family through the child to
+    a lexicographically smaller one.  At the optimum every working family
+    has the same size and no redundant path, and the search returns the
+    lexicographically least, which no skip removes; below it no family
+    exists, so every entry of ``refuted`` stays true.
+
     ``nodes`` counts every state entered, every child that resolves
     something new but fails its log2 test, and every child of a node with
     one path left that splits a group or hits an uncovered element.  A
-    search keeps the count in a local, adds a one-path-left node's children
-    once its scan ends, and, only when a budget is set, reads the clock once
-    each time the count reaches or passes a multiple of 1024.
+    skipped twin child is not counted, the same as a child that resolves
+    nothing new.  A search keeps the count in a local, adds a one-path-left
+    node's children once its scan ends, and, only when a budget is set,
+    reads the clock once each time the count reaches or passes a multiple
+    of 1024.
     """
 
     def __init__(self, host, ts: TargetSet, require_cover: bool, budget_ms: float | None):
@@ -131,10 +146,14 @@ class _Search:
         lone = {v for v, bits in own.items() if v in bit and len(bits) == 1 and len(nbrs[v]) <= 2}
         leaf_mask = 0
         end_masks = []
+        # leaves by support and by the target status of leaf and edge
+        classes: dict[tuple[int, bool, int], list[int]] = {}
         for v, ws in nbrs.items():
             bits = own[v]
             if len(ws) <= 1 and bits:
                 leaf_mask |= bits[0]
+                if ws:
+                    classes.setdefault((ws[0], v in bit, len(bits)), []).append(v)
             elif len(ws) == 2 and len(bits) >= 2:
                 leaves = (bit[u] for u in ws if u in lone and len(nbrs[u]) == 1)
                 end_masks.append(sum(bits) + sum(leaves))
@@ -142,6 +161,18 @@ class _Search:
                 end_masks += (bits[0] | own[w][0] for w in ws if w > v and w in lone)
         self.leaf_mask = leaf_mask
         self.end_masks = tuple(end_masks)
+        # Twin classes (see above), each as the OR of its leaves' bits in
+        # leaf_mask.  A path holds a leaf's element only if it ends there.
+        # The search takes a class's lowest bits for its lowest-id twins, so
+        # a class whose bits do not rise with vertex id (a TargetSet built
+        # out of order) is left out.
+        self.twins = []
+        for leaves in classes.values():
+            if len(leaves) > 1:
+                bits = [own[v][0] for v in sorted(leaves)]
+                if bits == sorted(bits):
+                    self.twins.append(sum(bits))
+        self.twin_union = sum(self.twins)
         self.require_cover = require_cover
         # (start, sorted groups, uncovered) -> the most paths left with which
         # the search found no completion of that state; kept across k
@@ -201,6 +232,8 @@ class _Search:
         cover = self.require_cover
         required_ends = self.required_ends
         refuted = self.refuted
+        twins = self.twins
+        twin_union = self.twin_union
         deadline = self.deadline
         nodes = self.nodes
         next_check = (nodes // 1024 + 1) * 1024
@@ -256,8 +289,24 @@ class _Search:
             # unless the child's path takes between least and widest of it
             widest = 1 << (left - 1)
             wide = [(g, g.bit_count() - widest) for g in groups if g.bit_count() > widest]
+            # a twin is dominated when a lower twin shares its group; a child
+            # ending at one is skipped, as a twin swap maps it to an earlier
+            # candidate, but the path between a group's two lowest twins stays
+            dominated = 0
+            kept = []
+            for g in groups if twin_union else ():
+                x = g & twin_union
+                if x & (x - 1):
+                    for cls in twins:
+                        y = x & cls
+                        rest = y & (y - 1)  # all but the lowest twin
+                        if rest:
+                            dominated |= rest
+                            kept.append(y ^ (rest & (rest - 1)))  # the lowest two
             for i in range(start, ncands):
                 mask = masks[i]
+                if mask & dominated and (mask & twin_union) not in kept:
+                    continue
                 new_groups = []
                 changed = False
                 for g in groups:
