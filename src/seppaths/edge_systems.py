@@ -268,7 +268,7 @@ def _adjacency(t: Tree) -> Adjacency:
 
 
 def _as_tree(adj: Adjacency) -> Tree:
-    return Tree(adj, [(u, v) for u, ns in adj.items() for v in ns if u < v])
+    return Tree._from_adjacency(adj, frozenset([(u, v) for u, ns in adj.items() for v in ns if u < v]))
 
 
 def _suppress(adj: Adjacency, v: int) -> None:

@@ -11,8 +11,9 @@ from __future__ import annotations
 
 import heapq
 import random
+from collections import defaultdict
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Mapping
 
 from .errors import (
     BadToken,
@@ -115,43 +116,65 @@ class Tree(Host):
     """An immutable free tree with sorted-adjacency access.
 
     The adjacency order (ascending vertex id) doubles as the canonical
-    planar embedding used by the leaf-order constructions.  Construction is
-    one validating pass: the distinct edges, sorted once, fill the
-    adjacency in row order, and one depth-first traversal from the least
-    vertex id proves the tree connected and is kept as its rooted index.
-    The ``profile`` is built on first use, once per tree.
+    planar embedding used by the leaf-order constructions.  Every tree is
+    set by one fill, ``_fill``: it checks the edge count, sorts each
+    vertex's neighbour list (there is no sort of all the edges), and one
+    depth-first traversal from the least vertex id proves the tree
+    connected and is kept as its rooted index.  The public constructor
+    normalises and validates its arguments first; ``_from_adjacency`` is
+    the entry for a neighbour map whose edges are already checked.  The
+    ``profile`` is built on first use, once per tree.
     """
 
     __slots__ = ("_rooted", "_order", "_profile")
     _kind = "tree"
 
     def __init__(self, vertices: Iterable[int], edges: Iterable[Edge]):
-        vs = tuple(sorted(set(vertices)))
+        vs = sorted(set(vertices))
         es = frozenset([(u, v) if u <= v else (v, u) for u, v in edges])
         if not vs:
             raise NotConnected("a tree needs at least one vertex")
         if vs[0] < 0:
             raise BadToken("vertex ids must be non-negative")
         adj: dict[int, list[int]] = {v: [] for v in vs}
-        # Row order (u, then v) appends each vertex's lower neighbours, then
-        # its higher ones, both ascending: every list comes out sorted.
-        for u, v in sorted(es):
-            if u == v:
-                raise HasCycle(f"self-loop at vertex {u}")
-            if u not in adj or v not in adj:
+        for u, v in es:
+            if u == v or u not in adj or v not in adj:
+                # name the least offending edge, whatever the set's order
+                u, v = min(
+                    e for e in es if e[0] == e[1] or e[0] not in adj or e[1] not in adj
+                )
+                if u == v:
+                    raise HasCycle(f"self-loop at vertex {u}")
                 raise UnknownVertex(f"edge ({u},{v}) mentions an unknown vertex")
             adj[u].append(v)
             adj[v].append(u)
-        if len(es) > len(vs) - 1:
-            raise HasCycle(f"{len(vs)} vertices admit {len(vs) - 1} edges, got {len(es)}")
-        if len(es) < len(vs) - 1:
-            raise NotConnected(f"{len(vs)} vertices need {len(vs) - 1} edges, got {len(es)}")
+        self._fill(adj, es)
+
+    @classmethod
+    def _from_adjacency(cls, adj: Mapping[int, Iterable[int]], edges: frozenset[Edge]) -> "Tree":
+        """The tree of a vertex -> neighbours map and its ``(min, max)``
+        edge set, which already agree and hold no self-loop and no negative
+        id, as ``parse_tree`` and the edge construction's maps do: they go
+        straight to the fill, neither normalised nor checked edge by edge."""
+        t = object.__new__(cls)
+        t._fill(adj, edges)
+        return t
+
+    def _fill(self, adj: Mapping[int, Iterable[int]], edges: frozenset[Edge]) -> None:
+        """Set the tree from a checked neighbour map and its edge set: the
+        edge count, then one traversal, prove it a tree."""
+        n = len(adj)
+        if len(edges) > n - 1:
+            raise HasCycle(f"{n} vertices admit {n - 1} edges, got {len(edges)}")
+        if len(edges) < n - 1:
+            raise NotConnected(f"{n} vertices need {n - 1} edges, got {len(edges)}")
+        vs = tuple(sorted(adj))
         self.vertices = vs
-        self.edges = es
-        self._adj = {v: tuple(ns) for v, ns in adj.items()}
+        self.edges = edges
+        self._adj = {v: tuple(sorted(adj[v])) for v in vs}
         self._profile: TreeProfile | None = None
         parent, depth, self._order = _root_at_least(self)
-        if len(self._order) != len(vs):
+        if len(self._order) != n:
             missing = next(v for v in vs if v not in depth)
             raise NotConnected(f"vertex {missing} is not reachable")
         self._rooted = (parent, depth)
@@ -212,6 +235,13 @@ class TreeProfile:
 
     ``bare_paths`` partition the edge set; ``set_i`` indexes the bare paths
     with no leaf and at least two edges; ``h2star == h2 - len(set_i)``.
+
+    ``profile`` fills the degree facts (``h1``, ``h2``, ``leaves``, ``deg2``
+    and ``useful_leaves``) in one pass.  The rest is computed on first read:
+    ``interior_edges`` on its own, and ``bare_paths``, ``set_i``, ``h2star``
+    and ``bunches`` together, on the first read of any of them.  The edge
+    construction reads none of them.  A profile made with all ten values,
+    positionally or by name, holds them all from the start.
     """
 
     h1: int
@@ -225,22 +255,35 @@ class TreeProfile:
     bunches: tuple[Bunch, ...]
     useful_leaves: tuple[int, ...]
 
+    def __getattr__(self, name: str):
+        # Called only for a missing attribute.  The fields that ``profile``
+        # leaves to first read are missing until then; the profile keeps
+        # its tree's adjacency to compute them.
+        group = _FIRST_READ.get(name)
+        adj = self.__dict__.get("_adj")
+        if group is None or adj is None:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        self.__dict__.update(group(self, adj))
+        return self.__dict__[name]
+
 
 def parse_tree(text: str) -> Tree:
     """Parse an edge-list document: one "u v" pair per line, '#' comments.
 
     The vertex set is exactly the set of ids mentioned.  Errors name the
-    first offending line.  Each line is checked on its own as it is read;
-    whether the edges form a tree is left to ``Tree``, and only when the
-    document is rejected are the edges read so far searched for the first
-    line that closes a cycle, which is then the error reported.
+    first offending line.  Each line is checked on its own as it is read,
+    and its edge goes into the neighbour map the tree is filled from;
+    whether the edges form a tree is left to ``Tree``'s fill, and only when
+    the document is rejected are the edges read so far searched for the
+    first line that closes a cycle, which is then the error reported.
     """
     pairs: list[tuple[int, int]] = []  # as written, for the cycle message
     lines: list[int] = []
     seen: set[Edge] = set()
+    adj: defaultdict[int, list[int]] = defaultdict(list)
     try:
         for lineno, raw in enumerate(text.splitlines(), start=1):
-            parts = raw.split("#", 1)[0].split()
+            parts = raw.partition("#")[0].split()
             if not parts:
                 continue
             if len(parts) != 2:
@@ -253,15 +296,17 @@ def parse_tree(text: str) -> Tree:
                 raise BadToken(f"line {lineno}: negative vertex id in {raw!r}")
             if u == v:
                 raise HasCycle(f"line {lineno}: self-loop {u} {v}")
-            e = edge(u, v)
+            e = (u, v) if u < v else (v, u)
             if e in seen:
                 raise DuplicateEdge(f"line {lineno}: edge {u} {v} repeated")
             seen.add(e)
+            adj[u].append(v)
+            adj[v].append(u)
             pairs.append((u, v))
             lines.append(lineno)
         if not pairs:
             raise BadToken("document contains no edges")
-        return Tree.from_edges(pairs)
+        return Tree._from_adjacency(adj, frozenset(seen))
     except (BadToken, DuplicateEdge, HasCycle, NotConnected):
         _raise_first_cycle(pairs, lines)
         raise
@@ -374,65 +419,89 @@ def dfs_leaf_order(t: Tree, start: int) -> tuple[int, ...]:
 
 
 def profile(t: Tree) -> TreeProfile:
-    """Every structural parameter of the tree, computed in one pass on the
-    first call, then cached on the tree."""
+    """Every structural parameter of the tree, cached on the tree: the
+    degree facts from one pass on the first call, the rest on first read
+    (see ``TreeProfile``)."""
     if t._profile is None:
         t._profile = _profile(t)
     return t._profile
 
 
 def _profile(t: Tree) -> TreeProfile:
-    deg = {v: len(ns) for v, ns in t._adj.items()}
-    leaves = tuple(v for v in t.vertices if deg[v] == 1)
-    deg2 = tuple(v for v in t.vertices if deg[v] == 2)
-    leafset = set(leaves)
-    interior = tuple(
-        sorted(e for e in t.edges if e[0] not in leafset and e[1] not in leafset)
-    )
-
-    bare_paths = _bare_paths(t, deg)
-    set_i = tuple(
-        i
-        for i, p in enumerate(bare_paths)
-        if len(p.vertices) > 2 and p.vertices[0] not in leafset and p.vertices[-1] not in leafset
-    )
-    bunches = _bunches(t, leaves)
-    useful = tuple(v for v in leaves if deg[t.neighbors(v)[0]] != 2)
-    return TreeProfile(
+    adj = t._adj
+    leaves: list[int] = []
+    deg2: list[int] = []
+    # the adjacency is keyed in ascending vertex order
+    for v, ns in adj.items():
+        if len(ns) == 1:
+            leaves.append(v)
+        elif len(ns) == 2:
+            deg2.append(v)
+    p = object.__new__(TreeProfile)
+    p.__dict__.update(
         h1=len(leaves),
         h2=len(deg2),
-        leaves=leaves,
-        deg2=deg2,
-        interior_edges=interior,
-        bare_paths=bare_paths,
-        set_i=set_i,
-        h2star=len(deg2) - len(set_i),
-        bunches=bunches,
-        useful_leaves=useful,
+        leaves=tuple(leaves),
+        deg2=tuple(deg2),
+        useful_leaves=tuple(v for v in leaves if len(adj[adj[v][0]]) != 2),
+        _adj=adj,
     )
+    return p
 
 
-def _bare_paths(t: Tree, deg: dict[int, int]) -> tuple[PathInTree, ...]:
+def _interior_edges(p: TreeProfile, adj: dict[int, tuple[int, ...]]) -> dict:
+    # ascending u, then ascending neighbour w > u: the edges come out sorted
+    return {
+        "interior_edges": tuple(
+            (u, w) for u, ns in adj.items() if len(ns) > 1 for w in ns if w > u and len(adj[w]) > 1
+        )
+    }
+
+
+def _structure(p: TreeProfile, adj: dict[int, tuple[int, ...]]) -> dict:
+    bare_paths = _bare_paths(adj)
+    leafset = set(p.leaves)
+    set_i = tuple(
+        i
+        for i, bp in enumerate(bare_paths)
+        if len(bp.vertices) > 2 and bp.vertices[0] not in leafset and bp.vertices[-1] not in leafset
+    )
+    return {
+        "bare_paths": bare_paths,
+        "set_i": set_i,
+        "h2star": p.h2 - len(set_i),
+        "bunches": _bunches(adj, p.leaves),
+    }
+
+
+# each field ``profile`` leaves to first read, and what computes it
+_FIRST_READ = {
+    "interior_edges": _interior_edges,
+    **dict.fromkeys(("bare_paths", "set_i", "h2star", "bunches"), _structure),
+}
+
+
+def _bare_paths(nbrs: dict[int, tuple[int, ...]]) -> tuple[PathInTree, ...]:
     """Maximal paths whose interior vertices all have degree 2; they partition
-    the edge set.  ``deg`` maps each vertex to its degree.
+    the edge set.  ``nbrs`` is the tree's adjacency, keyed in ascending
+    vertex order.
 
     Each path is walked once, from its lower-id extreme: the extremes are
     visited in ascending order, and the higher one skips its neighbour on
     the path, which is either a lower extreme or the path's last interior
     vertex.  So every path starts at its lower extreme, and they come out
     ordered by their first two vertices."""
-    nbrs = t._adj
     paths: list[PathInTree] = []
     last_interior: set[int] = set()
-    for s in t.vertices:
-        if deg[s] == 2:
+    for s, ws in nbrs.items():
+        if len(ws) == 2:
             continue
-        for w in nbrs[s]:
-            if w in last_interior or (w < s and deg[w] != 2):
+        for w in ws:
+            if w in last_interior or (w < s and len(nbrs[w]) != 2):
                 continue
             seq = [s, w]
             prev, x = s, w
-            while deg[x] == 2:
+            while len(nbrs[x]) == 2:
                 a, b = nbrs[x]
                 prev, x = x, (b if a == prev else a)
                 seq.append(x)
@@ -442,14 +511,15 @@ def _bare_paths(t: Tree, deg: dict[int, int]) -> tuple[PathInTree, ...]:
     return tuple(paths)
 
 
-def _bunches(t: Tree, leaves: tuple[int, ...]) -> tuple[Bunch, ...]:
+def _bunches(nbrs: dict[int, tuple[int, ...]], leaves: tuple[int, ...]) -> tuple[Bunch, ...]:
     """The components of the pendant edges: each support vertex with its
     leaves, or the whole tree when it is a single edge."""
-    if t.n == 2:
-        return (Bunch(t.vertices, t.vertices),)
+    if len(nbrs) == 2:
+        vs = tuple(nbrs)
+        return (Bunch(vs, vs),)
     groups: dict[int, list[int]] = {}
     for v in leaves:
-        groups.setdefault(t.neighbors(v)[0], []).append(v)
+        groups.setdefault(nbrs[v][0], []).append(v)
     bunches = [Bunch(tuple(sorted([s, *ls])), tuple(ls)) for s, ls in groups.items()]
     bunches.sort(key=lambda b: b.vertices[0])
     return tuple(bunches)

@@ -32,6 +32,7 @@ from seppaths import (
     unique_path,
 )
 import seppaths.edge_systems as es
+import seppaths.trees as trees_module
 from seppaths.edge_systems import (
     _FIVE_FIXTURE,
     _NINE_FIXTURE,
@@ -556,17 +557,17 @@ class TestEdgeSystem:
         import seppaths.edge_systems as es
 
         counts = {"trees": 0, "profiles": 0}
-        real_init, real_profile = Tree.__init__, es.profile
+        real_fill, real_profile = Tree._fill, es.profile
 
-        def counting_init(self, *args, **kwargs):
+        def counting_fill(self, *args):
             counts["trees"] += 1
-            real_init(self, *args, **kwargs)
+            real_fill(self, *args)
 
         def counting_profile(t):
             counts["profiles"] += 1
             return real_profile(t)
 
-        monkeypatch.setattr(Tree, "__init__", counting_init)
+        monkeypatch.setattr(Tree, "_fill", counting_fill)
         monkeypatch.setattr(es, "profile", counting_profile)
         seen = []
         for leg in (100, 300):
@@ -781,22 +782,62 @@ def test_one_tree_and_at_most_two_profiles_per_call(monkeypatch):
     trees = [t for n in range(3, 11) for t in enumerate_trees(n)]
     trees += [t for t in _pinned_trees() if t.n >= 3]
     counts = {"trees": 0, "profiles": 0}
-    real_init, real_profile = Tree.__init__, es.profile
+    real_fill, real_profile = Tree._fill, es.profile
 
-    def counting_init(self, *args, **kwargs):
+    def counting_fill(self, *args):
         counts["trees"] += 1
-        real_init(self, *args, **kwargs)
+        real_fill(self, *args)
 
     def counting_profile(t):
         counts["profiles"] += 1
         return real_profile(t)
 
-    monkeypatch.setattr(Tree, "__init__", counting_init)
+    monkeypatch.setattr(Tree, "_fill", counting_fill)
     monkeypatch.setattr(es, "profile", counting_profile)
     for t in trees:
         counts.update(trees=0, profiles=0)
         _edge_pairs(t)
         assert counts["trees"] == 1 and counts["profiles"] <= 2, (t, counts)
+
+
+def test_edge_system_and_v_and_interior_walk_no_bare_path_or_bunch(monkeypatch):
+    # the edge construction reads only the degree facts of a profile, and
+    # the v-and-interior target set only the interior edges besides them
+    def refuse(*args):
+        raise AssertionError("bare paths or bunches were computed")
+
+    monkeypatch.setattr(trees_module, "_bare_paths", refuse)
+    monkeypatch.setattr(trees_module, "_bunches", refuse)
+    answered = 0
+    for t in _pinned_trees():
+        if t.n >= 2:
+            assert edge_system(t).size == edge_target_size(t), t
+        fresh = Tree(t.vertices, t.edges)
+        interior = TargetSet.vertices_and_interior_edges(fresh).elements[t.n:]
+        assert interior == tuple(sorted(
+            e for e in t.edges if t.degree(e[0]) > 1 and t.degree(e[1]) > 1
+        )), t
+        answered += 1
+    assert answered > 200
+
+
+def test_bare_paths_and_bunches_are_computed_once(monkeypatch):
+    calls = []
+    real = trees_module._bare_paths
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(trees_module, "_bare_paths", counting)
+    t = random_tree(60, 3)
+    p = profile(t)
+    assert calls == []
+    first = p.bare_paths
+    assert len(calls) == 1
+    assert p.bare_paths is first and p.bunches is p.bunches and p.h2star == p.h2 - len(p.set_i)
+    assert profile(t).bare_paths is first
+    assert len(calls) == 1
 
 
 def test_only_the_base_builds_a_tree():

@@ -1,10 +1,13 @@
 """Tree parsing, profiles, traversals, contraction, and their invariants."""
 
+import ast
+import dataclasses
 import hashlib
 import random
 import sys
 import time
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -16,6 +19,7 @@ from seppaths import (
     PathInTree,
     TargetSet,
     Tree,
+    TreeProfile,
     canonical_form,
     dfs_leaf_order,
     edge_system,
@@ -308,6 +312,25 @@ class TestProfile:
         assert len(p.set_i) == 1
         assert p.bare_paths[p.set_i[0]].vertices == (0, 1, 2, 3)
 
+    def test_degree_facts_and_first_read_fields_match_their_definitions(self):
+        trees = [Tree([0], [])] + [t for n in range(2, 9) for t in enumerate_trees(n)]
+        trees += [random_tree(300, 4), leafy_tree(50, 2), relabeled(random_tree(40, 1), random.Random(1))]
+        for t in trees:
+            deg = {v: t.degree(v) for v in t.vertices}
+            p = profile(t)
+            assert p.leaves == tuple(v for v in t.vertices if deg[v] == 1), t
+            assert p.deg2 == tuple(v for v in t.vertices if deg[v] == 2), t
+            assert (p.h1, p.h2) == (len(p.leaves), len(p.deg2)), t
+            assert p.useful_leaves == tuple(v for v in p.leaves if deg[t.neighbors(v)[0]] != 2), t
+            assert p.interior_edges == tuple(
+                sorted(e for e in t.edges if deg[e[0]] > 1 and deg[e[1]] > 1)
+            ), t
+            # a profile given all ten values is the same profile
+            full = TreeProfile(*(getattr(p, f.name) for f in dataclasses.fields(TreeProfile)))
+            assert full == p and hash(full) == hash(p) and repr(full) == repr(p), t
+        with pytest.raises(AttributeError):
+            profile(trees[-1]).no_such_field
+
     def test_k13(self, k13):
         p = profile(k13)
         assert (p.h1, p.h2) == (3, 0)
@@ -526,6 +549,34 @@ class TestOnePassConstruction:
         with pytest.raises(error) as info:
             Graph(*args)
         assert str(info.value) == message
+
+    def test_only_checked_input_skips_the_checks(self):
+        # Tree._from_adjacency trusts its neighbour map: only the parser and
+        # the edge construction's base tree, which hold checked edges, call
+        # it.  Graph has a fill of its own, called by its two constructors.
+        callers = set()
+
+        def visit(node, scope, module):
+            for child in ast.iter_child_nodes(node):
+                inner = scope
+                if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                    inner = scope + [child.name]
+                elif (isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute)
+                      and child.func.attr in ("_from_adjacency", "_fill")):
+                    callers.add(f"{module}.{'.'.join(scope)}:{child.func.attr}")
+                visit(child, inner, module)
+
+        src = Path(trees_module.__file__).parent
+        for path in sorted(src.glob("*.py")):
+            visit(ast.parse(path.read_text()), [], path.stem)
+        assert callers == {
+            "trees.Tree.__init__:_fill",
+            "trees.Tree._from_adjacency:_fill",
+            "trees.parse_tree:_from_adjacency",
+            "edge_systems._as_tree:_from_adjacency",
+            "random_graphs.Graph.__init__:_fill",
+            "random_graphs.Graph._from_rows:_fill",
+        }
 
     def test_duplicate_edge_both_ways_is_one_edge(self):
         t = Tree([0, 1, 2], [(0, 1), (1, 0), (2, 1)])
@@ -895,10 +946,18 @@ class TestParseErrorOrder:
         text = "\n".join(lines)
         expected = union_find_parse_error(text)
         if expected is None:
-            assert serialize_tree(parse_tree(text)) == serialize_tree(
-                Tree.from_edges(tuple(map(int, ln.split("#")[0].split())) for ln in lines
-                                if ln.split("#")[0].strip())
-            )
+            parsed = parse_tree(text)
+            built = Tree.from_edges(tuple(map(int, ln.split("#")[0].split())) for ln in lines
+                                    if ln.split("#")[0].strip())
+            # slot by slot: the hash sweep and the leaf order read all of them
+            assert parsed.vertices == built.vertices
+            assert parsed.edges == built.edges
+            assert type(parsed.edges) is frozenset
+            for v in built.vertices:
+                assert parsed.neighbors(v) == built.neighbors(v)
+            assert parsed.rooted() == built.rooted()
+            assert parsed.rooted_order() == built.rooted_order()
+            assert serialize_tree(parsed) == serialize_tree(built)
         else:
             with pytest.raises(expected[0]) as info:
                 parse_tree(text)

@@ -637,14 +637,14 @@ def test_vertex_system_builds_no_tree(monkeypatch):
     trees = [t for n in range(2, 10) for t in enumerate_trees(n)]
     trees += [leafy_tree(m, m) for m in range(5, 65, 5)]
     built = 0
-    real_init = Tree.__init__
+    real_fill = Tree._fill
 
-    def counting_init(self, *args, **kwargs):
+    def counting_fill(self, *args):
         nonlocal built
         built += 1
-        real_init(self, *args, **kwargs)
+        real_fill(self, *args)
 
-    monkeypatch.setattr(Tree, "__init__", counting_init)
+    monkeypatch.setattr(Tree, "_fill", counting_fill)
     supported = 0
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", BunchMismatchWarning)
