@@ -3,8 +3,10 @@
 ``min_separating`` computes the definitional optimum by iterative deepening
 over the family size with branch-and-bound pruning; the returned family is
 provably minimum and is re-checked through the verifier before being
-returned.  Its candidates, on a tree or a graph, are the simple paths that
-``enumerate_paths`` finds by one depth-first search.  ``enumerate_trees``
+returned.  Its candidates are the simple paths of ``enumerate_paths``: on a
+graph they come from one depth-first search, and on a tree, where a path is
+fixed by its two ends, as end pairs whose element masks come from one rooted
+pass; only the returned family is walked as paths.  ``enumerate_trees``
 yields one representative per unlabeled isomorphism class (level-sequence
 successor algorithm).
 """
@@ -15,10 +17,11 @@ import math
 import time
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import combinations
 from typing import Sequence
 
 from .errors import Infeasible, Timeout, TooLarge
-from .trees import PathInTree, Tree, edge
+from .trees import PathInTree, Tree, edge, unique_path
 from .verify import PathSystem, TargetSet, built_system
 
 MAX_N = 12
@@ -30,9 +33,48 @@ REFUTED_CAP = 1 << 17
 def enumerate_paths(host, include_trivial: bool) -> tuple[PathInTree, ...]:
     """Every candidate path of a tree or graph: optional length-0 paths (by
     vertex id), then each simple path once, from its lower end, by (start,
-    end, sequence); on a tree, the unique u-v path for each u < v, by (u, v).
-    Refuses more than ``MAX_N`` vertices or ``GRAPH_PATH_CAP`` paths."""
+    end, sequence); on a tree, the unique u-v path for each u < v, by (u, v),
+    walked from the end pairs of ``_tree_ends``.  Refuses more than
+    ``MAX_N`` vertices or ``GRAPH_PATH_CAP`` paths."""
+    if isinstance(host, Tree):
+        return tuple(unique_path(host, u, v) for u, v in _tree_ends(host, include_trivial, {})[0])
     return _paths(host, include_trivial, {})[0]
+
+
+def _tree_ends(
+    t: Tree, include_trivial: bool, bit: dict
+) -> tuple[list[tuple[int, int]], list[int]]:
+    """The candidates of ``enumerate_paths`` on a tree as end pairs, in its
+    order, with ``u == v`` for a length-0 path, and for each the OR of
+    ``bit`` over the path's vertices and edges, as ``_paths`` gives it.
+
+    One pass down ``t.rooted()`` in preorder sets, for each vertex x, the
+    XOR of the bits on the path from the root to x, and a mask with one bit
+    per preorder index of each ancestor of x, x included.  The u-v path is
+    the two root paths without their common part, plus the meeting vertex:
+    the deepest common ancestor, whose preorder index is the highest bit
+    the two ancestor masks share.
+    """
+    if t.n > MAX_N:
+        raise TooLarge(f"n={t.n} exceeds cap {MAX_N}")
+    parent, _ = t.rooted()
+    order = t.rooted_order()
+    root = order[0]
+    vbits = [bit.get(x, 0) for x in order]  # by preorder index
+    down = {root: vbits[0]}
+    anc = {root: 1}
+    for k in range(1, len(order)):
+        x = order[k]
+        p = parent[x]
+        down[x] = down[p] ^ vbits[k] ^ bit.get((p, x) if p < x else (x, p), 0)
+        anc[x] = anc[p] | 1 << k
+    vs = t.vertices
+    pairs = [(v, v) for v in vs] if include_trivial else []
+    pairs += combinations(vs, 2)
+    masks = [
+        down[u] ^ down[v] ^ vbits[(anc[u] & anc[v]).bit_length() - 1] for u, v in pairs
+    ]
+    return pairs, masks
 
 
 def _paths(host, include_trivial: bool, bit: dict) -> tuple[tuple[PathInTree, ...], list[int]]:
@@ -76,7 +118,10 @@ class OracleResult:
 
 class _Search:
     """Branch-and-bound over subfamilies of the candidate paths: the host's
-    simple paths, length-0 ones exactly when some target is a vertex.
+    simple paths, length-0 ones exactly when some target is a vertex.  On a
+    tree the candidates are end pairs ``(u, v)`` (``u == v`` for a length-0
+    path) and on a graph ``PathInTree``s; the search reads only their
+    element masks, and ``path`` walks one candidate as a path.
 
     Element signatures are tracked as a partition into same-signature groups
     (bitmasks); a family works when every group is a singleton and, in cover
@@ -113,16 +158,17 @@ class _Search:
 
     def __init__(self, host, ts: TargetSet, require_cover: bool, budget_ms: float | None):
         elements = ts.elements
-        self.m = len(elements)
+        self.m = m = len(elements)
         bit = {s: 1 << i for i, s in enumerate(elements)}
-        cands, masks = _paths(host, any(isinstance(s, int) for s in elements), bit)
-        # Candidates splitting the most element pairs come first.
-        m = self.m
-        order = sorted(
-            range(len(cands)),
-            key=lambda i: (-(masks[i].bit_count() * (m - masks[i].bit_count())), i),
-        )
-        self.cands = tuple(cands[i] for i in order)
+        self.host = host
+        self.on_tree = isinstance(host, Tree)
+        enumerate_candidates = _tree_ends if self.on_tree else _paths
+        cands, masks = enumerate_candidates(host, any(isinstance(s, int) for s in elements), bit)
+        # Candidates splitting the most element pairs come first; the sort
+        # is stable, so ties keep the enumeration order.
+        keys = [c * (c - m) for c in map(int.bit_count, masks)]
+        order = sorted(range(len(masks)), key=keys.__getitem__)
+        self.cands = [cands[i] for i in order]
         self.masks = [masks[i] for i in order]
         suffix = [0] * (len(self.masks) + 1)
         for i in range(len(self.masks) - 1, -1, -1):
@@ -139,26 +185,33 @@ class _Search:
         # and the two bits of each edge between lone vertices: a path holding
         # one of them ends at it on the side away from the other.
         nbrs = host._adj
-        own = {
-            v: [bit[s] for s in (v, *(edge(v, w) for w in ws)) if s in bit]
-            for v, ws in nbrs.items()
-        }
-        lone = {v for v, bits in own.items() if v in bit and len(bits) == 1 and len(nbrs[v]) <= 2}
+        edge_bits = dict.fromkeys(nbrs, 0)  # the OR of each vertex's target edges
+        for e in host.edges:
+            b = bit.get(e)
+            if b:
+                u, w = e
+                edge_bits[u] |= b
+                edge_bits[w] |= b
+        lone = {v for v, ws in nbrs.items() if v in bit and not edge_bits[v] and len(ws) <= 2}
         leaf_mask = 0
         end_masks = []
-        # leaves by support and by the target status of leaf and edge
-        classes: dict[tuple[int, bool, int], list[int]] = {}
-        for v, ws in nbrs.items():
-            bits = own[v]
-            if len(ws) <= 1 and bits:
-                leaf_mask |= bits[0]
+        # leaf bits, in vertex order, by support and by the target status of
+        # leaf and edge
+        classes: dict[tuple[int, bool, bool], list[int]] = {}
+        for v in host.vertices:
+            ws = nbrs[v]
+            vb = bit.get(v, 0)
+            own = vb | edge_bits[v]
+            if len(ws) <= 1 and own:
+                first = vb or own
+                leaf_mask |= first
                 if ws:
-                    classes.setdefault((ws[0], v in bit, len(bits)), []).append(v)
-            elif len(ws) == 2 and len(bits) >= 2:
+                    classes.setdefault((ws[0], vb != 0, own != vb), []).append(first)
+            elif len(ws) == 2 and own & (own - 1):
                 leaves = (bit[u] for u in ws if u in lone and len(nbrs[u]) == 1)
-                end_masks.append(sum(bits) + sum(leaves))
+                end_masks.append(own + sum(leaves))
             if v in lone:
-                end_masks += (bits[0] | own[w][0] for w in ws if w > v and w in lone)
+                end_masks += (vb | bit[w] for w in ws if w > v and w in lone)
         self.leaf_mask = leaf_mask
         self.end_masks = tuple(end_masks)
         # Twin classes (see above), each as the OR of its leaves' bits in
@@ -166,12 +219,9 @@ class _Search:
         # The search takes a class's lowest bits for its lowest-id twins, so
         # a class whose bits do not rise with vertex id (a TargetSet built
         # out of order) is left out.
-        self.twins = []
-        for leaves in classes.values():
-            if len(leaves) > 1:
-                bits = [own[v][0] for v in sorted(leaves)]
-                if bits == sorted(bits):
-                    self.twins.append(sum(bits))
+        self.twins = [
+            sum(bits) for bits in classes.values() if len(bits) > 1 and bits == sorted(bits)
+        ]
         self.twin_union = sum(self.twins)
         self.require_cover = require_cover
         # (start, sorted groups, uncovered) -> the most paths left with which
@@ -180,6 +230,11 @@ class _Search:
         self.nodes = 0
         self.deadline = None if budget_ms is None else time.monotonic() + budget_ms / 1000.0
         self.budget_ms = budget_ms
+
+    def path(self, i: int) -> PathInTree:
+        """Candidate i as a path: on a tree, walked from its two ends."""
+        c = self.cands[i]
+        return unique_path(self.host, *c) if self.on_tree else c
 
     def floor(self) -> int:
         return _ceil_log2(self.m + (1 if self.require_cover else 0))
@@ -380,7 +435,7 @@ def min_separating(
             raise Timeout(f"{exc}; no family of size < {k} exists", lower_bound=k) from None
         if picked is not None:
             system = built_system(
-                host, (search.cands[i] for i in picked), "oracle family fails", ts,
+                host, (search.path(i) for i in picked), "oracle family fails", ts,
                 cover=require_cover,
             )
             return OracleResult(len(picked), system, search.nodes, time.monotonic() - started)

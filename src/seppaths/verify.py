@@ -216,12 +216,22 @@ def signatures(fs: PathSystem, ts: TargetSet) -> dict[Element, frozenset[int]]:
 
 
 _WORD_SEED = 0x5E9A7B5
+# The first words of random.Random(_WORD_SEED).  A longer list is built in
+# full and then rebound, so a reader in another thread sees either list,
+# each a prefix of the same stream.
+_words: list[int] = []
 
 
 def _path_words(count: int) -> list[int]:
-    """One fixed, nonzero 61-bit word per path index."""
-    rng = random.Random(_WORD_SEED)
-    return [rng.getrandbits(61) | 1 for _ in range(count)]
+    """One fixed, nonzero 61-bit word per path index: the first ``count``
+    words of ``random.Random(_WORD_SEED)``, as a new list."""
+    global _words
+    words = _words
+    if count > len(words):
+        rng = random.Random(_WORD_SEED)
+        words = [rng.getrandbits(61) | 1 for _ in range(max(count, 2 * len(words)))]
+        _words = words
+    return words[:count]
 
 
 def _tree_hashes(fs: PathSystem, ts: TargetSet) -> list[int]:

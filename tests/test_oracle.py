@@ -31,7 +31,9 @@ from seppaths.edge_systems import DEPTH2_BINARY, edge_system, edge_target_size
 from seppaths.errors import PreconditionViolated, Timeout, TooLarge, UnsupportedTree
 from seppaths.oracle import (
     _least_weight,
+    _paths,
     _Search,
+    _tree_ends,
     enumerate_paths,
     enumerate_trees,
     exists_family,
@@ -88,6 +90,142 @@ class TestEnumeratePaths:
             assert paths == sorted(paths, key=lambda seq: (seq[0], seq[-1], seq))
 
 
+def _relabelled(t, ids):
+    """t with its vertices, in id order, renamed to ids."""
+    new = dict(zip(t.vertices, ids))
+    return Tree([new[v] for v in t.vertices], [(new[u], new[v]) for u, v in t.edges])
+
+
+def _reference_tables(host, ts):
+    """The leaf mask, end masks and twin classes of a search, built from
+    each vertex's list of target bits: its own, then its edges' in
+    neighbour order."""
+    bit = {s: 1 << i for i, s in enumerate(ts.elements)}
+    nbrs = host._adj
+    own = {
+        v: [bit[s] for s in (v, *(edge(v, w) for w in ws)) if s in bit]
+        for v, ws in nbrs.items()
+    }
+    lone = {v for v, bits in own.items() if v in bit and len(bits) == 1 and len(nbrs[v]) <= 2}
+    leaf_mask = 0
+    end_masks = []
+    classes = {}
+    for v, ws in nbrs.items():
+        bits = own[v]
+        if len(ws) <= 1 and bits:
+            leaf_mask |= bits[0]
+            if ws:
+                classes.setdefault((ws[0], v in bit, len(bits)), []).append(v)
+        elif len(ws) == 2 and len(bits) >= 2:
+            leaves = (bit[u] for u in ws if u in lone and len(nbrs[u]) == 1)
+            end_masks.append(sum(bits) + sum(leaves))
+        if v in lone:
+            end_masks += (bits[0] | own[w][0] for w in ws if w > v and w in lone)
+    twins = []
+    for leaves in classes.values():
+        if len(leaves) > 1:
+            bits = [own[v][0] for v in sorted(leaves)]
+            if bits == sorted(bits):
+                twins.append(sum(bits))
+    return leaf_mask, tuple(end_masks), twins
+
+
+class TestTreeEnds:
+    """On a tree the search takes its candidates as end pairs whose masks
+    come from one rooted pass; they match the depth-first path search."""
+
+    @staticmethod
+    def _cases():
+        """Every tree with n <= 9 and two seeded relabelings of each, one
+        onto 0..n-1 and one onto sparse ids, with edge, vertex,
+        v-and-interior and a random mixed custom target set."""
+        rng = random.Random(34)
+        trees = [Tree([0], [])] + [t for n in range(2, 10) for t in enumerate_trees(n)]
+        cases = []
+        for t in trees:
+            for host in (t, _relabelled(t, rng.sample(range(t.n), t.n)),
+                         _relabelled(t, rng.sample(range(100), t.n))):
+                mixed = [s for s in (*host.vertices, *host.edges) if rng.random() < 0.5]
+                cases += [(host, ts) for ts in (*_targets(host), TargetSet.custom(host, mixed))]
+        assert len(cases) == 4 * 3 * 95
+        return cases
+
+    def test_end_pairs_and_masks_match_the_path_search(self):
+        for host, ts in self._cases():
+            bit = {s: 1 << i for i, s in enumerate(ts.elements)}
+            for inc in (True, False):
+                pairs, masks = _tree_ends(host, inc, bit)
+                paths, want = _paths(host, inc, bit)
+                assert pairs == [p.endpoints for p in paths], (host.edges, inc)
+                assert masks == want, (host.edges, ts.elements, inc)
+
+    def test_search_keeps_the_candidate_order_and_tables(self):
+        # the order the search used when it took its candidates from the
+        # path search: most element pairs split first, ties by index; each
+        # target set also out of order, as the twin rule reads bit order
+        for host, ordered in self._cases():
+            for ts in (ordered, TargetSet(ordered.kind, ordered.elements[::-1])):
+                search = _Search(host, ts, True, None)
+                m = len(ts.elements)
+                bit = {s: 1 << i for i, s in enumerate(ts.elements)}
+                paths, masks = _paths(host, any(isinstance(s, int) for s in ts.elements), bit)
+                order = sorted(
+                    range(len(paths)),
+                    key=lambda i: (-(masks[i].bit_count() * (m - masks[i].bit_count())), i),
+                )
+                assert _candidate_paths(search) == [paths[i] for i in order], (host.edges, ts)
+                assert search.masks == [masks[i] for i in order], (host.edges, ts)
+                got = (search.leaf_mask, search.end_masks, search.twins)
+                assert got == _reference_tables(host, ts), (host.edges, ts)
+
+    def test_graph_tables_match_their_definitions(self):
+        rng = random.Random(35)
+        for seed in range(40):
+            g = gen_gnp(4 + seed % 5, (0.2, 0.35, 0.5)[seed % 3], seed)
+            mixed = [s for s in (*g.vertices, *g.edges) if rng.random() < 0.5]
+            for ts in (TargetSet.edges(g), TargetSet.vertices(g), TargetSet.custom(g, mixed)):
+                search = _Search(g, ts, True, None)
+                got = (search.leaf_mask, search.end_masks, search.twins)
+                assert got == _reference_tables(g, ts), (g.edges, ts)
+
+    def test_enumerate_paths_on_trees_is_unchanged(self):
+        for host, ts in self._cases()[::4]:
+            for inc in (True, False):
+                assert enumerate_paths(host, inc) == _paths(host, inc, {})[0], (host.edges, inc)
+
+    def test_a_tree_solve_walks_only_its_answer(self, monkeypatch):
+        # no depth-first path search on a tree, and one walk per returned path
+        real_paths, real_walk = oracle._paths, oracle.unique_path
+        walked = []
+
+        def refuse(host, *args):
+            assert not isinstance(host, Tree), "a tree host reached the path search"
+            return real_paths(host, *args)
+
+        def counting(t, u, v):
+            walked.append((u, v))
+            return real_walk(t, u, v)
+
+        monkeypatch.setattr(oracle, "_paths", refuse)
+        monkeypatch.setattr(oracle, "unique_path", counting)
+        rng = random.Random(14)
+        solves = 0
+        for n in range(2, 10):
+            for t in enumerate_trees(n):
+                for _ in range(2):
+                    host = _relabelled(t, rng.sample(range(t.n), t.n))
+                    for ts in (TargetSet.edges(host), TargetSet.vertices(host)):
+                        walked.clear()
+                        res = min_separating(host, ts)
+                        assert len(walked) == res.size, (host.edges, ts.kind)
+                        assert walked == [p.endpoints for p in res.system.paths]
+                        solves += 1
+        assert solves == 376
+        g = gen_gnp(6, 0.5, 3)
+        walked.clear()
+        assert min_separating(g, TargetSet.vertices(g)).size and not walked
+
+
 class TestMinSeparating:
     def test_depth2_binary_edges(self, depth2):
         assert min_separating(depth2, TargetSet.edges(depth2)).size == 4
@@ -138,7 +276,7 @@ class TestMinSeparating:
                 (TargetSet.custom(host, [0]), True),
                 (TargetSet.custom(host, []), False),
             ):
-                cands = _Search(host, ts, True, None).cands
+                cands = _candidate_paths(_Search(host, ts, True, None))
                 length_0 = [p.vertices for p in cands if len(p.vertices) == 1]
                 assert length_0 == ([(v,) for v in host.vertices] if trivial else []), ts
                 want = enumerate_paths(host, trivial)
@@ -205,6 +343,11 @@ class TestMinSeparating:
         assert exists_family(p4, TargetSet.edges(p4), -1) is False
 
 
+def _candidate_paths(search):
+    """Every candidate of a search as a path, in its candidate order."""
+    return [search.path(i) for i in range(len(search.cands))]
+
+
 def _targets(t):
     return (TargetSet.edges(t), TargetSet.vertices(t), TargetSet.vertices_and_interior_edges(t))
 
@@ -230,7 +373,7 @@ def _solve(search):
     k = search.floor()
     while (picked := search.at_most(k)) is None:
         k += 1
-    return k, [search.cands[i].vertices for i in picked]
+    return k, [search.path(i).vertices for i in picked]
 
 
 def _completes(groups, uncovered, family):
@@ -301,7 +444,7 @@ class TestPruning:
                     for cover in (True, False):
                         search = _Search(t, ts, cover, None)
                         paths = list(min_separating(t, ts, require_cover=cover).system.paths)
-                        extra = [p for p in search.cands if p not in paths]
+                        extra = [p for p in _candidate_paths(search) if p not in paths]
                         paths += rng.sample(extra, min(2, len(extra)))
                         rng.shuffle(paths)
                         for cut in range(len(paths) + 1):
@@ -330,7 +473,7 @@ class TestPruning:
                 for cover in (True, False):
                     search = _Search(host, ts, cover, None)
                     paths = list(min_separating(host, ts, require_cover=cover).system.paths)
-                    extra = [p for p in search.cands if p not in paths]
+                    extra = [p for p in _candidate_paths(search) if p not in paths]
                     paths += rng.sample(extra, min(rng.randint(0, 2), len(extra)))
                     rng.shuffle(paths)
                     for cut in range(len(paths) + 1):

@@ -1,7 +1,10 @@
 """Signatures, separation/covering verdicts, kissing, and the text format."""
 
 import itertools
+import random
 import re
+import sys
+import threading
 import time
 from pathlib import Path
 
@@ -397,6 +400,50 @@ class TestHashSweep:
         verdict = check(fs, TargetSet.edges(t))
         assert verdict and verdict.label == "SeparatesAndCovers"
         assert len(exact) == 1
+
+    def test_path_words_are_the_stream_prefix_in_any_call_order(self, monkeypatch):
+        # one cached list, grown on demand: each call gives the first k
+        # words of a fresh stream, as a list of its own
+        monkeypatch.setattr(seppaths.verify, "_words", [])
+
+        def fresh(k):
+            rng = random.Random(seppaths.verify._WORD_SEED)
+            return [rng.getrandbits(61) | 1 for _ in range(k)]
+
+        for k in (0, 5, 3, 200):
+            words = seppaths.verify._path_words(k)
+            assert words == fresh(k), k
+            words[:] = [0] * len(words)
+            words.append(7)
+            assert seppaths.verify._path_words(k) == fresh(k), k
+
+    def test_path_words_grown_from_several_threads(self, monkeypatch):
+        # four threads switching often, each growing the list while the
+        # others read it: every call still gets the stream prefix
+        monkeypatch.setattr(seppaths.verify, "_words", [])
+        want = seppaths.verify._path_words(400)
+        monkeypatch.setattr(seppaths.verify, "_words", [])
+        bad = []
+
+        def draw(counts):
+            for k in counts:
+                if seppaths.verify._path_words(k) != want[:k]:
+                    bad.append(k)
+
+        threads = [
+            threading.Thread(target=draw, args=(range(start, 400, 7),)) for start in range(1, 5)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(th.is_alive() for th in threads)
+        assert not bad
 
     def test_length_zero_paths_sum_like_the_table(self, depth2):
         # a one-vertex path is its own LCA, and sums its word at that vertex only
