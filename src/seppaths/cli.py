@@ -232,14 +232,14 @@ def cmd_localize(args) -> int:
     fs = parse_paths(t, _read_text(args.paths))
     ts = _TARGETS[args.target](t)
     decode = decoder(fs, ts)
-    report_bits = args.report.strip().upper()
-    if set(report_bits) - {"P", "F"}:
+    report_bits = args.report.strip()
+    if set(report_bits) - set("PpFf"):  # before any case mapping: 'ﬀ'.upper() == 'FF'
         raise UsageError("--report must contain only 'P' and 'F'")
     if len(report_bits) != fs.size:
         raise UsageError(
             f"--report has {len(report_bits)} outcomes for {fs.size} paths"
         )
-    report = ProbeReport(tuple(c == "P" for c in report_bits))
+    report = ProbeReport(tuple(c in "Pp" for c in report_bits))
     diag = decode(report)
     payload = {
         "diagnosis": diag.kind,

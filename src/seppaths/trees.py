@@ -273,16 +273,16 @@ def parse_tree(text: str) -> Tree:
     The vertex set is exactly the set of ids mentioned.  Errors name the
     first offending line.  Each line is checked on its own as it is read,
     and its edge goes into the neighbour map the tree is filled from;
-    whether the edges form a tree is left to ``Tree``'s fill, and only when
-    the document is rejected are the edges read so far searched for the
-    first line that closes a cycle, which is then the error reported.
+    whether the edges form a tree is left to ``Tree``'s fill.  Only when
+    the document is rejected are the lines before the failing one read
+    again, to find the first line that closes a cycle, which is then the
+    error reported.
     """
-    pairs: list[tuple[int, int]] = []  # as written, for the cycle message
-    lines: list[int] = []
     seen: set[Edge] = set()
     adj: defaultdict[int, list[int]] = defaultdict(list)
+    lines = text.splitlines()
     try:
-        for lineno, raw in enumerate(text.splitlines(), start=1):
+        for lineno, raw in enumerate(lines, start=1):
             parts = raw.partition("#")[0].split()
             if not parts:
                 continue
@@ -302,19 +302,19 @@ def parse_tree(text: str) -> Tree:
             seen.add(e)
             adj[u].append(v)
             adj[v].append(u)
-            pairs.append((u, v))
-            lines.append(lineno)
-        if not pairs:
+        lineno = len(lines) + 1  # every line is read
+        if not seen:
             raise BadToken("document contains no edges")
         return Tree._from_adjacency(adj, frozenset(seen))
     except (BadToken, DuplicateEdge, HasCycle, NotConnected):
-        _raise_first_cycle(pairs, lines)
+        _raise_first_cycle(lines[: lineno - 1])
         raise
 
 
-def _raise_first_cycle(pairs: list[tuple[int, int]], lines: list[int]) -> None:
-    """HasCycle naming the first of the vertex pairs, read in order, whose
-    ends a union-find has already joined; nothing when they form a forest."""
+def _raise_first_cycle(lines: list[str]) -> None:
+    """HasCycle naming the first of the edge lines, which have passed
+    ``parse_tree``'s line checks, whose ends a union-find has already
+    joined; nothing when they form a forest."""
     parent: dict[int, int] = {}
 
     def find(x: int) -> int:
@@ -324,7 +324,11 @@ def _raise_first_cycle(pairs: list[tuple[int, int]], lines: list[int]) -> None:
             x = parent[x]
         return x
 
-    for (u, v), lineno in zip(pairs, lines):
+    for lineno, raw in enumerate(lines, start=1):
+        parts = raw.partition("#")[0].split()
+        if not parts:
+            continue
+        u, v = int(parts[0]), int(parts[1])
         ru, rv = find(u), find(v)
         if ru == rv:
             raise HasCycle(f"line {lineno}: edge {u} {v} closes a cycle") from None

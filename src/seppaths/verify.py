@@ -26,6 +26,14 @@ steps against the host's edges in both orientations (a length-0 path only
 needs its vertex in the host), and walks only a path that fails.  The
 package's own families skip validation only through ``built_system``,
 which checks them.
+
+``parse_paths`` reads a document's lines once.  Tokens resolve through the
+host's vertex ids as ``str`` writes them, and only a line with another
+token goes through ``int``; a repeated vertex fails its line.  On a tree
+host the same pass makes the subset test, and the first failing path is
+walked only after the last line, so every line error still comes first;
+the family then skips ``PathSystem``'s second pass.  A graph host's family
+goes through ``PathSystem``.
 """
 
 from __future__ import annotations
@@ -116,11 +124,9 @@ class PathSystem:
             for p in self.paths:
                 _walk(host, p)
             return
-        arcs = set(host.edges)  # every host edge, in both orientations
-        arcs.update([(v, u) for u, v in host.edges])
+        arcs = _arcs(host)
         for p in self.paths:
-            vs = p.vertices
-            if not (arcs.issuperset(zip(vs, vs[1:])) if len(vs) > 1 else host.has_vertex(vs[0])):
+            if not _fits(host, arcs, p.vertices):
                 _walk(host, p)  # a failing path: name its first fault
 
     def __len__(self) -> int:
@@ -141,6 +147,19 @@ class PathSystem:
             else:
                 seen[key] = i
         return warnings
+
+
+def _arcs(host) -> set[Edge]:
+    """Every host edge, in both orientations."""
+    arcs = set(host.edges)
+    arcs.update([(v, u) for u, v in host.edges])
+    return arcs
+
+
+def _fits(host, arcs: set[Edge], vs: tuple[int, ...]) -> bool:
+    """Whether every step of the vertex sequence is one of the host's arcs;
+    a length-0 path only needs its vertex in the host."""
+    return arcs.issuperset(zip(vs, vs[1:])) if len(vs) > 1 else host.has_vertex(vs[0])
 
 
 def _walk(host, p: PathInTree) -> None:
@@ -372,6 +391,15 @@ def check(fs: PathSystem, ts: TargetSet) -> Verdict:
     return _verdict(fs, ts, separation=True, covering=True)
 
 
+def _unchecked_system(host, paths: tuple[PathInTree, ...]) -> PathSystem:
+    """A PathSystem made without validating its paths, for families already
+    checked against the host: ``built_system``'s and ``parse_paths``'."""
+    fs = object.__new__(PathSystem)
+    object.__setattr__(fs, "host", host)
+    object.__setattr__(fs, "paths", paths)
+    return fs
+
+
 def built_system(
     host, paths: Iterable[PathInTree], label: str, *targets: TargetSet, cover: bool = True
 ) -> PathSystem:
@@ -380,9 +408,7 @@ def built_system(
     returned only once ``check`` (``separates`` when ``cover`` is False)
     passes it against each target.  The first failure raises
     InternalClassificationError("<label>: <verdict>")."""
-    fs = object.__new__(PathSystem)
-    object.__setattr__(fs, "host", host)
-    object.__setattr__(fs, "paths", tuple(paths))
+    fs = _unchecked_system(host, tuple(paths))
     test = check if cover else separates
     for target in targets:
         verdict = test(fs, target)
@@ -400,21 +426,45 @@ def kisses(p: PathInTree, e: Edge) -> bool:
 # ---- path-system text format ----
 
 def parse_paths(host, text: str) -> PathSystem:
-    """One path per line as space-separated vertex ids; '#' comments."""
+    """One path per line as space-separated vertex ids; '#' comments.
+
+    Each line is read once: its tokens are looked up among the host's vertex
+    ids as written by ``str``, and only a line with a token outside them is
+    converted with ``int``, so ``007`` still reads as 7 and a non-integer
+    raises BadToken.  A repeated vertex is an InvalidPath naming its line.
+    On a tree host each path's steps are tested against the host's edges in
+    the same pass; the first path that fails is walked, for its first fault,
+    only once every line has been read.  On a graph host the paths go to
+    ``PathSystem``, which validates them.
+    """
+    resolve = {str(v): v for v in host.vertices}.__getitem__
+    tree = isinstance(host, Tree)
+    if tree:
+        arcs = _arcs(host)
+    bad = None  # the first path that fails its host
     paths = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        tokens = raw.partition("#")[0].split()
+        if not tokens:
             continue
         try:
-            seq = tuple(map(int, line.split()))
-        except ValueError:
-            raise BadToken(f"line {lineno}: non-integer token in {raw!r}") from None
-        try:
-            paths.append(PathInTree(seq))
-        except InvalidPath as exc:
-            raise InvalidPath(f"line {lineno}: {exc}") from None
-    return PathSystem(host, tuple(paths))
+            seq = tuple(map(resolve, tokens))
+        except KeyError:
+            try:
+                seq = tuple(map(int, tokens))
+            except ValueError:
+                raise BadToken(f"line {lineno}: non-integer token in {raw!r}") from None
+        if len(set(seq)) != len(seq):
+            raise InvalidPath(f"line {lineno}: repeated vertex in path {seq}")
+        p = PathInTree._walked(seq)
+        paths.append(p)
+        if tree and bad is None and not _fits(host, arcs, seq):
+            bad = p
+    if not tree:
+        return PathSystem(host, tuple(paths))
+    if bad is not None:
+        _walk(host, bad)  # names the path's first fault
+    return _unchecked_system(host, tuple(paths))
 
 
 def serialize_paths(fs: PathSystem) -> str:

@@ -1,13 +1,16 @@
 """The command-line surface: outputs, exit codes, and file round trips."""
 
 import contextlib
+import hashlib
 import io
 import json
 import os
+import random
 import re
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import pytest
@@ -17,10 +20,13 @@ from hypothesis import strategies as st
 import seppaths
 from seppaths import cli
 from seppaths.cli import build_parser, main
+from seppaths.edge_systems import edge_system
 from seppaths.oracle import enumerate_trees
-from seppaths.trees import random_tree
+from seppaths.trees import random_tree, serialize_tree
+from seppaths.verify import TargetSet, serialize_paths, signatures
+from seppaths.vertex_systems import vertex_system
 
-from conftest import BROOM_TEXT, DOUBLE_STAR_TEXT, K13_TEXT, P4_TEXT, DEPTH2_TEXT
+from conftest import BROOM_TEXT, DOUBLE_STAR_TEXT, K13_TEXT, P4_TEXT, DEPTH2_TEXT, leafy_tree
 
 
 @pytest.fixture
@@ -200,6 +206,23 @@ class TestLocalize:
         )
         assert code == 2
 
+
+    @pytest.mark.parametrize("report", ["\ufb00P", "P\ufb00", " \ufb00 "])
+    def test_report_is_checked_before_case_mapping(self, capsys, tmp_path, report):
+        # 'ﬀ' (U+FB00) upper-cases to 'FF', which would fill a 3-path report
+        tree = tmp_path / "p4.tree"
+        tree.write_text("0 1\n1 2\n2 3\n")
+        paths = tmp_path / "sys.paths"
+        paths.write_text("0 1\n1 2\n2 3\n")
+        code, out, err = run(
+            capsys, "localize", str(tree), str(paths), "--target", "edges", "--report", report
+        )
+        assert code == 2 and out == ""
+        assert err == "usage error: --report must contain only 'P' and 'F'\n"
+        code, out, _ = run(
+            capsys, "localize", str(tree), str(paths), "--target", "edges", "--report", "fFp"
+        )
+        assert code == 0 and out.startswith("diagnosis Inconsistent\n")
 
     @pytest.mark.parametrize("report", ["PX", "P"])
     def test_non_separating_system_fails_before_the_report_is_read(
@@ -573,3 +596,106 @@ class TestExitCodeContract:
             if command == "construct-edge":
                 Path(pfile).write_text(out)
                 assert _call(["verify", tree, pfile, "--target", "edges"])[0] == 0
+
+
+# sha256 over the label, exit code, stdout and stderr of every call that
+# _deployment_calls makes, recorded at commit f8f4b52 (line-by-line
+# parse_paths); localize and verify must reproduce their bytes exactly
+LOCALIZE_DIGEST = "3e62a9213269bcce0f2296c81316852b5396f529aa858e8298547649e8a55d91"
+
+
+def _paths_variants(lines: list[str], n: int):
+    """(label, paths text) for a deployment's path lines: as written, with
+    the same ids spelled otherwise, with comments and odd whitespace, and
+    with line and host errors."""
+    long = next(i for i, line in enumerate(lines) if len(line.split()) > 2)
+    swapped = lines[long].split()
+    swapped[0], swapped[1] = swapped[1], swapped[0]  # a step that skips a vertex
+    arabic = str.maketrans("0123456789", "\u0660\u0661\u0662\u0663\u0664\u0665\u0666\u0667\u0668\u0669")
+
+    def edit(i, text):
+        return lines[:i] + [text] + lines[i + 1:]
+
+    def spelled(line, how):
+        first, *rest = line.split()
+        return " ".join([how(first), *rest])
+
+    yield "as-written", lines
+    yield "non-canonical", [spelled(lines[0], lambda t: "00" + t), spelled(lines[1], lambda t: "+" + t),
+                            spelled(lines[2], lambda t: t.translate(arabic)), "-0", *lines[3:]]
+    yield "comments", ["# a deployment", "", *(line.replace(" ", "\t", 1) + "  # path" for line in lines[:3]),
+                       "   ", *lines[3:]]
+    yield "crlf", [line + "\r" for line in lines]
+    yield "duplicate", lines + [lines[0]]
+    yield "unknown", edit(3, lines[3] + f" {n + 7}")
+    yield "negative", edit(2, "-1 " + lines[2])
+    yield "token", edit(5, lines[5] + " x")
+    yield "repeat", edit(4, lines[4] + " " + lines[4].split()[0])
+    yield "step", edit(long, " ".join(swapped))
+    yield "late-token", edit(long, " ".join(swapped)) + ["3.0"]  # after the bad step
+    yield "lone-unknown", lines + [str(n + 3)]
+    yield "lone-known", lines + ["0"]
+    yield "empty", []
+
+
+def _deployment_calls(tmp_path):
+    """(label, argv) for localize and verify on the fault-localize kinds of
+    deployment (an edge system on random_tree(400, s), a vertex system on
+    leafy_tree(400, s)) and on malformed variants of their files: each
+    element as a single fault (every tenth on the second seed, to keep the
+    test short), the healthy report, a few double faults, and odd reports."""
+    tree_file, paths_file = str(tmp_path / "t.tree"), str(tmp_path / "t.paths")
+    for seed in (1, 2):
+        for target, t in (("edges", random_tree(400, seed)), ("vertices", leafy_tree(400, seed))):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                fs = edge_system(t) if target == "edges" else vertex_system(t)
+            ts = getattr(TargetSet, target)(t)
+            sig = signatures(fs, ts)
+            m = fs.size
+            tree_text, text = serialize_tree(t), serialize_paths(fs)
+            Path(tree_file).write_text(tree_text)
+            Path(paths_file).write_text(text)
+            name = f"{target}-{seed}"
+
+            def localize(label, report, fmt="json"):
+                argv = ["--format", fmt, "localize", tree_file, paths_file,
+                        "--target", target, "--report", report]
+                return f"{name}:{label}", argv
+
+            for s in ts.elements if seed == 1 else ts.elements[::10]:
+                yield localize(f"single {s}", "".join("F" if i in sig[s] else "P" for i in range(m)))
+            rng = random.Random(seed)
+            for fmt in ("text", "json"):
+                yield localize("healthy", "P" * m, fmt)
+                for _ in range(4):
+                    failed = set().union(*(sig[s] for s in rng.sample(ts.elements, 2)))
+                    yield localize("double", "".join("F" if i in failed else "P" for i in range(m)), fmt)
+            for report in ("", "X" + "P" * (m - 1), "p" * m, "P" * (m - 1), " " + ("Ff" * m)[:m] + " "):
+                yield localize(f"report {report!r}", report)
+            for fmt in ("text", "json"):
+                for other in sorted(cli._TARGETS):
+                    yield f"{name}:verify {other}", ["--format", fmt, "verify", tree_file, paths_file,
+                                                     "--target", other]
+            lines = text.splitlines()
+            for label, variant in _paths_variants(lines, t.n):
+                Path(paths_file).write_text("".join(line + "\n" for line in variant))
+                k = sum(1 for line in variant if line.partition("#")[0].strip())
+                yield localize(f"{label} healthy", "P" * k)
+                yield localize(f"{label} first", "F" + "P" * (k - 1), "text")
+                yield f"{name}:{label} verify", ["verify", tree_file, paths_file, "--target", target]
+            Path(paths_file).write_text(text)
+            a, b = sorted(t.edges)[0][0], t.vertices[-1]
+            for label, extra in (("cycle", f"{a} {b}"), ("repeat", " ".join(map(str, sorted(t.edges)[0]))),
+                                 ("forest", f"{t.n + 1} {t.n + 2}"), ("token", f"{a} y")):
+                Path(tree_file).write_text(tree_text + extra + "\n")
+                yield localize(f"tree {label}", "P" * m)
+                yield f"{name}:tree {label} verify", ["verify", tree_file, paths_file, "--target", target]
+
+
+class TestLocalizeBytes:
+    def test_localize_and_verify_output_is_pinned(self, tmp_path):
+        h = hashlib.sha256()
+        for label, argv in _deployment_calls(tmp_path):
+            h.update(repr((label, *_call(argv))).encode())
+        assert h.hexdigest() == LOCALIZE_DIGEST

@@ -43,11 +43,11 @@ from seppaths import (
     vertex_system,
 )
 from seppaths.edge_systems import _edge_pairs
-from seppaths.errors import InternalClassificationError, InvalidPath, UnknownElement
+from seppaths.errors import BadToken, InternalClassificationError, InvalidPath, UnknownElement
 from seppaths.oracle import enumerate_paths, enumerate_trees, min_separating
 from seppaths.verify import _tree_hashes, check_signatures
 
-from conftest import path_tree
+from conftest import leafy_tree, path_tree
 
 
 class TestIncidence:
@@ -719,3 +719,145 @@ class TestPathValidation:
                 with pytest.raises(InvalidPath) as info:
                     PathSystem(host, tuple(paths))
                 assert str(info.value) == expected
+
+
+def line_by_line_parse_paths(host, text):
+    """The reference reader: every token through ``int``, each line a
+    validating ``PathInTree``, and the whole family validated again by
+    ``PathSystem``."""
+    paths = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        try:
+            seq = tuple(map(int, line.split()))
+        except ValueError:
+            raise BadToken(f"line {lineno}: non-integer token in {raw!r}") from None
+        try:
+            paths.append(PathInTree(seq))
+        except InvalidPath as exc:
+            raise InvalidPath(f"line {lineno}: {exc}") from None
+    return PathSystem(host, tuple(paths))
+
+
+def _outcome(parse, host, text):
+    """The parsed vertex sequences, or the class and message of the error."""
+    try:
+        return [p.vertices for p in parse(host, text).paths]
+    except (BadToken, InvalidPath) as exc:
+        return type(exc), str(exc)
+
+
+_ARABIC = str.maketrans("0123456789", "\u0660\u0661\u0662\u0663\u0664\u0665\u0666\u0667\u0668\u0669")
+# spellings of a vertex id that int() reads as the same id
+_SPELLINGS = (
+    lambda v: "0" + str(v), lambda v: "+" + str(v), lambda v: str(v).translate(_ARABIC),
+    lambda v: "-0" if v == 0 else "0_" + str(v),
+)
+_ODD_TOKENS = ("x", "3.0", "-1", "-12", "1e3", "0x1", "1__0", "\u00bd")
+
+
+@st.composite
+def _path_lines(draw, host):
+    """A document of paths on the host: walks along its edges, some edited
+    to repeat a vertex, step to a non-adjacent one, take an unknown or
+    negative id or an odd token, spelled canonically or not, among blank
+    and comment lines."""
+    lines = []
+    for _ in range(draw(st.integers(0, 6))):
+        kind = draw(st.sampled_from(["walk"] * 6 + ["blank", "comment"]))
+        if kind == "blank":
+            lines.append(draw(st.sampled_from(["", "  ", "\t"])))
+            continue
+        if kind == "comment":
+            lines.append(draw(st.sampled_from(["# note", "#", "  # 1 2 x"])))
+            continue
+        seq = [draw(st.sampled_from(host.vertices))]
+        for _ in range(draw(st.integers(0, 4))):
+            ahead = [w for w in host.neighbors(seq[-1]) if w not in seq]
+            if not ahead:
+                break
+            seq.append(draw(st.sampled_from(ahead)))
+        edits = ["repeat", "skip", "jump", "unknown", "negative", "lone"]
+        edit = draw(st.sampled_from([None] * 8 + edits))
+        far = [v for v in host.vertices if v not in seq and not host.has_edge(seq[-1], v)]
+        if edit == "repeat":
+            seq.insert(draw(st.integers(0, len(seq))), draw(st.sampled_from(seq)))
+        elif edit == "skip" and len(seq) > 2:
+            del seq[1]
+        elif edit == "jump" and far:  # a step to a vertex that is not adjacent
+            seq.append(draw(st.sampled_from(far)))
+        elif edit == "unknown":
+            seq.insert(draw(st.integers(0, len(seq))), host.n + draw(st.integers(0, 2)))
+        elif edit == "negative":
+            seq.insert(draw(st.integers(0, len(seq))), -draw(st.integers(1, 3)))
+        elif edit == "lone":
+            seq = [draw(st.sampled_from([*host.vertices, host.n, host.n + 5]))]
+        tokens = [
+            draw(st.sampled_from(_SPELLINGS))(v) if v >= 0 and draw(st.booleans()) else str(v)
+            for v in seq
+        ]
+        if draw(st.integers(0, 5)) == 0:
+            tokens[draw(st.integers(0, len(tokens) - 1))] = draw(st.sampled_from(_ODD_TOKENS))
+        gap = draw(st.sampled_from([" ", "  ", "\t", " \t"]))
+        tail = draw(st.sampled_from(["", "", "  # tail", "#x", "\t"]))
+        lines.append(draw(st.sampled_from(["", " "])) + gap.join(tokens) + tail)
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    return "".join(line + end for line in lines)
+
+
+class TestParsePathsReference:
+    """``parse_paths`` reads each line once; it parses to the same paths,
+    or fails with the same error, as the line-by-line reader."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(2, 12), st.integers(0, 2**32), st.booleans(), st.data())
+    def test_same_outcome_as_line_by_line(self, n, seed, graph, data):
+        host = gen_gnp(n, 0.5, seed) if graph else random_tree(n, seed)
+        text = data.draw(_path_lines(host))
+        assert _outcome(parse_paths, host, text) == _outcome(line_by_line_parse_paths, host, text)
+
+    @pytest.mark.parametrize("text, error", [
+        ("0 2\n0 x\n", "BadToken: line 2: non-integer token in '0 x'"),
+        ("0 2\n1 2 1\n", "InvalidPath: line 2: repeated vertex in path (1, 2, 1)"),
+        ("0 2\n9\n", "InvalidPath: path 0-2: 0 and 2 are not adjacent"),
+        ("0 1\n2 -1\n0 2\n", "InvalidPath: path 2--1 uses unknown vertex -1"),
+        ("003 +2 \u0661\n-0\n", [(3, 2, 1), (0,)]),
+    ])
+    def test_errors_name_what_line_by_line_names(self, p4, text, error):
+        expected = _outcome(line_by_line_parse_paths, p4, text)
+        assert _outcome(parse_paths, p4, text) == expected
+        if isinstance(error, list):
+            assert expected == error
+        else:
+            assert f"{expected[0].__name__}: {expected[1]}" == error
+
+    def test_a_canonical_deployment_is_neither_revalidated_nor_walked(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a valid deployment was validated twice")
+
+        deployments = []
+        for seed in (1, 2):
+            t = random_tree(120, seed)
+            deployments.append((t, edge_system(t)))
+            t = leafy_tree(60, seed)
+            deployments.append((t, vertex_system(t)))
+        texts = [serialize_paths(fs) for _, fs in deployments]
+        monkeypatch.setattr(PathInTree, "__post_init__", refuse)
+        monkeypatch.setattr(seppaths.verify, "_walk", refuse)
+        for (t, fs), text in zip(deployments, texts):
+            assert parse_paths(t, text).paths == fs.paths
+
+    def test_only_the_first_failing_path_is_walked(self, p4, monkeypatch):
+        walked = []
+        real = seppaths.verify._walk
+
+        def walk(host, p):
+            walked.append(p.vertices)
+            return real(host, p)
+
+        monkeypatch.setattr(seppaths.verify, "_walk", walk)
+        with pytest.raises(InvalidPath, match="^path 3-1: 3 and 1 are not adjacent$"):
+            parse_paths(p4, "0 1 2\n3 1\n9\n2 0\n")
+        assert walked == [(3, 1)]
