@@ -10,9 +10,11 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 import warnings
 from pathlib import Path
+from typing import NamedTuple
 
 from .errors import BadToken, SepPathError
 from .faults import ProbeReport, decoder
@@ -318,12 +320,136 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+class _Layout(NamedTuple):
+    """What the plain reader takes from one parser of ``build_parser``."""
+
+    options: dict  # exact option string -> its one-value or constant store
+    positionals: tuple  # in order
+    defaults: dict  # the namespace argparse starts from
+    required: tuple  # options that must be given
+    groups: tuple  # (members, required) of each mutually exclusive group
+
+
+def _layout(parser: argparse.ArgumentParser) -> _Layout:
+    options, defaults = {}, {}
+    for a in parser._actions:
+        if a.dest is not argparse.SUPPRESS and a.default is not argparse.SUPPRESS:
+            defaults[a.dest] = a.default
+        # the reader takes stores of one value or of a constant, not -h/--help
+        if a.option_strings and (isinstance(a, argparse._StoreConstAction) or (
+                type(a) is argparse._StoreAction and a.nargs is None)):
+            options.update(dict.fromkeys(a.option_strings, a))
+    for dest, value in parser._defaults.items():
+        defaults.setdefault(dest, value)
+    return _Layout(
+        options,
+        tuple(a for a in parser._actions if not a.option_strings),
+        defaults,
+        tuple(a for a in parser._actions if a.option_strings and a.required),
+        tuple((g._group_actions, g.required) for g in parser._mutually_exclusive_groups),
+    )
+
+
+@functools.cache
+def _plain_table() -> tuple[_Layout, str, dict[str, _Layout]]:
+    """The top-level layout, the command's dest, and each command's layout."""
+    top = build_parser()
+    [commands] = [a for a in top._actions if isinstance(a, argparse._SubParsersAction)]
+    return _layout(top), commands.dest, {
+        name: _layout(sp) for name, sp in commands.choices.items()
+    }
+
+
+_REFUSED = object()
+
+
+def _value(action: argparse.Action, token: str):
+    """``token`` converted by the action's type and inside its choices, or
+    ``_REFUSED`` where argparse must read it (a dash, a type error, a value
+    outside the choices)."""
+    if token.startswith("-"):
+        return _REFUSED
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
+        value = token if action.type is None else action.type(token)
+    except (TypeError, ValueError, argparse.ArgumentTypeError):
+        return _REFUSED
+    return value if action.choices is None or value in action.choices else _REFUSED
+
+
+def _options(layout: _Layout, argv: list[str], i: int, seen: dict) -> int:
+    """Read exact option strings of ``layout``, each once, from argv[i] up
+    to the next positional token, into ``seen`` (action -> value); the
+    index of that token, or -1 when argparse must read the argv."""
+    while i < len(argv) and argv[i].startswith("-"):
+        action = layout.options.get(argv[i])
+        if action is None or action in seen:
+            return -1
+        if action.nargs == 0:
+            seen[action] = action.const
+            i += 1
+            continue
+        if i + 1 == len(argv) or (value := _value(action, argv[i + 1])) is _REFUSED:
+            return -1
+        seen[action] = value
+        i += 2
+    return i
+
+
+def _complete(layout: _Layout, seen: dict) -> bool:
+    """Every required option given, and of each mutually exclusive group
+    at most one member, exactly one when the group is required."""
+    if not all(a in seen for a in layout.required):
+        return False
+    for members, required in layout.groups:
+        hits = sum(a in seen for a in members)
+        if hits > 1 or required and not hits:
+            return False
+    return True
+
+
+def _read_plain(argv: list[str] | None) -> argparse.Namespace | None:
+    """``build_parser().parse_args(argv)`` for an argv of the plain shape:
+    top-level options, the command, then its positionals and its options,
+    each option spelled exactly, given once and followed by a valid value
+    that does not start with a dash.  None for any other argv, which
+    argparse then reads, so every usage line, help text and error is
+    argparse's own."""
+    argv = sys.argv[1:] if argv is None else argv
+    if type(argv) is not list or not all(type(t) is str for t in argv):
+        return None
+    top, command_dest, commands = _plain_table()
+    top_seen: dict = {}
+    i = _options(top, argv, 0, top_seen)
+    if not 0 <= i < len(argv) or argv[i] not in commands or not _complete(top, top_seen):
+        return None
+    name, sub = argv[i], commands[argv[i]]
+    seen: dict = {}
+    tokens = []
+    i = _options(sub, argv, i + 1, seen)
+    while 0 <= i < len(argv):
+        tokens.append(argv[i])
+        i = _options(sub, argv, i + 1, seen)
+    if i < 0 or len(tokens) != len(sub.positionals) or not _complete(sub, seen):
+        return None
+    for action, token in zip(sub.positionals, tokens):
+        if (value := _value(action, token)) is _REFUSED:
+            return None
+        seen[action] = value
+    ns = dict(top.defaults)
+    ns.update((a.dest, v) for a, v in top_seen.items())
+    ns[command_dest] = name
+    ns.update(sub.defaults)
+    ns.update((a.dest, v) for a, v in seen.items())
+    return argparse.Namespace(**ns)
+
+
+def main(argv: list[str] | None = None) -> int:
+    args = _read_plain(argv)
+    if args is None:
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit as exc:
+            return int(exc.code or 0)
     try:
         return args.fn(args)
     except UsageError as exc:
@@ -335,7 +461,16 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def main_entry() -> None:
-    sys.exit(main())
+    """Run ``main`` on sys.argv; output cut short by a closed stdout (say,
+    a pipe into ``head``) ends with exit 1 and no traceback."""
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the interpreter flushes stdout again at exit: point it at devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(1)
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -73,7 +73,8 @@ class InternalClassificationError(SepPathError):
 # ---- exact search ----
 
 class TooLarge(SepPathError):
-    """The instance exceeds the exact solver's configured size cap."""
+    """The instance exceeds a configured size cap: the exact solver's, or
+    the random-graph experiment's vertex count."""
 
 
 class Timeout(SepPathError):

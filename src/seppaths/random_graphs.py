@@ -17,7 +17,7 @@ from itertools import accumulate, compress, filterfalse, repeat
 from struct import unpack_from
 from typing import Callable, Iterable, Sequence
 
-from .errors import HasCycle, UnknownVertex
+from .errors import HasCycle, TooLarge, UnknownVertex
 from .trees import Edge, Host, PathInTree
 from .verify import PathSystem, TargetSet, built_system
 
@@ -637,15 +637,25 @@ def subcritical_p(n: int) -> float:
     return min(1.0, max(0.0, (math.log(n) - 3 * math.log(math.log(n))) / n))
 
 
+# The largest n a trial is run on.  gen_gnp(n, 0) grows the resident set by
+# about 190-210 B a vertex, so 2^22 vertices take about 0.85 GB before the
+# first edge; a whole trial at p = 0 takes about 320 B a vertex (ru_maxrss,
+# n = 2^18 and 2^20, CPython 3.11).
+_GNP_MAX_N = 1 << 22
+
+
 def run_experiment(cfg: ExperimentConfig) -> ExperimentStats:
     """Per trial: generate, attempt a vertex system, count isolated vertices.
 
     Trial seeds are drawn one per trial, in order, from the master seed, so
     any single trial can be replayed from its logged seed and a large trial
-    count holds no seed list in memory.
+    count holds no seed list in memory.  An n above ``_GNP_MAX_N`` is
+    refused with TooLarge before anything is allocated.
     """
     if cfg.trials < 1:
         raise ValueError("need at least one trial")
+    if cfg.n > _GNP_MAX_N:
+        raise TooLarge(f"n={cfg.n} exceeds cap {_GNP_MAX_N}")
     master = random.Random(cfg.seed)
     records = []
     started = time.monotonic()

@@ -1,5 +1,6 @@
 """The command-line surface: outputs, exit codes, and file round trips."""
 
+import argparse
 import contextlib
 import hashlib
 import io
@@ -18,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import seppaths
-from seppaths import cli
+from seppaths import cli, random_graphs
 from seppaths.cli import build_parser, main
 from seppaths.edge_systems import edge_system
 from seppaths.oracle import enumerate_trees
@@ -699,3 +700,204 @@ class TestLocalizeBytes:
         for label, argv in _deployment_calls(tmp_path):
             h.update(repr((label, *_call(argv))).encode())
         assert h.hexdigest() == LOCALIZE_DIGEST
+
+
+# ---- the plain-argv reader, against argparse ----
+
+_COMMANDS = build_parser()._subparsers._group_actions[0].choices
+_ODD_VALUES = ("", "-1", "-0", "nan", "1e3", "bogus", "-", "--", "-h")
+
+
+def _good_values(action):
+    if action.choices is not None:
+        return st.sampled_from(list(action.choices))
+    if action.type is int:
+        return st.integers(0, 40).map(str)
+    if action.type is float:
+        return st.sampled_from(["0", "0.5", "1", "250"])
+    return st.sampled_from(["PF", "FFPP", "t.tree"])
+
+
+_MUTATIONS = ("top", "name", "positional", "abbreviate", "join", "value", "dash", "no-value",
+              "repeat", "omit", "group", "token")
+
+
+@st.composite
+def _argvs(draw, command):
+    """A plain argv for ``command`` in a drawn order, with up to two edits,
+    most of which take it off the plain shape: an odd top-level option or
+    command name, a positional too many or too few, an abbreviated, joined,
+    repeated or omitted option, an odd, dashed or missing value, a second or no
+    member of the random-exp group, or a stray token."""
+    sub = _COMMANDS[command]
+    groups = [g._group_actions for g in sub._mutually_exclusive_groups]
+    grouped = {a for g in groups for a in g}
+    chosen = [draw(st.sampled_from(g)) for g in groups]
+    chosen += [a for a in sub._actions if a.option_strings and a not in grouped
+               and not isinstance(a, argparse._HelpAction) and (a.required or draw(st.booleans()))]
+
+    def piece(action):
+        value = [] if action.nargs == 0 else [draw(_good_values(action))]
+        return [action.option_strings[0], *value]
+
+    positional = st.sampled_from(["t.tree", "", "a b", "x"])
+    pieces = [[draw(positional)] for a in sub._actions if not a.option_strings]
+    options = [piece(a) for a in chosen]
+    top = draw(st.sampled_from([[], ["--format", "text"], ["--format", "json"]]))
+    name = command
+    for _ in range(draw(st.sampled_from([0, 1, 1, 2]))):
+        edit = draw(st.sampled_from(_MUTATIONS))
+        if edit == "top":
+            top = draw(st.sampled_from([["--format", "xml"], ["--format", ""], ["--format"],
+                                        ["--format=json"], ["--form", "json"], ["--format", "-1"]]))
+        elif edit == "name":
+            name = draw(st.sampled_from([command[:4], "bogus", "", command.upper()]))
+        elif edit == "positional":
+            if pieces and draw(st.booleans()):
+                pieces.pop()
+            else:
+                pieces.append([draw(positional)])
+        elif edit == "group" and groups:
+            member = draw(st.sampled_from(groups[0]))
+            options = [o for o in options if o[0] not in {a.option_strings[0] for a in groups[0]}]
+            if draw(st.booleans()):
+                options += [piece(member), piece(draw(st.sampled_from(groups[0])))]
+        elif options:
+            i = draw(st.integers(0, len(options) - 1))
+            opt, *value = options[i]
+            if edit == "abbreviate":
+                options[i] = [opt[:-1], *value]
+            elif edit == "join":
+                options[i] = [f"{opt}={value[0] if value else ''}"]
+            elif edit == "value" and value:
+                options[i] = [opt, draw(st.sampled_from(_ODD_VALUES))]
+            elif edit == "dash" and value:
+                options[i] = [opt, draw(st.sampled_from(["-h", "--", "-", "-1", "-x"]))]
+            elif edit == "no-value" and value:
+                options[i] = [opt]
+            elif edit == "repeat":
+                action = sub._option_string_actions.get(opt)  # None once abbreviated
+                options.append(piece(action) if action and draw(st.booleans()) else list(options[i]))
+            elif edit == "omit":
+                del options[i]
+        if edit == "token":
+            pieces.append(draw(st.sampled_from([["-h"], ["--help"], ["--"], ["-"], ["--format", "json"]])))
+    order = draw(st.permutations(pieces + options))
+    return [*top, name, *(tok for p in order for tok in p)]
+
+
+def _parsed(argv):
+    """parse_args(argv) as an ordered item list, or None where it exits."""
+    sink = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+            ns = build_parser().parse_args(argv)
+    except SystemExit:
+        return None
+    return list(vars(ns).items())
+
+
+class TestPlainReader:
+    @pytest.mark.parametrize("command", sorted(_COMMANDS))
+    @settings(max_examples=400, deadline=None)
+    @given(data=st.data())
+    def test_reads_what_argparse_reads_or_defers(self, command, data):
+        argv = data.draw(_argvs(command))
+        read, parsed = cli._read_plain(argv), _parsed(argv)
+        if parsed is None:
+            assert read is None, argv
+        elif read is not None:  # repr: NaN equals NaN, 1 differs from 1.0 and True
+            assert repr(list(vars(read).items())) == repr(parsed), argv
+
+    def test_argv_of_other_types_goes_to_argparse(self):
+        assert cli._read_plain(["profile", Path("t.tree")]) is None
+        assert cli._read_plain(("profile", "t.tree")) is None
+
+
+class TestPlainArgvSkipsArgparse:
+    """The bench's and README's argument shapes never reach argparse."""
+
+    @pytest.fixture(autouse=True)
+    def no_argparse(self, monkeypatch):
+        def refuse(self, *args, **kwargs):
+            raise AssertionError("argparse read a plain argv")
+        monkeypatch.setattr(argparse.ArgumentParser, "parse_args", refuse)
+
+    @pytest.mark.parametrize("fmt", [[], ["--format", "text"], ["--format", "json"]])
+    def test_every_command_runs(self, capsys, tmp_path, fmt):
+        tree, paths = str(tmp_path / "ta.tree"), str(tmp_path / "ta.paths")
+        Path(tree).write_text(DEPTH2_TEXT)  # README's ta.tree
+        Path(paths).write_text("1 2 4\n1 2 5\n1 3 6\n1 3 7\n")
+        leafy = tmp_path / "leafy.tree"  # ta.tree is outside construct-vertex's hypotheses
+        leafy.write_text(serialize_tree(leafy_tree(12, 1)))
+        calls = [
+            ["profile", tree],
+            ["construct-edge", tree],
+            ["construct-vertex", str(leafy)],
+            ["verify", tree, paths, "--target", "edges"],
+            ["oracle", tree, "--target", "vertices"],
+            ["oracle", tree, "--target", "edges", "--no-cover", "--budget-ms", "5000"],
+            ["random-exp", "--n", "16", "--auto-subcritical", "--trials", "2", "--seed", "7"],
+            ["random-exp", "--n", "8", "--p", "1.0", "--trials", "2"],
+            ["localize", tree, paths, "--target", "edges", "--report", "FFPP"],
+            ["export-dot", tree],
+        ]
+        assert {argv[0] for argv in calls} == set(_COMMANDS)
+        for argv in calls:
+            code, out, err = run(capsys, *fmt, *argv)
+            assert code == 0 and out and not err, (argv, err)
+            if fmt[1:] == ["json"]:
+                json.loads(out)
+
+    def test_argv_none_reads_sys_argv(self, capsys, monkeypatch, tmp_path):
+        tree = tmp_path / "ta.tree"
+        tree.write_text(DEPTH2_TEXT)
+        monkeypatch.setattr(sys, "argv", ["seppaths", "--format", "json", "profile", str(tree)])
+        assert main() == 0
+        assert json.loads(capsys.readouterr().out)["n"] == 7
+
+
+class TestRandomExpCap:
+    @pytest.fixture(autouse=True)
+    def no_graph(self, monkeypatch):
+        """Any graph built fails the test: a real n near the cap takes GBs."""
+        def refuse(*args, **kwargs):
+            raise AssertionError("a graph was built")
+        monkeypatch.setattr(random_graphs, "gen_gnp", refuse)
+        monkeypatch.setattr(random_graphs.Graph, "_from_rows", refuse)
+
+    @pytest.mark.parametrize("argv", [
+        ["--n", "3000000000", "--p", "0", "--trials", "1"],
+        ["--n=3000000000", "--p", "0", "--trials", "1"],  # read by argparse
+        ["--n", str(random_graphs._GNP_MAX_N + 1), "--auto-supercritical"],
+    ])
+    def test_n_above_the_cap_is_too_large(self, capsys, argv):
+        code, out, err = run(capsys, "random-exp", *argv)
+        n = argv[1] if argv[0] == "--n" else argv[0].split("=")[1]
+        assert (code, out, err) == (1, "", f"TooLarge: n={n} exceeds cap {random_graphs._GNP_MAX_N}\n")
+
+    def test_n_at_the_cap_goes_on(self, capsys):
+        assert random_graphs._GNP_MAX_N >= 10**6
+        with pytest.raises(AssertionError, match="a graph was built"):
+            main(["random-exp", "--n", str(random_graphs._GNP_MAX_N), "--p", "0", "--trials", "1"])
+
+
+class TestClosedStdout:
+    def test_head_of_a_large_output_exits_1_without_traceback(self, tmp_path):
+        # a spider with four legs of 5000: about 0.5 MB of paths, many pipe buffers
+        tree = tmp_path / "spider.tree"
+        edges = [(0 if i % 5000 == 1 else i - 1, i) for i in range(1, 20001)]
+        tree.write_text("".join(f"{u} {v}\n" for u, v in edges))
+        src = str(Path(seppaths.__file__).resolve().parents[1])
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "seppaths", "construct-edge", str(tree)],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=dict(os.environ, PYTHONPATH=src),
+        )
+        try:
+            assert proc.stdout.read(20).startswith(b"# size ")
+            proc.stdout.close()
+            _, err = proc.communicate(timeout=120)
+        finally:
+            proc.kill()
+            proc.wait()
+        assert (proc.returncode, err) == (1, b"")
