@@ -33,11 +33,9 @@ REFUTED_CAP = 1 << 17
 def enumerate_paths(host, include_trivial: bool) -> tuple[PathInTree, ...]:
     """Every candidate path of a tree or graph: optional length-0 paths (by
     vertex id), then each simple path once, from its lower end, by (start,
-    end, sequence); on a tree, the unique u-v path for each u < v, by (u, v),
-    walked from the end pairs of ``_tree_ends``.  Refuses more than
-    ``MAX_N`` vertices or ``GRAPH_PATH_CAP`` paths."""
-    if isinstance(host, Tree):
-        return tuple(unique_path(host, u, v) for u, v in _tree_ends(host, include_trivial, {})[0])
+    end, sequence), from one depth-first search; on a tree that is the
+    unique u-v path for each u < v, by (u, v).  Refuses more than ``MAX_N``
+    vertices or ``GRAPH_PATH_CAP`` paths."""
     return _paths(host, include_trivial, {})[0]
 
 
@@ -443,12 +441,10 @@ def min_separating(
 
 
 def exists_family(host, ts: TargetSet, k: int, require_cover: bool = True) -> bool:
-    """Exhaustively decide whether some family of size <= k works."""
-    if host.n > MAX_N:
-        raise TooLarge(f"n={host.n} exceeds cap {MAX_N}")
-    if k < 0:
-        return False
-    return _Search(host, ts, require_cover, None).at_most(k) is not None
+    """Exhaustively decide whether some family of size <= k works; TooLarge
+    above ``MAX_N`` vertices, as the search's set-up refuses them."""
+    search = _Search(host, ts, require_cover, None)
+    return k >= 0 and search.at_most(k) is not None
 
 
 def _ceil_log2(x: int) -> int:

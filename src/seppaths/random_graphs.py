@@ -91,6 +91,8 @@ def gen_gnp(n: int, p: float, seed: int) -> Graph:
     """
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"p={p} outside [0, 1]")
+    if n < 0:
+        raise UnknownVertex("vertex count must be non-negative")
     if p == 0.0:
         return Graph._from_rows(n, [])
     rng = random.Random(seed)
@@ -412,14 +414,12 @@ def random_vertex_system(g: Graph, seed: int) -> PathSystem | None:
     per block; None if any block admits no (found) spanning path.
 
     Every block's search seed is drawn up front, in block order (a
-    one-vertex block draws none), so a block is searched the same way in
-    any process.  When ``_split`` cuts the blocks after block 0 into two or
-    more chunks, block 0 is searched here and, if it has a path,
-    ``_search_chunks`` searches the chunks on the usable CPUs; otherwise
-    every block is searched here.  The outcome is decided in block order
-    either way: the first block without a path gives None, and an error
-    raised while searching a block surfaces only if every block before it
-    has a path."""
+    one-vertex block draws none, and keeps seed 0), so a block is searched
+    the same way in any process.  Block 0 is searched here and, if it has a
+    path, ``_search_chunks`` searches the chunks ``_split`` cuts the other
+    blocks into.  The outcome is decided in block order: the first block
+    without a path gives None, and an error raised while searching a block
+    surfaces only if every block before it has a path."""
     if g.n < 2:
         return None
     rng = random.Random(seed)
@@ -427,13 +427,9 @@ def random_vertex_system(g: Graph, seed: int) -> PathSystem | None:
     rng.shuffle(perm)
     blocks = separating_set_system(g.n).blocks
     jobs = [(blk, rng.getrandbits(32) if len(blk) > 1 else 0) for blk in blocks]
-    chunks = _split(jobs[1:])
-    if len(chunks) > 1:
-        paths = _search_blocks(g, perm, jobs[:1])
-        if paths[-1] is not None:
-            paths += _search_chunks(g, perm, chunks)
-    else:
-        paths = _search_blocks(g, perm, jobs)
+    paths = _search_blocks(g, perm, jobs[:1])
+    if paths[-1] is not None:
+        paths += _search_chunks(g, perm, _split(jobs[1:]))
     if paths[-1] is None:
         return None
     return built_system(g, paths, "random_vertex_system", TargetSet.vertices(g))
@@ -445,11 +441,7 @@ def _search_blocks(g: Graph, perm: list[int], jobs) -> list[PathInTree | None]:
     (whose entry is None)."""
     paths: list[PathInTree | None] = []
     for blk, seed in jobs:
-        real = [perm[j] for j in blk]
-        if len(real) == 1:
-            paths.append(PathInTree((real[0],)))
-            continue
-        found = find_spanning_path(g, real, seed=seed).path
+        found = find_spanning_path(g, [perm[j] for j in blk], seed=seed).path
         paths.append(found)
         if found is None:
             break
@@ -458,10 +450,11 @@ def _search_blocks(g: Graph, perm: list[int], jobs) -> list[PathInTree | None]:
 
 def _search_chunks(g: Graph, perm: list[int], chunks: list[list]) -> list[PathInTree | None]:
     """``_search_blocks`` over the chunks' jobs in order, with the chunks
-    searched at once: the first here, each other one in a forked child.
-    The children are killed unread once the first chunk has a block
-    without a path.  A chunk whose child sent no result is searched again
-    here, so an error its search raises surfaces from this process."""
+    searched at once: the first here, each other one in a forked child, so
+    a single chunk forks nothing.  The children are killed unread once the
+    first chunk has a block without a path.  A chunk whose child sent no
+    result is searched again here, so an error its search raises surfaces
+    from this process."""
     with _forked([partial(_chunk_vertices, g, perm, chunk) for chunk in chunks[1:]]) as receive:
         paths = _search_blocks(g, perm, chunks[0])
         if paths[-1] is None:

@@ -1,8 +1,9 @@
 """Ground-truth checking: incidence signatures, separation, covering, kissing.
 
-Works for any host exposing ``vertices``, ``edges``, ``has_vertex`` and
-``has_edge``: both trees and the random-graph module's graphs.  An element
-is either a vertex id (int) or an edge ((min, max) tuple).
+Works for any ``Host``, through its sorted ``vertices``, its ``(min, max)``
+``edges`` and its neighbour map: both trees and the random-graph module's
+graphs.  An element is either a vertex id (int) or an edge ((min, max)
+tuple).
 
 ``signatures`` walks each path once, looking its vertices and consecutive
 edges up among the targets: the exact table, in O(total path length +
@@ -19,21 +20,18 @@ hosts always use the exact table.  The same certified sums let
 ``faults.decoder`` decode probe reports without the table.  Membership
 tests (``path_contains``, ``kisses``) scan the path's own vertex sequence.
 
-A ``PathSystem`` whose paths take fewer steps in all than the host has
-edges walks each path vertex by vertex, then step by step, which names its
-first fault.  Any other validates each path with one subset test of its
-steps against the host's edges in both orientations (a length-0 path only
-needs its vertex in the host), and walks only a path that fails.  The
-package's own families skip validation only through ``built_system``,
-which checks them.
+A path fits its host when its first vertex is in the neighbour map and
+each step lands in the previous vertex's neighbours: one lookup per step,
+on any host, with no set of the host's edges built.  ``PathSystem`` checks
+every path so and walks only a path that fails, vertex by vertex and then
+step by step, to name its first fault.  The package's own families skip
+validation only through ``built_system``, which checks them.
 
 ``parse_paths`` reads a document's lines once.  Tokens resolve through the
 host's vertex ids as ``str`` writes them, and only a line with another
-token goes through ``int``; a repeated vertex fails its line.  On a tree
-host the same pass makes the subset test, and the first failing path is
-walked only after the last line, so every line error still comes first;
-the family then skips ``PathSystem``'s second pass.  A graph host's family
-goes through ``PathSystem``.
+token goes through ``int``; a repeated vertex fails its line.  The same
+pass checks each path against the host, and the first failing path is
+walked only after the last line, so every line error still comes first.
 """
 
 from __future__ import annotations
@@ -41,6 +39,7 @@ from __future__ import annotations
 import enum
 import random
 from dataclasses import dataclass, field
+from operator import contains
 from typing import Iterable, Sequence
 
 from .errors import BadToken, InternalClassificationError, InvalidPath, UnknownElement
@@ -112,21 +111,18 @@ def host_element(host, s: Element) -> Element:
 
 @dataclass(frozen=True)
 class PathSystem:
-    """An ordered family of paths tied to one host tree or graph."""
+    """An ordered family of paths tied to one host tree or graph.  Each path
+    is checked against the host's neighbour map (``_fits``), and only a path
+    that fails is walked, to name its first fault in InvalidPath."""
 
     host: object
     paths: tuple[PathInTree, ...]
 
     def __post_init__(self) -> None:
         host = self.host
-        steps = sum(len(p.vertices) for p in self.paths) - len(self.paths)
-        if steps < len(host.edges):  # a few steps: walk them, not the host
-            for p in self.paths:
-                _walk(host, p)
-            return
-        arcs = _arcs(host)
+        adj = host._adj
         for p in self.paths:
-            if not _fits(host, arcs, p.vertices):
+            if not _fits(adj, p.vertices):
                 _walk(host, p)  # a failing path: name its first fault
 
     def __len__(self) -> int:
@@ -149,17 +145,14 @@ class PathSystem:
         return warnings
 
 
-def _arcs(host) -> set[Edge]:
-    """Every host edge, in both orientations."""
-    arcs = set(host.edges)
-    arcs.update([(v, u) for u, v in host.edges])
-    return arcs
-
-
-def _fits(host, arcs: set[Edge], vs: tuple[int, ...]) -> bool:
-    """Whether every step of the vertex sequence is one of the host's arcs;
-    a length-0 path only needs its vertex in the host."""
-    return arcs.issuperset(zip(vs, vs[1:])) if len(vs) > 1 else host.has_vertex(vs[0])
+def _fits(adj: dict[int, tuple[int, ...]], vs: tuple[int, ...]) -> bool:
+    """Whether the vertex sequence is a walk in the host with neighbour map
+    adj: its first vertex is in adj and each next vertex is among the
+    previous one's neighbours.  One lookup per step, O(steps * degree).
+    No lookup raises KeyError: the first vertex is looked up only once it
+    is known to be in adj, and every later one only once the step to it
+    passed, when it is a neighbour and so in adj too."""
+    return vs[0] in adj and all(map(contains, map(adj.__getitem__, vs), vs[1:]))
 
 
 def _walk(host, p: PathInTree) -> None:
@@ -432,15 +425,12 @@ def parse_paths(host, text: str) -> PathSystem:
     ids as written by ``str``, and only a line with a token outside them is
     converted with ``int``, so ``007`` still reads as 7 and a non-integer
     raises BadToken.  A repeated vertex is an InvalidPath naming its line.
-    On a tree host each path's steps are tested against the host's edges in
-    the same pass; the first path that fails is walked, for its first fault,
-    only once every line has been read.  On a graph host the paths go to
-    ``PathSystem``, which validates them.
+    Each path is checked against the host in the same pass, as
+    ``PathSystem`` checks it; the first path that fails is walked, for its
+    first fault, only once every line has been read.
     """
     resolve = {str(v): v for v in host.vertices}.__getitem__
-    tree = isinstance(host, Tree)
-    if tree:
-        arcs = _arcs(host)
+    adj = host._adj
     bad = None  # the first path that fails its host
     paths = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -458,10 +448,8 @@ def parse_paths(host, text: str) -> PathSystem:
             raise InvalidPath(f"line {lineno}: repeated vertex in path {seq}")
         p = PathInTree._walked(seq)
         paths.append(p)
-        if tree and bad is None and not _fits(host, arcs, seq):
+        if bad is None and not _fits(adj, seq):
             bad = p
-    if not tree:
-        return PathSystem(host, tuple(paths))
     if bad is not None:
         _walk(host, bad)  # names the path's first fault
     return _unchecked_system(host, tuple(paths))

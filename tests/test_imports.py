@@ -1,6 +1,7 @@
-"""Every name a package module imports is used in that module, every private
-module-level name is referenced somewhere in the package, and every name
-README's library layout lists is defined in its module."""
+"""Every package module parses as the oldest Python that ``pyproject.toml``
+allows, every name a package module imports is used in that module, every
+private module-level name is referenced somewhere in the package, and every
+name README's library layout lists is defined in its module."""
 
 import ast
 import importlib
@@ -10,6 +11,15 @@ from pathlib import Path
 import seppaths
 
 SOURCE = Path(seppaths.__file__).parent
+
+
+def test_every_module_parses_as_the_oldest_supported_python():
+    pyproject = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+    oldest = (3, int(re.search(r'^requires-python = ">=3\.(\d+)"$', pyproject, re.M)[1]))
+    modules = sorted(SOURCE.glob("*.py"))
+    assert len(modules) >= 10
+    for p in modules:
+        ast.parse(p.read_text(), filename=p.name, feature_version=oldest)
 
 
 def _unused_imports(tree: ast.Module) -> list[str]:

@@ -120,6 +120,11 @@ class TestGenGnp:
         with pytest.raises(ValueError):
             gen_gnp(5, 1.5, 0)
 
+    @pytest.mark.parametrize("p", [0.0, 0.5])
+    def test_negative_n_is_refused(self, p):
+        with pytest.raises(UnknownVertex, match="^vertex count must be non-negative$"):
+            gen_gnp(-3, p, 1)
+
     @settings(max_examples=300, deadline=None)
     @given(st.integers(0, 40), boundary_p, st.integers(0, 2**64 - 1))
     def test_matches_the_per_pair_reference(self, n, p, seed):
