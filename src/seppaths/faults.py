@@ -6,12 +6,13 @@ probes identifies the faulty element exactly; the all-pass report is
 reserved for the healthy state because no signature is empty.
 
 ``signature_table`` and ``decode`` work on the exact table.  ``decoder``
-serves many reports of one system: on a tree host whose hash sums certify
-the system (see ``verify``), it sums the words of the failed paths, looks
-the sum up among the element sums and confirms the one candidate with an
-exact ``incidence`` scan, so it never names an element whose signature is
-not exactly the failed set.  When the sums do not certify, it is ``decode``
-over ``signature_table``, with the same errors.
+serves many reports of one system: when the word sums certify the system
+(see ``verify``: a tree host with any targets, or any host with vertex
+targets), it sums the words of the failed paths, looks the sum up among the
+element sums and confirms the one candidate with an exact ``incidence``
+scan, so it never names an element whose signature is not exactly the
+failed set.  When the sums do not certify, it is ``decode`` over
+``signature_table``, with the same errors.
 """
 
 from __future__ import annotations
@@ -90,13 +91,15 @@ def decoder(fs: PathSystem, ts: TargetSet) -> Callable[[ProbeReport], Diagnosis]
     """A report -> diagnosis function for a deployed system, giving what
     ``decode(signature_table(fs, ts), report)`` gives.
 
-    On a tree host whose hash sums certify the system (see
-    ``verify.check``), a report is decoded by summing the words of its
+    When the word sums certify the system (``verify._certified_sums``: on
+    a tree host the hash sums of any targets, on any host the vertex sums
+    of vertex targets), a report is decoded by summing the words of its
     failed paths, looking the sum up among the element sums and confirming
     the one candidate with an exact ``incidence`` scan.  Equal path sets
     give equal sums, so a missed lookup or a failed confirmation means no
-    element has that signature.  Otherwise this is ``decode`` over the
-    exact table, which raises as ``signature_table`` does.
+    element has that signature.  Otherwise, as for edge targets on a
+    graph, this is ``decode`` over the exact table, which raises as
+    ``signature_table`` does.
     """
     sums = verify._certified_sums(fs, ts)
     if sums is None:

@@ -10,10 +10,11 @@ import random
 import signal
 import threading
 import time
+from bisect import bisect
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import partial
-from itertools import accumulate, compress, filterfalse, repeat
+from itertools import accumulate, chain, compress, filterfalse, repeat
 from struct import unpack_from
 from typing import Callable, Iterable, Sequence
 
@@ -23,7 +24,12 @@ from .verify import PathSystem, TargetSet, built_system
 
 
 class Graph(Host):
-    """A simple undirected graph on vertices 0..n-1; may be disconnected."""
+    """A simple undirected graph on vertices 0..n-1; may be disconnected.
+
+    The graph keeps its vertices and its neighbour map.  The ``(min, max)``
+    edge set is built on the first read of ``edges``, by ``__getattr__``;
+    the spanning-path search, checks of vertex targets and ``random-exp``
+    never read it."""
 
     __slots__ = ()
     _kind = "graph"
@@ -31,37 +37,49 @@ class Graph(Host):
     def __init__(self, n: int, edges: Iterable[Edge]):
         if n < 0:
             raise UnknownVertex("vertex count must be non-negative")
-        rows = sorted({(u, v) if u <= v else (v, u) for u, v in edges})
-        for u, v in rows:
+        rows: list[list[int]] = [[] for _ in range(n - 1)]
+        for u, v in sorted({(u, v) if u <= v else (v, u) for u, v in edges}):
             if u == v:
                 raise HasCycle(f"self-loop at vertex {u}")
             if not (0 <= u < n and 0 <= v < n):
                 raise UnknownVertex(f"edge ({u},{v}) out of range")
+            rows[u].append(v)
         self._fill(n, rows)
 
     @classmethod
-    def _from_rows(cls, n: int, edges: list[Edge]) -> "Graph":
-        """The graph of distinct pairs (i, j), 0 <= i < j < n, already in
-        row order, as ``gen_gnp`` draws them: they go straight to the fill,
-        neither normalised, range-checked nor sorted again."""
+    def _from_rows(cls, n: int, rows: list[list[int]]) -> "Graph":
+        """The graph of rows as ``gen_gnp`` draws them (see ``_fill``): they
+        go straight to the fill, neither range-checked nor sorted again."""
         g = object.__new__(cls)
-        g._fill(n, edges)
+        g._fill(n, rows)
         return g
 
-    def _fill(self, n: int, rows: list[Edge]) -> None:
-        """Set the graph from distinct pairs (i, j), 0 <= i < j < n, listed
-        row by row (i ascending, then j ascending).  Filled in that order,
-        every adjacency list comes out sorted."""
-        adj: list[list[int]] = [[] for _ in range(n)]
-        for u, v in rows:
-            adj[u].append(v)
-            adj[v].append(u)
-        self.vertices = tuple(range(n))
-        self.edges = frozenset(rows)
-        self._adj = dict(enumerate(map(tuple, adj)))
+    def _fill(self, n: int, rows: list[list[int]]) -> None:
+        """Set the graph from its rows: row i lists the neighbours j > i of
+        vertex i, ascending, for i in [0, n - 1), and a missing row is
+        empty.  A vertex's lower neighbours arrive in row order, before its
+        own row extends its list, so every adjacency list comes out
+        sorted."""
+        vs = tuple(range(n))
+        adj: list[list[int]] = [[] for _ in vs]
+        for u, row in zip(vs, rows):
+            adj[u] += row
+            for v in row:
+                adj[v].append(u)
+        self.vertices = vs
+        self._adj = dict(zip(vs, map(tuple, adj)))
+
+    def __getattr__(self, name: str):
+        # Called only for a missing attribute.  The edge slot is missing
+        # until its first read, which fills it, in row order.
+        if name != "edges":
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        rows = (zip(repeat(u), ws[bisect(ws, u) :]) for u, ws in self._adj.items())
+        self.edges = edges = frozenset(chain.from_iterable(rows))
+        return edges
 
     def __repr__(self) -> str:
-        return f"Graph(n={self.n}, m={len(self.edges)})"
+        return f"Graph(n={self.n}, m={sum(map(len, self._adj.values())) // 2})"
 
 
 # gen_gnp's row split.  The costs of scanning a pair at p <= 1/16, in units
@@ -85,9 +103,9 @@ def gen_gnp(n: int, p: float, seed: int) -> Graph:
     ``_scan_rows`` tests the pairs a row at a time.  When ``_row_split``
     gives a row r < n - 1, the caller scans rows [0, r) while a forked
     child draws their words from its own ``random.Random(seed)``, unscanned,
-    and scans rows [r, n - 1), so both lists, in row order, make the same
-    graph.  If the child sends nothing, the caller's generator stands at
-    row r, and it scans the rest itself.
+    and scans rows [r, n - 1), so the two lists of rows, one after the
+    other, make the same graph.  If the child sends nothing, the caller's
+    generator stands at row r, and it scans the rest itself.
     """
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"p={p} outside [0, 1]")
@@ -100,16 +118,18 @@ def gen_gnp(n: int, p: float, seed: int) -> Graph:
     if r == n - 1:
         return Graph._from_rows(n, _scan_rows(rng, n, p, 0, r))
     with _forked([partial(_skip_and_scan, seed, n, p, r)]) as receive:
-        edges = _scan_rows(rng, n, p, 0, r)
+        rows = _scan_rows(rng, n, p, 0, r)
         [rest] = receive()
         # built before the block reaps the child, while its exit runs
-        edges += _scan_rows(rng, n, p, r, n - 1) if rest is None else rest
-        return Graph._from_rows(n, edges)
+        rows += _scan_rows(rng, n, p, r, n - 1) if rest is None else rest
+        return Graph._from_rows(n, rows)
 
 
-def _scan_rows(rng: random.Random, n: int, p: float, first: int, stop: int) -> list[Edge]:
-    """The edges of rows [first, stop), in row order, with rng standing at
-    row first; 0 < p <= 1.
+def _scan_rows(rng: random.Random, n: int, p: float, first: int, stop: int) -> list[list[int]]:
+    """Rows [first, stop) of the graph, with rng standing at row first;
+    0 < p <= 1.  Row i lists the neighbours j > i of vertex i, ascending,
+    as ints taken from one shared ``tuple(range(n))``, so no edge makes an
+    int or a tuple of its own.
 
     The draw of a pair is K / 2^53 with K = (w0 >> 5) * 2^26 + (w1 >> 6),
     for the next two 32-bit Mersenne Twister words w0, w1, so the test is
@@ -122,7 +142,7 @@ def _scan_rows(rng: random.Random, n: int, p: float, first: int, stop: int) -> l
     needs the whole K.  Cost: Θ(pairs) words drawn and scanned in C, Python
     work only per candidate pair, and one row's block of memory at a time.
     """
-    edges = []
+    rows = []
     cut = math.ceil(math.ldexp(p, 53))
     hi = (cut - 1) >> 45
     # Once certain edges are dense (p > 1/16), one compress per row picks
@@ -131,23 +151,23 @@ def _scan_rows(rng: random.Random, n: int, p: float, first: int, stop: int) -> l
     bulk = hi >= 16
     sure = bytes(b < hi for b in range(256))
     probe = bytes(b == hi if bulk else b <= hi for b in range(256))
-    cols = tuple(range(n)) if bulk else ()
+    cols = tuple(range(n))
     for i in range(first, stop):
         m = n - 1 - i
         data = rng.getrandbits(64 * m).to_bytes(8 * m, "little")
         tops = data[3::8]
-        start = len(edges)
-        if bulk:
-            edges.extend(zip(repeat(i), compress(cols[i + 1 :], tops.translate(sure))))
+        row = list(compress(cols[i + 1 :], tops.translate(sure))) if bulk else []
+        certain = len(row)
         marks = tops.translate(probe)
         k = marks.find(1)
         while k >= 0:
             if tops[k] < hi or _draw53(data, k) < cut:
-                edges.append((i, i + 1 + k))
+                row.append(cols[i + 1 + k])
             k = marks.find(1, k + 1)
-        if bulk:  # the row's ties came after its certain edges
-            edges[start:] = sorted(edges[start:])
-    return edges
+        if len(row) > certain > 0:  # the row's ties came after its certain edges
+            row.sort()
+        rows.append(row)
+    return rows
 
 
 def _row_split(n: int, p: float) -> int:
@@ -173,9 +193,9 @@ def _row_split(n: int, p: float) -> int:
     return round((b - math.sqrt(b * b - 8 * mine)) / 2)
 
 
-def _skip_and_scan(seed: int, n: int, p: float, r: int) -> list[Edge]:
-    """The edges of rows [r, n - 1) of ``gen_gnp(n, p, seed)``: rows [0, r)
-    are drawn a row's block at a time and left unscanned."""
+def _skip_and_scan(seed: int, n: int, p: float, r: int) -> list[list[int]]:
+    """Rows [r, n - 1) of ``gen_gnp(n, p, seed)``: rows [0, r) are drawn
+    a row's block at a time and left unscanned."""
     rng = random.Random(seed)
     for i in range(r):
         rng.getrandbits(64 * (n - 1 - i))
@@ -191,7 +211,7 @@ def _draw53(data: bytes, k: int) -> int:
 def isolated_count(g: Graph) -> int:
     """Number of degree-0 vertices; a certified lower bound on the size of
     any vertex-separating-covering system (each needs its own 1-vertex path)."""
-    return sum(1 for v in g.vertices if g.degree(v) == 0)
+    return list(map(len, g._adj.values())).count(0)
 
 
 @dataclass(frozen=True)
@@ -299,7 +319,11 @@ CHUNK_MIN_VERTICES = 1280
 def find_spanning_path(g: Graph, block: Sequence[int], *, seed: int = 0) -> SpanningPathSearch:
     """Rotation-extension with ``POSA_RESTARTS`` seeded restarts, then exact
     backtracking over at most ``EXACT_NODE_BUDGET`` nodes.  certified_absent
-    is True only when the exact phase exhausted the search space."""
+    is True exactly when the search proves that no spanning path exists:
+    the block is empty, more than two of its vertices have induced degree
+    1, its induced subgraph is disconnected, or the exact phase exhausted
+    the search space.  A search that runs out of nodes returns no path and
+    False."""
     block = sorted(set(block))
     for v in block:
         if not g.has_vertex(v):
@@ -630,10 +654,12 @@ def subcritical_p(n: int) -> float:
     return min(1.0, max(0.0, (math.log(n) - 3 * math.log(math.log(n))) / n))
 
 
-# The largest n a trial is run on.  gen_gnp(n, 0) grows the resident set by
-# about 190-210 B a vertex, so 2^22 vertices take about 0.85 GB before the
-# first edge; a whole trial at p = 0 takes about 320 B a vertex (ru_maxrss,
-# n = 2^18 and 2^20, CPython 3.11).
+# The largest n a trial is run on.  gen_gnp(n, 0) keeps 80 B a vertex under
+# tracemalloc (a vertex tuple slot, an int and a dict entry; every empty
+# neighbour tuple is the shared ()) and grows the resident set by 82-88 B a
+# vertex, so 2^22 vertices take about 0.35 GB before the first edge; a whole
+# trial at p = 0 peaks at about 277-284 B a vertex (ru_maxrss, n = 2^18 and
+# 2^20, CPython 3.11).
 _GNP_MAX_N = 1 << 22
 
 

@@ -8,17 +8,20 @@ tuple).
 ``signatures`` walks each path once, looking its vertices and consecutive
 edges up among the targets: the exact table, in O(total path length +
 targets).  ``check``, ``separates`` and ``covers`` share one routine, which
-on a tree host first tries to certify from one hash sweep in O(n + paths):
-each path gets a fixed random word, and each target element the sum of the
-words of the paths through it, found from path ends, offline LCAs and
-subtree sums without walking any path.  Equal path sets give equal sums and
-the empty set sums to zero, so distinct nonzero sums prove the verdict
-exactly.  When the sums do not certify (a collision, a zero, or a family
-that really fails), the verdict and its witness come from the exact table
-(``check_signatures``), so a hash can never accept a failing family.  Graph
-hosts always use the exact table.  The same certified sums let
-``faults.decoder`` decode probe reports without the table.  Membership
-tests (``path_contains``, ``kisses``) scan the path's own vertex sequence.
+first tries to certify from one sweep of word sums: each path gets a fixed
+random word, and each target element the sum of the words of the paths
+through it.  On a tree host the sums come from path ends, offline LCAs and
+subtree sums, in O(n + paths), without walking any path.  On any other
+host, targets that are all vertices are summed over each path's vertices,
+in O(total path length + targets), with no set built per target; edge
+targets off a tree go straight to the exact table.  Equal path sets give
+equal sums and the empty set sums to zero, so distinct nonzero sums prove
+the verdict exactly.  When the sums do not certify (a collision, a zero, or
+a family that really fails), the verdict and its witness come from the
+exact table (``check_signatures``), so a sum can never accept a failing
+family.  The same certified sums let ``faults.decoder`` decode probe
+reports without the table.  Membership tests (``path_contains``,
+``kisses``) scan the path's own vertex sequence.
 
 A path fits its host when its first vertex is in the neighbour map and
 each step lands in the previous vertex's neighbours: one lookup per step,
@@ -313,16 +316,34 @@ def _tree_hashes(fs: PathSystem, ts: TargetSet) -> list[int]:
     return hashes
 
 
+def _vertex_sums(fs: PathSystem, ts: TargetSet) -> list[int]:
+    """For each target element, a vertex, the sum of the words of the paths
+    through it, on any host; O(total path length + targets), reading each
+    path's vertices once.  A path repeats no vertex, so each path adds its
+    word at most once; a vertex on no path, or not in the host, sums to 0."""
+    sums = dict.fromkeys(ts.elements, 0)
+    for w, p in zip(_path_words(len(fs.paths)), fs.paths):
+        for v in p.vertices:
+            if v in sums:
+                sums[v] += w
+    return [sums[v] for v in ts.elements]
+
+
 def _certified_sums(
     fs: PathSystem, ts: TargetSet, separation: bool = True, covering: bool = True
 ) -> list[int] | None:
-    """The tree hash sums of the target elements, in ``ts.elements`` order,
-    when they prove the asked-for properties: pairwise distinct sums prove
-    separation, nonzero sums covering.  None on graph hosts and whenever the
-    sums do not settle it."""
-    if not isinstance(fs.host, Tree):
+    """The word sums of the target elements, in ``ts.elements`` order, when
+    they prove the asked-for properties: pairwise distinct sums prove
+    separation, nonzero sums covering.  A tree host sums from path ends
+    (``_tree_hashes``); any other host sums only vertex targets, over each
+    path's vertices (``_vertex_sums``).  None for edge targets off a tree,
+    and whenever the sums do not settle it."""
+    if isinstance(fs.host, Tree):
+        hashes = _tree_hashes(fs, ts)
+    elif all(isinstance(s, int) for s in ts.elements):
+        hashes = _vertex_sums(fs, ts)
+    else:
         return None
-    hashes = _tree_hashes(fs, ts)
     seen = set(hashes)
     if (separation and len(seen) != len(hashes)) or (covering and 0 in seen):
         return None
@@ -361,7 +382,7 @@ def check_signatures(
 
 
 def _verdict(fs: PathSystem, ts: TargetSet, separation: bool, covering: bool) -> Verdict:
-    """One sweep: a pass when the tree hash sums certify the asked-for
+    """One sweep: a pass when the word sums certify the asked-for
     properties, else the exact table's verdict."""
     if _certified_sums(fs, ts, separation, covering) is not None:
         return Verdict(True, _PASSES[separation, covering])

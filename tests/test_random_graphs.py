@@ -35,6 +35,7 @@ from seppaths import (
     separating_set_system,
 )
 from seppaths.cli import main
+from seppaths.trees import Host
 from seppaths.oracle import min_separating
 from seppaths.errors import InternalClassificationError, TooLarge, UnknownVertex
 from seppaths.random_graphs import (
@@ -751,6 +752,67 @@ class TestRowSplit:
                 outs.append(out.getvalue().encode())
                 assert (len(forks) >= 2) == (cpus == 2)  # each graph split its rows
             assert outs[0] == outs[1]
+
+
+def edges_built(g):
+    """Whether the graph's edge slot is filled, read without filling it."""
+    try:
+        Host.edges.__get__(g, Graph)
+    except AttributeError:
+        return False
+    return True
+
+
+class TestLeanGraph:
+    # the boundary-p grid of TestRowSplit
+    @pytest.mark.parametrize("p", [
+        subcritical_p(300), supercritical_p(300), 1 / 16, 17 / 256, 0.5, 1.0,
+        3 / 256, (3 * 2**45 + 1) / 2**53, 40 / 256, (40 * 2**45 + 1) / 2**53,
+    ])
+    def test_edge_set_is_built_on_first_read(self, p):
+        for n, seed in ((3, 0), (4, 1), (97, 2), (300, 3)):
+            want = reference_gnp_edges(n, p, random.Random(seed))
+            split, _ = gnp_rows(n, p, seed, 2)
+            for g in (gen_gnp(n, p, seed), split, Graph(n, want)):
+                random_vertex_system(g, seed)
+                assert repr(g) == f"Graph(n={n}, m={len(want)})"
+                assert isolated_count(g) == n - len({v for pair in want for v in pair})
+                assert not edges_built(g)
+                first = g.edges
+                assert first == want and g.edges is first
+                g.edges = frozenset()  # still an ordinary slot
+                assert g.edges == frozenset()
+
+    def test_an_experiment_never_builds_an_edge_set(self, monkeypatch):
+        made = []
+
+        def keep(n, p, seed):
+            made.append(gen_gnp(n, p, seed))
+            return made[-1]
+
+        monkeypatch.setattr(seppaths.random_graphs, "gen_gnp", keep)
+        for n, p in ((64, 1.0), (300, supercritical_p(300)), (300, subcritical_p(300))):
+            run_experiment(ExperimentConfig(n=n, p=p, trials=2, seed=5))
+        assert len(made) == 6 and not any(map(edges_built, made))
+
+    def test_memory_guard(self, monkeypatch):
+        # one process; the edge tuples or the exact table would exceed these
+        # (about 5.1, 5.9 and 9.2 MiB with them)
+        monkeypatch.setattr(seppaths.random_graphs, "_fork_cpus", lambda: 1)
+        n = 2048
+        tracemalloc.start()
+        try:
+            g = gen_gnp(n, supercritical_p(n), 1)
+            kept, peak = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            fs = random_vertex_system(g, 1)
+            search_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert fs is not None and fs.size == 12
+        assert kept <= 1.5 * 2**20
+        assert peak <= 3 * 2**20
+        assert search_peak <= 4 * 2**20
 
 
 class TestIsolated:

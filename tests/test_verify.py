@@ -1,11 +1,13 @@
 """Signatures, separation/covering verdicts, kissing, and the text format."""
 
 import itertools
+import operator
 import random
 import re
 import sys
 import threading
 import time
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -17,6 +19,7 @@ from seppaths import (
     Graph,
     PathInTree,
     PathSystem,
+    ProbeReport,
     TargetKind,
     TargetSet,
     Tree,
@@ -25,6 +28,8 @@ from seppaths import (
     bunch_construction,
     check,
     covers,
+    decode,
+    decoder,
     edge_system,
     gen_gnp,
     incidence,
@@ -37,16 +42,25 @@ from seppaths import (
     random_vertex_system,
     separates,
     serialize_paths,
+    signature_table,
     signatures,
+    simulate_probes,
     unique_path,
     vertex_interior_system,
     vertex_system,
 )
 from seppaths.edge_systems import _edge_pairs
-from seppaths.errors import BadToken, InternalClassificationError, InvalidPath, UnknownElement
+from seppaths.errors import (
+    BadToken,
+    InternalClassificationError,
+    InvalidPath,
+    NotCovering,
+    NotSeparating,
+    UnknownElement,
+)
 from seppaths.oracle import enumerate_paths, enumerate_trees, min_separating
 from seppaths.random_graphs import supercritical_p
-from seppaths.verify import _tree_hashes, check_signatures
+from seppaths.verify import _certified_sums, _tree_hashes, _vertex_sums, check_signatures
 
 from conftest import leafy_tree, path_tree
 
@@ -481,14 +495,104 @@ class TestHashSweep:
         assert verdict.label == "SeparatesAndCovers"
 
 
+def _graph_family(data, g):
+    """A family on g, and its shape: random simple walks (one-vertex ones
+    included), as drawn; with a path repeated; with every path avoiding a
+    vertex x, so x is uncovered; with two vertices u, v on exactly the same
+    paths (their own edge path, where they are adjacent, the one-vertex
+    paths of the rest, and walks avoiding both); or with every one-vertex
+    path added, so it separates and covers."""
+    rnd = data.draw(st.randoms(use_true_random=False))
+
+    def walks(count, avoid=()):
+        free = [v for v in g.vertices if v not in avoid]
+        out = []
+        for _ in range(count if free else 0):
+            walk = [rnd.choice(free)]
+            for _ in range(rnd.randrange(g.n)):
+                fresh = [w for w in g.neighbors(walk[-1]) if w not in avoid and w not in walk]
+                if not fresh:
+                    break
+                walk.append(rnd.choice(fresh))
+            out.append(walk)
+        return out
+
+    shape = data.draw(st.sampled_from(["drawn", "repeated", "uncovered", "twins", "working"]))
+    paths = walks(rnd.randrange(1, 7))
+    if shape == "repeated":
+        paths.append(rnd.choice(paths))
+    elif shape == "uncovered":
+        paths = walks(rnd.randrange(0, 7), avoid={rnd.choice(g.vertices)})
+    elif shape == "twins" and g.n >= 2:
+        adjacent = [(u, v) for u in g.vertices for v in g.neighbors(u) if u < v]
+        u, v = rnd.choice(adjacent) if adjacent else rnd.sample(g.vertices, 2)
+        paths = walks(rnd.randrange(0, 7), avoid={u, v})
+        paths += [[w] for w in g.vertices if w not in (u, v)] + ([[u, v]] if adjacent else [])
+    elif shape == "working":
+        paths += [[v] for v in g.vertices]
+    return make_system(g, paths), shape
+
+
+class TestGraphWordSums:
+    """On graph hosts the vertex word sums give exactly the verdicts and
+    witnesses of the exact signature table, and the decoder exactly what
+    ``decode`` over the table gives."""
+
+    @staticmethod
+    def _targets(data, g):
+        chosen = data.draw(st.lists(st.sampled_from(g.vertices), max_size=8))
+        return TargetSet.vertices(g), TargetSet.custom(g, chosen)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 12), st.sampled_from([0.2, 0.5]), st.integers(0, 2**32), st.data())
+    def test_agrees_with_the_exact_table(self, n, p, seed, data):
+        g = gen_gnp(n, p, seed)
+        fs, shape = _graph_family(data, g)
+        words = seppaths.verify._path_words(len(fs.paths))
+        for ts in self._targets(data, g):
+            sig = signatures(fs, ts)
+            assert _vertex_sums(fs, ts) == [sum(words[i] for i in sig[s]) for s in ts.elements]
+            verdicts = (check(fs, ts), separates(fs, ts), covers(fs, ts))
+            assert verdicts == exact_verdicts(fs, ts)
+            assert (_certified_sums(fs, ts) is not None) == verdicts[0].ok
+        ts = TargetSet.vertices(g)
+        if shape == "working":
+            assert check(fs, ts)
+        elif shape == "uncovered" or (shape == "twins" and n >= 2):
+            assert not check(fs, ts)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 12), st.sampled_from([0.2, 0.5]), st.integers(0, 2**32), st.data())
+    def test_decoder_agrees_with_the_table(self, n, p, seed, data):
+        g = gen_gnp(n, p, seed)
+        fs, _ = _graph_family(data, g)
+        for ts in self._targets(data, g):
+            try:
+                table = signature_table(fs, ts)
+            except (NotSeparating, NotCovering) as error:
+                with pytest.raises(type(error), match=f"^{re.escape(str(error))}$"):
+                    decoder(fs, ts)
+                continue
+            decode_report = decoder(fs, ts)
+            assert not isinstance(decode_report, partial)  # decoded by sums
+            singles = [simulate_probes(fs, s) for s in ts.elements]
+            doubles = [
+                ProbeReport(tuple(map(operator.and_, a.outcomes, b.outcomes)))
+                for a, b in itertools.combinations(singles, 2)
+            ]
+            for report in [simulate_probes(fs, None), *singles, *doubles]:
+                assert decode_report(report) == decode(table, report)
+
+
 class TestCheckOnce:
     """Each public construction and the signature table sweep once per call:
-    one exact signature sweep or one tree hash sweep, never both."""
+    one exact signature sweep, one tree hash sweep or one vertex word-sum
+    sweep, never two."""
 
     @pytest.fixture
     def sweeps(self, monkeypatch):
         calls = []
-        for name in ("signatures", "_tree_hashes"):
+        for name in ("signatures", "_tree_hashes", "_vertex_sums"):
             original = getattr(seppaths.verify, name)
 
             def counting(fs, ts, original=original):
